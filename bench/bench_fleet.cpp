@@ -296,8 +296,8 @@ FleetRunRecord run_configured(const ex::ExperimentSetup& setup,
     }
   }
   record.metrics = compute_fleet_metrics(result);
-  record.link_utilization = result.video_link.utilization();
-  record.peak_flows = result.video_link.peak_flows;
+  record.link_utilization = result.links.front().utilization();
+  record.peak_flows = result.links.front().peak_flows;
   record.profile = result.profile;
   if (!result.cdns.empty()) {
     std::int64_t edge_hits = 0;
@@ -342,7 +342,7 @@ FleetRunRecord run_case(const ex::ExperimentSetup& setup, const TraceCase& tc,
 /// Topology row: `edges` shards x `clients_per_edge` clients funnelling
 /// into one core. The shared trace argument is ignored by the scheduler
 /// once a topology is set; row utilization/peak report the core link
-/// (link 0 of TopologySpec::sharded, aliased by FleetResult::video_link).
+/// (link 0 of TopologySpec::sharded).
 FleetRunRecord run_topology_case(const ex::ExperimentSetup& setup, int edges,
                                  int clients_per_edge, fleet::Engine engine,
                                  bool profile = false, int threads = 1,

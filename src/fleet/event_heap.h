@@ -3,13 +3,12 @@
 //
 //   * sessions — keyed on min(next_local_event_time, planned leave time);
 //     refreshed whenever the session is processed;
-//   * shared links — every carrier with a completion registry: the shared
-//     Links of a plain fleet, or one entity per topology *channel* (spec
-//     paths plus the derived cache-hit prefix channels of cache-aware
-//     fleets, Topology::channel_count). Keyed on the carrier's earliest
-//     registered flow completion, refreshed *lazily*: the key is recomputed
-//     only when the link's flow-count epoch moved since the last sync. A
-//     completion
+//   * shared links — every carrier with a completion registry: one entity
+//     per topology *channel* (spec paths plus the derived cache-hit prefix
+//     channels of cache-aware fleets, Topology::channel_count). Keyed on
+//     the carrier's earliest registered flow completion, refreshed
+//     *lazily*: the key is recomputed only when the link's flow-count epoch
+//     moved since the last sync. A completion
 //     target is a virtual-service integral value, invariant under
 //     population and capacity changes, so one O(log F) registry lookup per
 //     link replaces re-keying every riding session when a flow joins or

@@ -68,16 +68,13 @@ void StreamingFleetStats::add_client(const ClientResult& client) {
   stall_ratio.add(s.stall_ratio);
   startup_delay_s.add(s.startup_s);
   buffer_imbalance_s.add(s.imbalance_s);
-  if (client.video_path >= 0 &&
-      static_cast<std::size_t>(client.video_path) < paths.size()) {
-    PathAcc& acc = paths[static_cast<std::size_t>(client.video_path)];
-    ++acc.clients;
-    acc.video_sum += s.video_kbps;
-    acc.video_sq_sum += s.video_kbps * s.video_kbps;
-    acc.throughput_sum += s.throughput;
-    acc.throughput_sq_sum += s.throughput * s.throughput;
-    acc.stall_ratio_sum += s.stall_ratio;
-  }
+  PathAcc& acc = paths[static_cast<std::size_t>(client.video_path)];
+  ++acc.clients;
+  acc.video_sum += s.video_kbps;
+  acc.video_sq_sum += s.video_kbps * s.video_kbps;
+  acc.throughput_sum += s.throughput;
+  acc.throughput_sq_sum += s.throughput * s.throughput;
+  acc.stall_ratio_sum += s.stall_ratio;
 }
 
 void StreamingFleetStats::merge(const StreamingFleetStats& other,
@@ -96,9 +93,7 @@ void StreamingFleetStats::merge(const StreamingFleetStats& other,
   startup_delay_s.merge(other.startup_delay_s);
   buffer_imbalance_s.merge(other.buffer_imbalance_s);
   for (std::size_t p = 0; p < other.paths.size(); ++p) {
-    const std::size_t target = path_map != nullptr ? (*path_map)[p] : p;
-    if (target >= paths.size()) continue;
-    PathAcc& into = paths[target];
+    PathAcc& into = paths[path_map != nullptr ? (*path_map)[p] : p];
     const PathAcc& from = other.paths[p];
     into.clients += from.clients;
     into.video_sum += from.video_sum;
@@ -164,22 +159,19 @@ FleetMetrics compute_fleet_metrics(const FleetResult& result) {
     metrics.startup_delay_s = s.startup_delay_s.summary();
     metrics.buffer_imbalance_s = s.buffer_imbalance_s.summary();
     if (s.clients > 0) metrics.mean_qoe = s.qoe_sum / static_cast<double>(s.clients);
-    if (!result.paths.empty() && s.paths.size() == result.paths.size()) {
-      metrics.path_groups.resize(result.paths.size());
-      for (std::size_t p = 0; p < result.paths.size(); ++p) {
-        FleetMetrics::PathGroup& group = metrics.path_groups[p];
-        const StreamingFleetStats::PathAcc& acc = s.paths[p];
-        group.name = result.paths[p].name;
-        group.clients = static_cast<int>(acc.clients);
-        group.jain_fairness_video =
-            jain_from_moments(acc.video_sum, acc.video_sq_sum, acc.clients);
-        group.jain_fairness_throughput = jain_from_moments(
-            acc.throughput_sum, acc.throughput_sq_sum, acc.clients);
-        if (acc.clients > 0) {
-          group.mean_video_kbps = acc.video_sum / static_cast<double>(acc.clients);
-          group.mean_stall_ratio =
-              acc.stall_ratio_sum / static_cast<double>(acc.clients);
-        }
+    metrics.path_groups.resize(result.paths.size());
+    for (std::size_t p = 0; p < result.paths.size(); ++p) {
+      FleetMetrics::PathGroup& group = metrics.path_groups[p];
+      const StreamingFleetStats::PathAcc& acc = s.paths[p];
+      group.name = result.paths[p].name;
+      group.clients = static_cast<int>(acc.clients);
+      group.jain_fairness_video =
+          jain_from_moments(acc.video_sum, acc.video_sq_sum, acc.clients);
+      group.jain_fairness_throughput =
+          jain_from_moments(acc.throughput_sum, acc.throughput_sq_sum, acc.clients);
+      if (acc.clients > 0) {
+        group.mean_video_kbps = acc.video_sum / static_cast<double>(acc.clients);
+        group.mean_stall_ratio = acc.stall_ratio_sum / static_cast<double>(acc.clients);
       }
     }
     return metrics;
@@ -209,34 +201,30 @@ FleetMetrics compute_fleet_metrics(const FleetResult& result) {
   metrics.jain_fairness_video = jain_fairness(video_kbps);
   metrics.jain_fairness_throughput = jain_fairness(throughput);
 
-  // Per-path groups (topology runs): fairness *within* each client→edge→core
-  // shard, so a congested edge shows up as its own unfair group instead of
-  // being averaged away in the fleet-wide numbers.
-  if (!result.paths.empty()) {
-    metrics.path_groups.resize(result.paths.size());
-    std::vector<std::vector<double>> group_video(result.paths.size());
-    std::vector<std::vector<double>> group_throughput(result.paths.size());
-    std::vector<double> group_stall_sum(result.paths.size(), 0.0);
-    for (std::size_t c = 0; c < result.clients.size(); ++c) {
-      const ClientResult& client = result.clients[c];
-      if (client.video_path < 0) continue;
-      const auto p = static_cast<std::size_t>(client.video_path);
-      group_video[p].push_back(video_kbps[c]);
-      group_throughput[p].push_back(throughput[c]);
-      group_stall_sum[p] += stall_ratio[c];
-    }
-    for (std::size_t p = 0; p < result.paths.size(); ++p) {
-      FleetMetrics::PathGroup& group = metrics.path_groups[p];
-      group.name = result.paths[p].name;
-      group.clients = static_cast<int>(group_video[p].size());
-      group.jain_fairness_video = jain_fairness(group_video[p]);
-      group.jain_fairness_throughput = jain_fairness(group_throughput[p]);
-      if (group.clients > 0) {
-        double sum = 0.0;
-        for (const double v : group_video[p]) sum += v;
-        group.mean_video_kbps = sum / static_cast<double>(group.clients);
-        group.mean_stall_ratio = group_stall_sum[p] / static_cast<double>(group.clients);
-      }
+  // Per-path groups: fairness *within* each client→edge→core shard, so a
+  // congested edge shows up as its own unfair group instead of being
+  // averaged away in the fleet-wide numbers.
+  metrics.path_groups.resize(result.paths.size());
+  std::vector<std::vector<double>> group_video(result.paths.size());
+  std::vector<std::vector<double>> group_throughput(result.paths.size());
+  std::vector<double> group_stall_sum(result.paths.size(), 0.0);
+  for (std::size_t c = 0; c < result.clients.size(); ++c) {
+    const auto p = static_cast<std::size_t>(result.clients[c].video_path);
+    group_video[p].push_back(video_kbps[c]);
+    group_throughput[p].push_back(throughput[c]);
+    group_stall_sum[p] += stall_ratio[c];
+  }
+  for (std::size_t p = 0; p < result.paths.size(); ++p) {
+    FleetMetrics::PathGroup& group = metrics.path_groups[p];
+    group.name = result.paths[p].name;
+    group.clients = static_cast<int>(group_video[p].size());
+    group.jain_fairness_video = jain_fairness(group_video[p]);
+    group.jain_fairness_throughput = jain_fairness(group_throughput[p]);
+    if (group.clients > 0) {
+      double sum = 0.0;
+      for (const double v : group_video[p]) sum += v;
+      group.mean_video_kbps = sum / static_cast<double>(group.clients);
+      group.mean_stall_ratio = group_stall_sum[p] / static_cast<double>(group.clients);
     }
   }
 
@@ -293,46 +281,32 @@ std::string fleet_fingerprint(const FleetResult& result) {
                static_cast<unsigned long long>(result.client_digest))
         << " completed:" << s.completed << " departed:" << s.departed_early
         << "\n";
-    if (!result.links.empty()) {
-      for (const LinkStats& link : result.links) fingerprint_link(out, link);
-    } else {
-      fingerprint_link(out, result.video_link);
-      if (result.split_audio) fingerprint_link(out, result.audio_link);
-    }
-    fingerprint_cdns(out, result);
-    if (result.timeline.has_value()) out << result.timeline->fingerprint();
-    return out.str();
-  }
-  out << "clients:" << result.clients.size()
-      << format(" end:%.17g", result.end_time_s)
-      << " split_audio:" << (result.split_audio ? 1 : 0) << "\n";
-  for (const ClientResult& client : result.clients) {
-    const SessionLog& log = client.log;
-    out << "client " << client.id << " " << client.player
-        << format(" arrival=%.17g", client.arrival_s)
-        << " departed=" << (client.departed_early ? 1 : 0)
-        << " completed=" << (log.completed ? 1 : 0)
-        << format(" startup=%.17g end=%.17g", log.startup_delay_s, log.end_time_s)
-        << " downloads=" << log.downloads.size()
-        << " bytes=" << log.total_downloaded_bytes()
-        << " abandoned=" << log.abandoned.size()
-        << " wasted=" << log.wasted_bytes() << " stalls=" << log.stall_count()
-        << format(" stall_s=%.17g", log.total_stall_s()) << "\nvsel:";
-    for (const std::string& id : log.video_selection) out << id << ";";
-    out << "\nasel:";
-    for (const std::string& id : log.audio_selection) out << id << ";";
-    out << "\n";
-  }
-  // Topology runs serialize every link in declaration order; binding_s is
-  // deliberately absent from fingerprint_link (like `steps`, attribution is
-  // sensitive to tie-break conventions, not to behaviour). A single-link
-  // topology therefore prints the exact line a plain fleet prints.
-  if (!result.links.empty()) {
-    for (const LinkStats& link : result.links) fingerprint_link(out, link);
   } else {
-    fingerprint_link(out, result.video_link);
-    if (result.split_audio) fingerprint_link(out, result.audio_link);
+    out << "clients:" << result.clients.size()
+        << format(" end:%.17g", result.end_time_s)
+        << " split_audio:" << (result.split_audio ? 1 : 0) << "\n";
+    for (const ClientResult& client : result.clients) {
+      const SessionLog& log = client.log;
+      out << "client " << client.id << " " << client.player
+          << format(" arrival=%.17g", client.arrival_s)
+          << " departed=" << (client.departed_early ? 1 : 0)
+          << " completed=" << (log.completed ? 1 : 0)
+          << format(" startup=%.17g end=%.17g", log.startup_delay_s, log.end_time_s)
+          << " downloads=" << log.downloads.size()
+          << " bytes=" << log.total_downloaded_bytes()
+          << " abandoned=" << log.abandoned.size()
+          << " wasted=" << log.wasted_bytes() << " stalls=" << log.stall_count()
+          << format(" stall_s=%.17g", log.total_stall_s()) << "\nvsel:";
+      for (const std::string& id : log.video_selection) out << id << ";";
+      out << "\nasel:";
+      for (const std::string& id : log.audio_selection) out << id << ";";
+      out << "\n";
+    }
   }
+  // Every link in declaration order; binding_s is deliberately absent from
+  // fingerprint_link (like `steps`, attribution is sensitive to tie-break
+  // conventions, not to behaviour).
+  for (const LinkStats& link : result.links) fingerprint_link(out, link);
   fingerprint_cdns(out, result);
   if (result.timeline.has_value()) out << result.timeline->fingerprint();
   return out.str();
@@ -365,29 +339,23 @@ std::string summarize(const FleetResult& result, const FleetMetrics& metrics) {
                 metrics.buffer_imbalance_s.p50, metrics.buffer_imbalance_s.p90,
                 metrics.buffer_imbalance_s.max);
   out << format("  mean QoE: %.1f\n", metrics.mean_qoe);
-  const auto link_line = [&out, &result](const LinkStats& stats) {
+  for (const LinkStats& stats : result.links) {
     out << format(
         "  link %s: utilization=%.3f busy=%.3f avg_flows=%.2f peak_flows=%d",
         stats.name.c_str(), stats.utilization(), stats.busy_fraction(),
         stats.avg_flows(), stats.peak_flows);
-    if (!result.links.empty() && result.end_time_s > 0.0) {
+    if (result.end_time_s > 0.0) {
       out << format(" binding=%.3f", stats.binding_s / result.end_time_s);
     }
     out << "\n";
-  };
-  if (!result.links.empty()) {
-    for (const LinkStats& stats : result.links) link_line(stats);
-    for (const FleetMetrics::PathGroup& group : metrics.path_groups) {
-      out << format(
-          "  path %s: clients=%d jain_video=%.4f jain_tput=%.4f "
-          "mean_kbps=%.0f stall_ratio=%.3f\n",
-          group.name.c_str(), group.clients, group.jain_fairness_video,
-          group.jain_fairness_throughput, group.mean_video_kbps,
-          group.mean_stall_ratio);
-    }
-  } else {
-    link_line(result.video_link);
-    if (result.split_audio) link_line(result.audio_link);
+  }
+  for (const FleetMetrics::PathGroup& group : metrics.path_groups) {
+    out << format(
+        "  path %s: clients=%d jain_video=%.4f jain_tput=%.4f "
+        "mean_kbps=%.0f stall_ratio=%.3f\n",
+        group.name.c_str(), group.clients, group.jain_fairness_video,
+        group.jain_fairness_throughput, group.mean_video_kbps,
+        group.mean_stall_ratio);
   }
   for (const CdnStats& cdn : result.cdns) {
     out << format(

@@ -11,7 +11,6 @@
 #include <optional>
 
 #include "fleet/cdn_fleet.h"
-#include "fleet/shared_link.h"
 #include "fleet/topology.h"
 #include "media/track.h"
 #include "obs/profile.h"
@@ -28,10 +27,11 @@ struct ClientResult {
   std::string player;
   double arrival_s = 0.0;
   bool departed_early = false;  ///< churned out before content end
-  /// Topology runs only: path indices this client's media rode (audio ==
-  /// video unless the spec splits audio). -1 for single-link fleets.
-  int video_path = -1;
-  int audio_path = -1;
+  /// Indices into FleetResult::paths of the paths this client's media rode
+  /// (audio == video unless the spec splits audio); 0 on a single-link
+  /// fleet.
+  int video_path = 0;
+  int audio_path = 0;
   SessionLog log;
   QoeReport qoe;
 };
@@ -63,9 +63,9 @@ struct StreamingFleetStats {
   QuantileSketch startup_delay_s;
   QuantileSketch buffer_imbalance_s;
 
-  /// Per-video-path accumulators (topology runs; indexed like
-  /// FleetResult::paths). Enough for the PathGroup table: counts, moments
-  /// and the stall-ratio sum.
+  /// Per-video-path accumulators, indexed like FleetResult::paths and sized
+  /// to the fleet's path count before any client is added. Enough for the
+  /// PathGroup table: counts, moments and the stall-ratio sum.
   struct PathAcc {
     std::size_t clients = 0;
     double video_sum = 0.0;
@@ -90,7 +90,7 @@ struct StreamingFleetStats {
 };
 
 /// Outcome of one fleet run: per-client results (client-id order) plus
-/// shared-link accounting.
+/// per-link and per-path accounting.
 struct FleetResult {
   std::vector<ClientResult> clients;
   /// Streaming-metrics mode only: the O(shards) aggregate that replaces
@@ -101,11 +101,13 @@ struct FleetResult {
   /// Identical across engines, thread counts and streaming/full modes — the
   /// determinism handle when per-client logs are not retained.
   std::uint64_t client_digest = 0;
+  /// Both alias links.front(); kept for perfbench/ and other single-link
+  /// readers. Read `links` for every link of a split or multi-link fleet.
   LinkStats video_link;
-  LinkStats audio_link;  ///< duplicate of video_link when !split_audio
-  /// Topology runs: per-link stats in link-declaration order (video_link
-  /// then aliases the first entry for convenience) plus per-path closing
-  /// summaries. Both empty for single-link fleets.
+  LinkStats audio_link;
+  /// Per-link stats in link-declaration order plus per-path closing
+  /// summaries. A fleet without FleetConfig::topology has one link
+  /// ("bottleneck") and one path.
   std::vector<LinkStats> links;
   std::vector<PathSummary> paths;
   /// Cache-aware runs: per-CDN-node closing stats, ascending link index
@@ -145,9 +147,9 @@ struct FleetMetrics {
 
   double mean_qoe = 0.0;
 
-  /// Per-path aggregates of a topology run (the per-edge fairness table of
-  /// EXPERIMENTS.md). Grouped by the clients' video path; empty for
-  /// single-link fleets.
+  /// Per-path aggregates (the per-edge fairness table of EXPERIMENTS.md),
+  /// grouped by the clients' video path; one group for a single-link
+  /// fleet.
   struct PathGroup {
     std::string name;
     int clients = 0;
@@ -175,7 +177,7 @@ std::uint64_t client_outcome_digest(const ClientResult& client);
 
 /// Deterministic serialization of everything that identifies a fleet
 /// outcome: per-client arrival/departure/selection/stall/download accounting
-/// plus link stats. Two runs are behaviourally identical iff their
+/// plus per-link stats. Two runs are behaviourally identical iff their
 /// fingerprints compare equal — the determinism contract of
 /// tests/test_fleet.cpp.
 std::string fleet_fingerprint(const FleetResult& result);

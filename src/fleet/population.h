@@ -118,11 +118,10 @@ struct FleetConfig {
   /// Per-request RTT of every client's network.
   double rtt_s = 0.05;
 
-  /// Multi-link topology (fleet/topology.h): when set, every client rides a
-  /// *path* of shared links (client → edge → core) chosen by the spec's
-  /// assignment vectors, and the scheduler's bottleneck/audio traces are
-  /// ignored. Unset = today's single shared bottleneck. A
-  /// TopologySpec::single() topology is byte-identical to unset.
+  /// The fleet's topology (fleet/topology.h): every client rides a *path*
+  /// of shared links (client → edge → core) chosen by the spec's
+  /// assignment vectors. Unset = TopologySpec::single(bottleneck), the
+  /// bottleneck trace passed to the scheduler, which is ignored otherwise.
   std::optional<TopologySpec> topology;
 
   /// Cache-aware fleets (fleet/cdn_fleet.h): configuration of the CDN nodes

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "fleet/event_heap.h"
@@ -18,41 +20,32 @@
 namespace demuxabr::fleet {
 
 FleetScheduler::FleetScheduler(const Content& content, ManifestView view,
-                               BandwidthTrace bottleneck, FleetConfig config,
-                               std::optional<BandwidthTrace> audio_trace)
+                               BandwidthTrace bottleneck, FleetConfig config)
     : content_(content),
       view_(std::move(view)),
       config_(std::move(config)),
-      video_link_(std::move(bottleneck),
-                  audio_trace.has_value() ? "video-bottleneck" : "bottleneck",
-                  &arena_) {
-  if (config_.topology.has_value()) {
-    topology_.emplace(*config_.topology, &arena_);
-    if (topology_->has_caches()) {
-      // Cache-aware run: one shard-local cache plane routing every session's
-      // flows. The shard runner pre-builds the catalog and shares it
-      // read-only across shards; a serial run builds its own here.
-      catalog_ = config_.cdn.catalog != nullptr
-                     ? config_.cdn.catalog
-                     : make_fleet_catalog(content_, config_.cdn.storage);
-      cdn_ = std::make_unique<CdnState>(*config_.topology, *topology_, catalog_);
-    }
-  } else if (audio_trace.has_value()) {
-    audio_link_.emplace(std::move(*audio_trace), "audio-bottleneck", &arena_);
+      topology_(config_.topology.has_value()
+                    ? *config_.topology
+                    : TopologySpec::single(std::move(bottleneck)),
+                &arena_) {
+  if (topology_.has_caches()) {
+    // Cache-aware run: one shard-local cache plane routing every session's
+    // flows. The shard runner pre-builds the catalog and shares it
+    // read-only across shards; a serial run builds its own here. Only a
+    // configured spec can declare caches.
+    catalog_ = config_.cdn.catalog != nullptr
+                   ? config_.cdn.catalog
+                   : make_fleet_catalog(content_, config_.cdn.storage);
+    cdn_ = std::make_unique<CdnState>(*config_.topology, topology_, catalog_);
   }
   if (config_.telemetry.enabled) {
     // Build the shard-local timeline accumulator. Link slot order matches
-    // the topology's link-declaration order (or video then audio for plain
-    // fleets), so the shard runner's link_ids map applies directly.
+    // the topology's link-declaration order, so the shard runner's link_ids
+    // map applies directly.
     std::vector<std::string> link_names;
-    if (config_.topology.has_value()) {
-      link_names.reserve(config_.topology->links.size());
-      for (const LinkSpec& link : config_.topology->links) {
-        link_names.push_back(link.name);
-      }
-    } else {
-      link_names.push_back(video_link_.name());
-      if (audio_link_.has_value()) link_names.push_back(audio_link_->name());
+    link_names.reserve(topology_.link_count());
+    for (std::size_t l = 0; l < topology_.link_count(); ++l) {
+      link_names.push_back(topology_.link_name(l));
     }
     std::vector<double> ladder;
     ladder.reserve(content_.ladder().video().size());
@@ -61,14 +54,7 @@ FleetScheduler::FleetScheduler(const Content& content, ManifestView view,
     }
     telemetry_ = std::make_unique<obs::TimelineShard>(
         config_.telemetry, std::move(ladder), std::move(link_names));
-    if (topology_.has_value()) {
-      topology_->set_telemetry(telemetry_.get());
-    } else {
-      video_link_.link()->set_telemetry(telemetry_.get(), 0);
-      if (audio_link_.has_value()) {
-        audio_link_->link()->set_telemetry(telemetry_.get(), 1);
-      }
-    }
+    topology_.set_telemetry(telemetry_.get());
     if (cdn_ != nullptr) cdn_->set_telemetry(telemetry_.get());
   }
 }
@@ -79,20 +65,13 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
   client->player = config_.players[plan.player_index].factory();
 
   Network network;
-  if (topology_.has_value()) {
-    const std::size_t video_path = topology_->video_path_for(plan.id);
-    const std::size_t audio_path = topology_->audio_path_for(plan.id);
-    client->video_path = static_cast<int>(video_path);
-    client->audio_path = static_cast<int>(audio_path);
-    network.video_link = topology_->path_channel(video_path);
-    network.audio_link = audio_path == video_path
-                             ? network.video_link
-                             : topology_->path_channel(audio_path);
-  } else {
-    network.video_link = video_link_.link();
-    network.audio_link =
-        audio_link_.has_value() ? audio_link_->link() : video_link_.link();
-  }
+  const std::size_t video_path = topology_.video_path_for(plan.id);
+  const std::size_t audio_path = topology_.audio_path_for(plan.id);
+  client->video_path = static_cast<int>(video_path);
+  client->audio_path = static_cast<int>(audio_path);
+  network.video_link = topology_.path_channel(video_path);
+  network.audio_link = audio_path == video_path ? network.video_link
+                                                : topology_.path_channel(audio_path);
   network.rtt_s = config_.rtt_s;
   network.router = cdn_.get();  // null for cache-less fleets
 
@@ -176,31 +155,16 @@ FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans) {
   streaming_ = config_.streaming.enabled_for(plans.size());
   if (streaming_) {
     result_.streaming.emplace(config_.streaming.relative_error);
-    result_.streaming->paths.resize(
-        topology_.has_value() ? topology_->path_count() : 0);
+    result_.streaming->paths.resize(topology_.path_count());
   } else {
     result_.clients.reserve(plans.size());
   }
-  result_.split_audio =
-      topology_.has_value() ? topology_->split_audio() : audio_link_.has_value();
+  result_.split_audio = topology_.split_audio();
   slots_.resize(plans.size());
 
   // Trace tracks: links and the engine live in their own id namespaces.
-  if (topology_.has_value()) {
-    topology_->name_trace_tracks();
-  } else {
-    video_link_.link()->set_trace_track(obs::kLinkTrackBase);
-    if (audio_link_.has_value()) {
-      audio_link_->link()->set_trace_track(obs::kLinkTrackBase + 1);
-    }
-  }
+  topology_.name_trace_tracks();
   if (obs::Tracer* tr = obs::tracer()) {
-    if (!topology_.has_value()) {
-      tr->name_track(obs::kLinkTrackBase, "link " + video_link_.name());
-      if (audio_link_.has_value()) {
-        tr->name_track(obs::kLinkTrackBase + 1, "link " + audio_link_->name());
-      }
-    }
     tr->name_track(obs::kEngineTrack,
                    resolve_engine(config_.engine, plans.size()) == Engine::kBarrier
                        ? "engine barrier"
@@ -222,22 +186,14 @@ FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans) {
 }
 
 void FleetScheduler::close_links(FleetResult& result, double end_time) {
-  if (topology_.has_value()) {
-    topology_->finalize(end_time);
-    result.links = topology_->link_stats();
-    result.paths = topology_->path_stats();
-    // Convenience aliases so single-link consumers keep working; the
-    // fingerprint serializes result.links instead.
-    result.video_link = result.links.front();
-    result.audio_link = result.video_link;
-    if (cdn_ != nullptr) result.cdns = cdn_->stats();
-  } else {
-    video_link_.finalize(end_time);
-    if (audio_link_.has_value()) audio_link_->finalize(end_time);
-    result.video_link = video_link_.stats();
-    result.audio_link =
-        audio_link_.has_value() ? audio_link_->stats() : result.video_link;
-  }
+  topology_.finalize(end_time);
+  result.links = topology_.link_stats();
+  result.paths = topology_.path_stats();
+  // Aliases kept for single-link consumers; the fingerprint serializes
+  // result.links instead.
+  result.video_link = result.links.front();
+  result.audio_link = result.video_link;
+  if (cdn_ != nullptr) result.cdns = cdn_->stats();
   if (telemetry_ != nullptr) {
     // After link finalization: the finalize walks emit the idle-tail
     // segments, so the binned link series cover [0, end_time].
@@ -330,19 +286,13 @@ double FleetScheduler::run_barrier(const std::vector<ClientPlan>& plans) {
 }
 
 double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
-  // The heap's "link" entities are carriers with completion registries: the
-  // shared Links of a plain fleet, or one PathChannel per topology path.
+  // The heap's "link" entities are carriers with completion registries:
+  // every channel of the topology, including the derived cache-hit prefix
+  // channels above path_count() — flows routed onto them must surface
+  // their completions like any other carrier.
   std::vector<Channel*> links;
-  if (topology_.has_value()) {
-    // Every channel with a completion registry, including the derived
-    // cache-hit prefix channels above path_count() — flows routed onto them
-    // must surface their completions like any other carrier.
-    for (std::size_t p = 0; p < topology_->channel_count(); ++p) {
-      links.push_back(topology_->path_channel(p).get());
-    }
-  } else {
-    links.push_back(video_link_.link().get());
-    if (audio_link_.has_value()) links.push_back(audio_link_->link().get());
+  for (std::size_t p = 0; p < topology_.channel_count(); ++p) {
+    links.push_back(topology_.path_channel(p).get());
   }
 
   EventHeap heap(static_cast<std::uint32_t>(plans.size()),
@@ -356,27 +306,18 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   obs::PhaseStats* const register_stats =
       config_.profile ? &profile.register_phase : nullptr;
   obs::PhaseStats* const admit_stats = config_.profile ? &profile.admit : nullptr;
-  // Per-drain-phase link re-keying over the *dirty* set: a topology records
-  // the channels whose epochs moved since the last call (population changes
-  // mark exactly the affected set), so only those are re-synced; plain
-  // fleets just check their one or two links, where the epoch-lazy test
-  // inside sync_link makes a clean link a couple of loads. Either way the
-  // heap's link keys are exact after every call — the same invariant the
-  // historical sync-all-links-after-every-event loop maintained, at a
+  // Per-drain-phase link re-keying over the *dirty* set: the topology
+  // records the channels whose epochs moved since the last call (population
+  // changes mark exactly the affected set), so only those are re-synced.
+  // The heap's link keys are exact after every call — the same invariant
+  // the historical sync-all-links-after-every-event loop maintained, at a
   // fraction of the checks.
-  Topology* const topo = topology_.has_value() ? &*topology_ : nullptr;
-  if (topo != nullptr) topo->clear_dirty();
+  topology_.clear_dirty();
   const auto sync_dirty = [&] {
-    if (topo != nullptr) {
-      for (const std::uint32_t idx : topo->dirty_channels()) {
-        heap.sync_link(idx, *links[idx]);
-      }
-      topo->clear_dirty();
-    } else {
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        heap.sync_link(static_cast<std::uint32_t>(i), *links[i]);
-      }
+    for (const std::uint32_t idx : topology_.dirty_channels()) {
+      heap.sync_link(idx, *links[idx]);
     }
+    topology_.clear_dirty();
   };
   // A session is keyed on its own (link-independent) events plus its
   // planned departure; flow completions surface through the link keys.

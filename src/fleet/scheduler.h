@@ -1,8 +1,11 @@
 // FleetScheduler: the multi-client discrete-event engine. Interleaves N
-// StreamingSessions against shared bottleneck Links so processor sharing
-// spans *sessions*, not just one client's audio/video flows — the workload
-// class where the paper's §3.3 mis-estimation and §3.4 buffer-imbalance
-// pathologies compound across a population.
+// StreamingSessions over the shared links of one Topology (fleet/
+// topology.h) so processor sharing spans *sessions*, not just one client's
+// audio/video flows — the workload class where the paper's §3.3
+// mis-estimation and §3.4 buffer-imbalance pathologies compound across a
+// population. Every fleet is a topology: one link when audio and video
+// share a bottleneck (§3.3), two when they come from different servers
+// (§4.1), client → edge → core paths at scale.
 //
 // Two engines produce bit-identical results (DESIGN.md §7 "Engine modes"):
 //
@@ -12,10 +15,10 @@
 //    integrate_to(t*), process_events, admissions. O(N) per step.
 //
 //  * kEventHeap (default): an indexed min-heap keys each session on its own
-//    next *local* event time and each shared link on its earliest
-//    registered completion (lazily re-keyed via the link's flow-count
+//    next *local* event time and each path channel on its earliest
+//    registered completion (lazily re-keyed via the channel's flow-count
 //    epoch). Only the sessions with events at time t are touched; everyone
-//    else is advanced implicitly through the links' virtual-time service
+//    else is advanced implicitly through the paths' virtual-time service
 //    integrals. O(log N) per event.
 //
 // Identity holds because sessions derive all state from anchored values
@@ -26,13 +29,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fleet/cdn_fleet.h"
 #include "fleet/metrics.h"
 #include "fleet/population.h"
-#include "fleet/shared_link.h"
 #include "fleet/topology.h"
 #include "manifest/view.h"
 #include "media/content.h"
@@ -44,15 +45,15 @@ namespace demuxabr::fleet {
 
 class FleetScheduler {
  public:
-  /// All clients stream `content` (which must outlive run()) through `view`.
-  /// `bottleneck` carries every client's audio and video; pass `audio_trace`
-  /// to put all audio flows on their own shared pipe instead (the §4.1
-  /// different-servers scenario at fleet scale). When
-  /// `config.topology` is set, both traces are ignored and every client
-  /// rides its assigned multi-link path instead (fleet/topology.h).
+  /// All clients stream `content` (which must outlive run()) through `view`
+  /// over `config.topology`, each on its assigned paths. Unset, the fleet
+  /// is TopologySpec::single(bottleneck): one link named "bottleneck" that
+  /// carries every client's audio and video. Otherwise `bottleneck` is
+  /// unused; put audio on its own link with a two-link spec and an
+  /// audio_assignment (the §4.1 different-servers scenario at fleet
+  /// scale). Throws std::invalid_argument on a spec validate() rejects.
   FleetScheduler(const Content& content, ManifestView view,
-                 BandwidthTrace bottleneck, FleetConfig config,
-                 std::optional<BandwidthTrace> audio_trace = std::nullopt);
+                 BandwidthTrace bottleneck, FleetConfig config);
 
   /// Run the whole population to completion (or churn/cap). Call once.
   FleetResult run();
@@ -79,8 +80,8 @@ class FleetScheduler {
     ClientPlan plan;
     std::unique_ptr<PlayerAdapter> player;
     std::unique_ptr<StreamingSession> session;
-    int video_path = -1;  ///< topology path indices (see ClientResult)
-    int audio_path = -1;
+    int video_path = 0;  ///< topology path indices (see ClientResult)
+    int audio_path = 0;
   };
 
   /// Build and start client `plan`'s session; returns the slot (owned by
@@ -98,13 +99,13 @@ class FleetScheduler {
   /// Per-shard monotonic arena (DESIGN.md §12) backing run-lifetime engine
   /// state: every channel's completion registry, the event heap, drain
   /// scratch, and session pending-delivery queues. Declared before the
-  /// links/topology that allocate from it so it outlives them (members
-  /// destroy in reverse order). Single-threaded: each shard runs its own
-  /// scheduler, hence its own arena.
+  /// topology that allocates from it so it outlives it (members destroy in
+  /// reverse order). Single-threaded: each shard runs its own scheduler,
+  /// hence its own arena.
   MonotonicArena arena_;
-  SharedLink video_link_;  ///< unused when topology_ is set
-  std::optional<SharedLink> audio_link_;
-  std::optional<Topology> topology_;
+  /// Owns every channel the sessions hold raw pointers into; declared
+  /// before slots_ so the sessions are destroyed first.
+  Topology topology_;
   /// Cache-aware runs only: the origin catalog (possibly shared read-only
   /// across shards) and this run's cache plane / flow router.
   std::shared_ptr<const ObjectCatalog> catalog_;
@@ -118,9 +119,12 @@ class FleetScheduler {
   bool streaming_ = false;  ///< streaming-metrics mode active for this run
 };
 
-/// Convenience one-call runner. When `config.threads` != 1 and the topology
-/// splits into multiple connected components, dispatches to the parallel
-/// shard runner (fleet/shard.h) — results are byte-identical either way.
+/// Convenience one-call runner over `config.topology`, or over
+/// TopologySpec::single(bottleneck) when it is unset. When `config.threads`
+/// != 1 and the topology splits into multiple connected components,
+/// dispatches to the parallel shard runner (fleet/shard.h) — results are
+/// byte-identical either way. Throws std::invalid_argument on a spec
+/// validate() rejects.
 FleetResult run_fleet(const Content& content, const ManifestView& view,
                       const BandwidthTrace& bottleneck, const FleetConfig& config);
 

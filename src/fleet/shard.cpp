@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fleet/scheduler.h"
@@ -73,7 +75,8 @@ void merge_profiles(obs::EngineProfile& into, const obs::EngineProfile& from) {
 
 ShardPartition partition_fleet(const TopologySpec& spec,
                                const std::vector<ClientPlan>& plans) {
-  assert(!spec.links.empty() && !spec.paths.empty());
+  const std::string problem = spec.validate();
+  if (!problem.empty()) throw std::invalid_argument(problem);
   UnionFind uf(spec.links.size());
   for (const PathSpec& path : spec.paths) {
     for (std::size_t h = 1; h < path.hops.size(); ++h) {
@@ -291,14 +294,10 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
     } else {
       for (ClientResult& client : result.clients) {
         client.id = shard.client_ids[static_cast<std::size_t>(client.id)];
-        if (client.video_path >= 0) {
-          client.video_path = static_cast<int>(
-              shard.path_ids[static_cast<std::size_t>(client.video_path)]);
-        }
-        if (client.audio_path >= 0) {
-          client.audio_path = static_cast<int>(
-              shard.path_ids[static_cast<std::size_t>(client.audio_path)]);
-        }
+        client.video_path = static_cast<int>(
+            shard.path_ids[static_cast<std::size_t>(client.video_path)]);
+        client.audio_path = static_cast<int>(
+            shard.path_ids[static_cast<std::size_t>(client.audio_path)]);
         merged.clients.push_back(std::move(client));
       }
     }

@@ -62,6 +62,8 @@ struct ShardPartition {
 /// Split `spec` into connected components and distribute `plans` (global
 /// dense ids) onto them. A client lands in the component of its video path;
 /// its audio path is guaranteed co-located (coupled during the union).
+/// Throws std::invalid_argument carrying validate()'s message when `spec`
+/// is malformed.
 ShardPartition partition_fleet(const TopologySpec& spec,
                                const std::vector<ClientPlan>& plans);
 

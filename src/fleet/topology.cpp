@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -217,10 +218,7 @@ double PathChannel::capacity_kbps(double t) const {
 
 Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
   const std::string problem = spec.validate();
-  assert(problem.empty() && "TopologySpec::validate failed");
-  if (!problem.empty()) {
-    DMX_ERROR << "invalid topology (" << problem << ") — behaviour is undefined";
-  }
+  if (!problem.empty()) throw std::invalid_argument(problem);
   video_assignment_ = std::move(spec.video_assignment);
   audio_assignment_ = std::move(spec.audio_assignment);
 
@@ -257,8 +255,8 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
   // Derived hit channels: for every spec path with a cached hop, the route a
   // cache hit rides — the hop prefix ending at the cached link. When the
   // cached link is the last hop the full path already IS that route, so the
-  // hit reuses its channel (which also keeps a cached single-link topology
-  // bit-identical to the plain fleet: routing can never diverge there).
+  // hit reuses its channel (on a cached single-link topology, hits and
+  // misses therefore ride the same channel).
   // Derived channels are full topology citizens — they join their links'
   // path lists, affected sets and rel spans below, so populations riding
   // them shape every fair share exactly like spec-path populations.
@@ -495,8 +493,8 @@ void Topology::advance_link(std::size_t l, double now) {
   if (node.saturating) {
     // Every traversing path is bottlenecked here alone: processor sharing
     // saturates the pipe, so delivered == offered while busy. This branch
-    // is expression-for-expression Link::advance_to — what keeps a
-    // single-link topology bit-identical to the plain fleet.
+    // is expression-for-expression Link::advance_to, so a single-link fleet
+    // accounts exactly as a solo session's Link does.
     while (at < now) {
       const double boundary = node.trace.next_change_after(at);
       const double seg_end = std::min(boundary, now);

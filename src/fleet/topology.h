@@ -26,9 +26,11 @@
 // are unchanged expression-for-expression, so results stay byte-identical
 // to the nested layout.
 //
-// A 1-hop path degenerates to net/link.h arithmetic expression-for-
-// expression, so a single-link topology reproduces the plain fleet
-// byte-for-byte (tests/test_fleet_topology.cpp pins this).
+// Every fleet is a topology: FleetScheduler builds TopologySpec::single()
+// when FleetConfig::topology is unset. A 1-hop path degenerates to
+// net/link.h arithmetic expression-for-expression, so a single-link fleet
+// accounts exactly as a solo session's Link does
+// (tests/test_fleet_topology.cpp pins this against Link).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/shared_link.h"
 #include "net/bandwidth_trace.h"
 #include "net/channel.h"
 #include "obs/trace.h"
@@ -50,6 +51,37 @@ class TimelineShard;  // obs/telemetry.h
 }
 
 namespace demuxabr::fleet {
+
+/// Accumulated utilization of one topology link over a fleet run. Advanced
+/// lazily at flow-population changes — the same partition both fleet
+/// engines produce, so the stats are engine-independent.
+struct LinkStats {
+  std::string name;
+  double observed_s = 0.0;      ///< total wall time observed
+  double busy_s = 0.0;          ///< time with >= 1 active flow
+  double flow_seconds = 0.0;    ///< integral of active_flows over time
+  double offered_kbit = 0.0;    ///< integral of capacity (what the pipe could carry)
+  double delivered_kbit = 0.0;  ///< integral of the traversing paths' rates while busy
+  int peak_flows = 0;           ///< max concurrent flows across all sessions
+  /// Flows still registered when stats were taken. Zero after a clean fleet
+  /// run — anything else means a session leaked a processor-sharing slot.
+  int residual_flows = 0;
+  /// Total time [s] this link was some traversing path's binding
+  /// constraint (bottleneck attribution). Excluded from fingerprints.
+  double binding_s = 0.0;
+
+  /// Fraction of offered capacity actually used (a link only 1-hop paths
+  /// traverse saturates while busy, so delivered == offered there).
+  [[nodiscard]] double utilization() const {
+    return offered_kbit > 0.0 ? delivered_kbit / offered_kbit : 0.0;
+  }
+  [[nodiscard]] double busy_fraction() const {
+    return observed_s > 0.0 ? busy_s / observed_s : 0.0;
+  }
+  [[nodiscard]] double avg_flows() const {
+    return observed_s > 0.0 ? flow_seconds / observed_s : 0.0;
+  }
+};
 
 /// A CDN cache co-located with a topology link (fleet/cdn_fleet.h). A
 /// request whose object is resident in the edge tier rides only the hop
@@ -105,8 +137,8 @@ struct TopologySpec {
   std::size_t add_link(std::string name, BandwidthTrace trace);
   std::size_t add_path(std::string name, std::vector<std::size_t> hops);
 
-  /// Degenerate 1-link / 1-path topology — byte-identical to the plain
-  /// single-bottleneck fleet (the default name matches FleetScheduler's).
+  /// Degenerate 1-link / 1-path topology: what FleetScheduler builds from
+  /// its bottleneck trace when FleetConfig::topology is unset.
   static TopologySpec single(BandwidthTrace trace, std::string name = "bottleneck");
 
   /// Client → edge → core shards: `edge_count` regions, each with its own
@@ -218,10 +250,10 @@ class PathChannel final : public Channel {
 /// outlive every session, which FleetScheduler guarantees).
 class Topology {
  public:
-  /// `spec` must validate() clean (asserted). `arena` (optional, must
-  /// outlive the topology) backs every channel's completion registry —
-  /// FleetScheduler passes its per-shard arena so drain-loop registry
-  /// growth never hits the heap.
+  /// Throws std::invalid_argument carrying validate()'s message when `spec`
+  /// is malformed. `arena` (optional, must outlive the topology) backs
+  /// every channel's completion registry — FleetScheduler passes its
+  /// per-shard arena so drain-loop registry growth never hits the heap.
   explicit Topology(TopologySpec spec, MonotonicArena* arena = nullptr);
 
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }

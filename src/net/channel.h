@@ -5,11 +5,13 @@
 // engine can query per carrier instead of per flow.
 //
 // Two implementations exist:
-//  * Link (net/link.h) — one bottleneck pipe; V(t) = ∫ cap/max(1,N).
-//  * fleet::PathChannel (fleet/topology.h) — an ordered multi-link path
-//    (client → edge → core); V(t) integrates the *minimum* of the per-link
-//    fair shares, so a flow is throttled by whichever hop is currently the
-//    binding constraint.
+//  * Link (net/link.h) — one bottleneck pipe; V(t) = ∫ cap/max(1,N). It
+//    carries every solo session and is the reference a one-hop path is
+//    checked against.
+//  * fleet::PathChannel (fleet/topology.h) — an ordered path of one or more
+//    links (client → edge → core), the carrier of every fleet session; V(t)
+//    integrates the *minimum* of the per-link fair shares, so a flow is
+//    throttled by whichever hop is currently the binding constraint.
 //
 // Everything a session derives from a Channel is a pure function of state
 // that only mutates at flow-population changes — the invariant that makes

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace demuxabr {
@@ -33,12 +33,6 @@ void Link::advance_to(double t) {
       delivered_kbit_ += offered;
       service_kbit_ += offered * inv_flows;
     }
-    if (telemetry_ != nullptr) {
-      // Same segment partition as the integrals above, so the binned series
-      // is engine-identical whenever the flow schedule is.
-      telemetry_->link_segment(telemetry_slot_, at, seg_end, active_flows_,
-                               kbps, active_flows_ > 0 ? kbps : 0.0);
-    }
     at = seg_end;
   }
   clock_s_ = t;
@@ -50,7 +44,7 @@ double Link::add_flow(double now) {
   peak_flows_ = std::max(peak_flows_, active_flows_);
   ++epoch_;
   DMX_COUNT("link.flows_added", 1);
-  DMX_TRACE_COUNTER(obs::kCatLink, trace_track_, "active_flows", now,
+  DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
   return service_kbit_;
 }
@@ -67,7 +61,7 @@ void Link::remove_flow(double now) {
   --active_flows_;
   ++epoch_;
   DMX_COUNT("link.flows_removed", 1);
-  DMX_TRACE_COUNTER(obs::kCatLink, trace_track_, "active_flows", now,
+  DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
 }
 

@@ -12,12 +12,12 @@
 // the integral read v_start has received exactly (V(t) - v_start) kbit by
 // time t, however many other flows came and went in between — so a session
 // can account its bytes at *its own* events as an integral difference
-// instead of integrating every interval, and a whole fleet never needs a
-// global barrier just to keep byte counters honest. Because V only mutates
-// at population changes (which both fleet engines execute at identical
-// times), every derived quantity — delivered bytes, predicted completion
-// times, utilization integrals — is a pure function of identical state in
-// both engines and therefore bit-identical between them.
+// instead of integrating every interval. Because V only mutates at
+// population changes, every derived quantity — delivered bytes, predicted
+// completion times, utilization integrals — is a pure function of that
+// state. fleet::PathChannel keeps the same integral per topology path,
+// which is what lets a whole fleet skip global barriers and stay
+// bit-identical across its engines.
 #pragma once
 
 #include <algorithm>
@@ -27,31 +27,20 @@
 
 #include "net/bandwidth_trace.h"
 #include "net/channel.h"
-#include "obs/trace.h"
-#include "util/arena.h"
 #include "util/indexed_min_heap.h"
 
 namespace demuxabr {
-
-namespace obs {
-class TimelineShard;  // obs/telemetry.h
-}
 
 /// A link carrying 0..N concurrent flows. Capacity follows a BandwidthTrace;
 /// active flows share it equally (TCP-fair approximation). The simulation
 /// engine registers/unregisters flows (with the current time, so the service
 /// integral can advance) and reads service integrals and completion
-/// predictions. This is the single-bottleneck Channel; fleet::PathChannel
-/// composes several Links into a multi-hop carrier.
+/// predictions. This is the Channel of every solo session; fleets ride
+/// fleet::PathChannel instead, whose one-hop case is expression-identical
+/// to this class (tests/test_fleet_topology.cpp holds it to that).
 class Link final : public Channel {
  public:
-  /// `arena` (optional, must outlive the link) backs the completion
-  /// registry's storage: fleet schedulers pass their per-shard arena so
-  /// registry growth in the drain loop bump-allocates instead of hitting
-  /// the heap. Null (the default, all solo uses) falls back to the heap.
-  explicit Link(BandwidthTrace trace, MonotonicArena* arena = nullptr)
-      : trace_(std::move(trace)),
-        completions_(ArenaAllocator<HeapEntry>(arena)) {}
+  explicit Link(BandwidthTrace trace) : trace_(std::move(trace)) {}
 
   /// Register one flow at time `now` (>= every earlier mutation time).
   /// Returns the service integral at `now` — the joining flow's v_start.
@@ -64,11 +53,10 @@ class Link final : public Channel {
   void remove_flow(double now) override;
 
   [[nodiscard]] int active_flows() const override { return active_flows_; }
-  /// Highest concurrent flow count ever observed (cross-session contention
-  /// headline for shared fleet links).
+  /// Highest concurrent flow count ever observed.
   [[nodiscard]] int peak_flows() const { return peak_flows_; }
-  /// Bumped on every population change; the fleet event engine uses it to
-  /// detect that completion predictions keyed on this link went stale.
+  /// Bumped on every population change, so a caller can detect that
+  /// completion predictions keyed on this link went stale.
   [[nodiscard]] std::uint64_t epoch() const override { return epoch_; }
 
   /// Per-flow cumulative service [kbit] at `t` >= the last mutation time.
@@ -142,19 +130,6 @@ class Link final : public Channel {
 
   [[nodiscard]] const BandwidthTrace& trace() const { return trace_; }
 
-  /// Observability track id (one trace track per link). Fleet schedulers
-  /// assign obs::kLinkTrackBase + link index; solo links keep the base.
-  void set_trace_track(std::uint32_t track) { trace_track_ = track; }
-  [[nodiscard]] std::uint32_t trace_track() const { return trace_track_; }
-
-  /// Wire the time-binned telemetry sink (obs/telemetry.h): every lazily
-  /// advanced accounting segment is also reported as slot `slot`'s series.
-  /// Null (default) costs one branch per segment.
-  void set_telemetry(obs::TimelineShard* telemetry, std::size_t slot) {
-    telemetry_ = telemetry;
-    telemetry_slot_ = slot;
-  }
-
  private:
   /// Advance the service + accounting integrals from clock_s_ to t with the
   /// current population, walking capacity segments so time-varying traces
@@ -165,9 +140,6 @@ class Link final : public Channel {
   int active_flows_ = 0;
   int peak_flows_ = 0;
   std::uint64_t epoch_ = 0;
-  std::uint32_t trace_track_ = obs::kLinkTrackBase;
-  obs::TimelineShard* telemetry_ = nullptr;
-  std::size_t telemetry_slot_ = 0;
 
   double clock_s_ = 0.0;    ///< time up to which all integrals are advanced
   double service_kbit_ = 0.0;  ///< V(clock_s_): per-flow service integral
@@ -177,15 +149,15 @@ class Link final : public Channel {
   double offered_kbit_ = 0.0;
   double delivered_kbit_ = 0.0;
 
-  /// v_target [kbit] per in-flight flow token; arena-backed in fleets.
-  BasicIndexedMinHeap<ArenaAllocator<HeapEntry>> completions_;
+  /// v_target [kbit] per in-flight flow token.
+  IndexedMinHeap completions_;
 };
 
 /// The network between client and server(s): one carrier per media type.
 /// `shared` points both media types at the same Link object so concurrent
 /// audio+video downloads contend (the root of Shaka's mis-estimation, §3.3).
-/// A topology-aware fleet instead wires each member at a fleet::PathChannel
-/// via `over`, so both media types ride a multi-hop client→edge→core path.
+/// A fleet instead wires each member at fleet::PathChannels of its
+/// topology, so every client's flows contend on the same links.
 class FlowRouter;
 
 struct Network {

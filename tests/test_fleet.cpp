@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
@@ -15,6 +16,7 @@
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
+#include "fleet/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 
@@ -222,24 +224,38 @@ TEST(Fleet, ChurnReleasesSharedLinkSlots) {
   EXPECT_EQ(result.video_link.residual_flows, 0);
 }
 
+/// Every client's video on one shared link and its audio on another: the
+/// §4.1 different-servers scenario at fleet scale.
+TopologySpec split_audio_spec(BandwidthTrace video, BandwidthTrace audio) {
+  TopologySpec spec;
+  const std::size_t video_link = spec.add_link("video-bottleneck", std::move(video));
+  const std::size_t audio_link = spec.add_link("audio-bottleneck", std::move(audio));
+  spec.video_assignment = {spec.add_path("video", {video_link})};
+  spec.audio_assignment = {spec.add_path("audio", {audio_link})};
+  return spec;
+}
+
 TEST(Fleet, SplitAudioPathTracksBothLinks) {
   const ex::ExperimentSetup setup =
       ex::plain_dash(BandwidthTrace::constant(1000.0), "split");
-  const FleetConfig config = base_config(2, 3);
-  FleetScheduler scheduler(setup.content, setup.view,
-                           BandwidthTrace::constant(2000.0), config,
-                           BandwidthTrace::constant(256.0));
-  const FleetResult result = scheduler.run();
+  FleetConfig config = base_config(2, 3);
+  config.topology = split_audio_spec(BandwidthTrace::constant(2000.0),
+                                     BandwidthTrace::constant(256.0));
+  const FleetResult result = run_fleet(setup.content, setup.view,
+                                       BandwidthTrace::constant(2000.0), config);
 
   EXPECT_TRUE(result.split_audio);
-  EXPECT_GT(result.video_link.busy_s, 0.0);
-  EXPECT_GT(result.audio_link.busy_s, 0.0);
-  EXPECT_EQ(result.video_link.name, "video-bottleneck");
-  EXPECT_EQ(result.audio_link.name, "audio-bottleneck");
+  ASSERT_EQ(result.links.size(), 2u);
+  const LinkStats& video = result.links[0];
+  const LinkStats& audio = result.links[1];
+  EXPECT_GT(video.busy_s, 0.0);
+  EXPECT_GT(audio.busy_s, 0.0);
+  EXPECT_EQ(video.name, "video-bottleneck");
+  EXPECT_EQ(audio.name, "audio-bottleneck");
   // Utilization is a fraction of offered capacity.
-  EXPECT_GE(result.video_link.utilization(), 0.0);
-  EXPECT_LE(result.video_link.utilization(), 1.0 + 1e-9);
-  EXPECT_LE(result.audio_link.utilization(), 1.0 + 1e-9);
+  EXPECT_GE(video.utilization(), 0.0);
+  EXPECT_LE(video.utilization(), 1.0 + 1e-9);
+  EXPECT_LE(audio.utilization(), 1.0 + 1e-9);
 }
 
 /// Run one config under both engines and require byte-identical outcomes:
@@ -325,18 +341,18 @@ TEST(CrossEngine, IdenticalOnSplitAudioPath) {
   config.arrivals = ArrivalProcess::kDeterministic;
   config.arrival_interval_s = 7.0;
 
+  config.topology = split_audio_spec(BandwidthTrace::constant(2000.0),
+                                     BandwidthTrace::constant(256.0));
+
   config.engine = Engine::kBarrier;
-  FleetScheduler barrier_sched(setup.content, setup.view,
-                               BandwidthTrace::constant(2000.0), config,
-                               BandwidthTrace::constant(256.0));
-  const FleetResult barrier = barrier_sched.run();
-
+  const FleetResult barrier = run_fleet(setup.content, setup.view,
+                                        BandwidthTrace::constant(2000.0), config);
   config.engine = Engine::kEventHeap;
-  FleetScheduler heap_sched(setup.content, setup.view,
-                            BandwidthTrace::constant(2000.0), config,
-                            BandwidthTrace::constant(256.0));
-  const FleetResult heap = heap_sched.run();
+  const FleetResult heap = run_fleet(setup.content, setup.view,
+                                     BandwidthTrace::constant(2000.0), config);
 
+  ASSERT_EQ(heap.links.size(), 2u);
+  EXPECT_GT(heap.links[1].busy_s, 0.0);
   EXPECT_EQ(fleet_fingerprint(barrier), fleet_fingerprint(heap));
 }
 

@@ -2,9 +2,9 @@
 //
 //  1. Differential: kBarrier and kEventHeap produce byte-identical fleet
 //     fingerprints on >=3-link client→edge→core topologies, heterogeneous
-//     edges, a shared-core-only variant and a split audio path — and the
-//     degenerate single-link topology reproduces the plain fleet's
-//     fingerprint bit for bit.
+//     edges, a shared-core-only variant and a split audio path. (Single-
+//     and two-link fleets are pinned to recorded digests in
+//     test_fleet_golden.cpp.)
 //  2. Property: a seeded random-topology generator (depth <= 3, fan-in
 //     <= 8, 200+ cases) drives random flow schedules straight against the
 //     Topology oracle and checks conservation (flow bytes partition each
@@ -12,14 +12,16 @@
 //     bound (a path's rate/integral never exceeds any hop's fair share),
 //     and bit-exact agreement of a 1-hop path with a plain net/link.h Link.
 //  3. Regression: finalize on never-used links (idle tail, 0/0 utilization
-//     guard) and completion re-keying when the binding constraint moves
-//     mid-flow (epoch-lazy sync counters must reconcile).
+//     guard), completion re-keying when the binding constraint moves
+//     mid-flow (epoch-lazy sync counters must reconcile), and malformed
+//     specs failing closed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,7 +144,7 @@ TEST(TopologyCrossEngine, HeterogeneousEdgeCapacitiesWithChurn) {
 
 TEST(TopologyCrossEngine, SharedCoreOnlyVariant) {
   // Every path is the bare shared core — several 1-hop paths over one link
-  // (the plain fleet expressed as a topology, with per-path accounting).
+  // (a single-bottleneck fleet with per-path accounting).
   const ex::ExperimentSetup setup = ex::plain_dash(ex::varying_600_trace(), "core-only");
   FleetConfig config = base_config(6, 5);
   config.arrivals = ArrivalProcess::kDeterministic;
@@ -189,31 +191,6 @@ TEST(TopologyCrossEngine, SplitAudioPath) {
   // The audio pipe saw traffic on every client.
   ASSERT_EQ(result.links.size(), 3u);
   EXPECT_GT(result.links[2].busy_s, 0.0);
-}
-
-TEST(TopologyDegenerate, SingleLinkTopologyMatchesPlainFleetBitForBit) {
-  const ex::ExperimentSetup setup = ex::plain_dash(ex::varying_600_trace(), "degen");
-  const BandwidthTrace trace = BandwidthTrace::constant(2500.0);
-  FleetConfig config = base_config(4, 21);
-  config.arrivals = ArrivalProcess::kPoisson;
-  config.arrival_rate_per_s = 0.2;
-  config.churn.leave_probability = 0.5;
-  config.churn.min_watch_s = 20.0;
-  config.churn.max_watch_s = 90.0;
-
-  for (const Engine engine : {Engine::kBarrier, Engine::kEventHeap}) {
-    FleetConfig plain = config;
-    plain.engine = engine;
-    const FleetResult plain_result =
-        run_fleet(setup.content, setup.view, trace, plain);
-
-    FleetConfig degenerate = plain;
-    degenerate.topology = TopologySpec::single(trace);
-    const FleetResult topo_result =
-        run_fleet(setup.content, setup.view, trace, degenerate);
-
-    EXPECT_EQ(fleet_fingerprint(plain_result), fleet_fingerprint(topo_result));
-  }
 }
 
 // --- 2. Property suite over a seeded random-topology generator. ---
@@ -415,25 +392,32 @@ TEST(TopologyProperty, OneHopPathIsBitIdenticalToPlainLink) {
 
 TEST(TopologyRegression, SharedLinkFinalizeOnNeverUsedLink) {
   // Idle-tail accounting: a link nobody ever rode still closes its books.
-  SharedLink idle(BandwidthTrace::constant(1000.0), "idle");
-  idle.finalize(120.0);
-  const LinkStats stats = idle.stats();
-  EXPECT_DOUBLE_EQ(stats.observed_s, 120.0);
-  EXPECT_DOUBLE_EQ(stats.busy_s, 0.0);
-  EXPECT_DOUBLE_EQ(stats.delivered_kbit, 0.0);
-  EXPECT_DOUBLE_EQ(stats.offered_kbit, 120.0 * 1000.0);
-  EXPECT_DOUBLE_EQ(stats.utilization(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.avg_flows(), 0.0);
-  EXPECT_EQ(stats.residual_flows, 0);
+  // Both links carry a declared path, but no flow is ever added to either.
+  TopologySpec spec;
+  const std::size_t idle_link = spec.add_link("idle", BandwidthTrace::constant(1000.0));
+  const std::size_t dead_link = spec.add_link("dead", BandwidthTrace::constant(0.0));
+  spec.add_path("to_idle", {idle_link});
+  spec.add_path("to_dead", {dead_link});
+  Topology topo(std::move(spec));
+  topo.finalize(120.0);
+
+  const std::vector<LinkStats> stats = topo.link_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  const LinkStats& idle = stats[idle_link];
+  EXPECT_DOUBLE_EQ(idle.observed_s, 120.0);
+  EXPECT_DOUBLE_EQ(idle.busy_s, 0.0);
+  EXPECT_DOUBLE_EQ(idle.delivered_kbit, 0.0);
+  EXPECT_DOUBLE_EQ(idle.offered_kbit, 120.0 * 1000.0);
+  EXPECT_DOUBLE_EQ(idle.utilization(), 0.0);
+  EXPECT_DOUBLE_EQ(idle.avg_flows(), 0.0);
+  EXPECT_EQ(idle.residual_flows, 0);
 
   // 0/0 guard: a zero-capacity link offers nothing; utilization must come
   // back 0, not NaN.
-  SharedLink dead(BandwidthTrace::constant(0.0), "dead");
-  dead.finalize(60.0);
-  const LinkStats dead_stats = dead.stats();
-  EXPECT_DOUBLE_EQ(dead_stats.offered_kbit, 0.0);
-  EXPECT_DOUBLE_EQ(dead_stats.utilization(), 0.0);
-  EXPECT_FALSE(std::isnan(dead_stats.utilization()));
+  const LinkStats& dead = stats[dead_link];
+  EXPECT_DOUBLE_EQ(dead.offered_kbit, 0.0);
+  EXPECT_DOUBLE_EQ(dead.utilization(), 0.0);
+  EXPECT_FALSE(std::isnan(dead.utilization()));
 }
 
 TEST(TopologyRegression, NeverUsedTopologyLinkFinalizesClean) {
@@ -538,27 +522,48 @@ TEST(TopologyRegression, EventHeapSyncCountersReconcileOnTopologyFleet) {
   EXPECT_EQ(result.profile.link_sync_checks, result.profile.link_sync_refreshes);
 }
 
+/// A malformed spec must fail closed at the fleet entry point — serial and
+/// sharded — with validate()'s message, never run on undefined state.
+void expect_run_fleet_rejects(const TopologySpec& spec) {
+  const std::string problem = spec.validate();
+  EXPECT_NE(problem, "");
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "malformed");
+  FleetConfig config = base_config(3);
+  config.topology = spec;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    config.threads = threads;
+    try {
+      run_fleet(setup.content, setup.view, BandwidthTrace::constant(1000.0), config);
+      ADD_FAILURE() << "run_fleet accepted a malformed spec: " << problem;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), problem);
+    }
+  }
+}
+
 TEST(TopologySpecValidate, RejectsMalformedSpecs) {
   TopologySpec empty;
-  EXPECT_NE(empty.validate(), "");
+  expect_run_fleet_rejects(empty);
 
   TopologySpec no_paths;
   no_paths.add_link("l", BandwidthTrace::constant(1.0));
-  EXPECT_NE(no_paths.validate(), "");
+  expect_run_fleet_rejects(no_paths);
 
   TopologySpec bad_hop;
   bad_hop.add_link("l", BandwidthTrace::constant(1.0));
   bad_hop.add_path("p", {3});
-  EXPECT_NE(bad_hop.validate(), "");
+  expect_run_fleet_rejects(bad_hop);
 
   TopologySpec dup_hop;
   const std::size_t l = dup_hop.add_link("l", BandwidthTrace::constant(1.0));
   dup_hop.add_path("p", {l, l});
-  EXPECT_NE(dup_hop.validate(), "");
+  expect_run_fleet_rejects(dup_hop);
 
   TopologySpec bad_assignment = TopologySpec::single(BandwidthTrace::constant(1.0));
   bad_assignment.video_assignment = {4};
-  EXPECT_NE(bad_assignment.validate(), "");
+  expect_run_fleet_rejects(bad_assignment);
 
   EXPECT_EQ(TopologySpec::single(BandwidthTrace::constant(1.0)).validate(), "");
   EXPECT_EQ(TopologySpec::sharded(3, BandwidthTrace::constant(1.0),
