@@ -20,35 +20,6 @@ namespace {
 
 using namespace demuxabr;
 
-/// One two-tier chain run: Zipf-popular (video, audio) picks per user, every
-/// chunk fetched once per user — the same demand shape as run_cdn_workload,
-/// but served through the edge -> regional -> origin hierarchy.
-CdnChain::Stats run_chain_workload(const Content& content,
-                                   const ObjectCatalog& catalog,
-                                   StorageMode mode, FillPolicy fill,
-                                   std::int64_t edge_cap,
-                                   std::int64_t regional_cap, int users) {
-  CdnChain chain(&catalog, edge_cap, regional_cap, fill);
-  Rng rng(11);
-  ZipfDistribution video_dist(content.ladder().video_count(), 0.8);
-  ZipfDistribution audio_dist(content.ladder().audio_count(), 0.8);
-  for (int user = 0; user < users; ++user) {
-    const std::string video =
-        content.ladder().video()[video_dist.sample(rng)].id;
-    const std::string audio =
-        content.ladder().audio()[audio_dist.sample(rng)].id;
-    for (int chunk = 0; chunk < content.num_chunks(); ++chunk) {
-      if (mode == StorageMode::kMuxed) {
-        (void)chain.fetch(chunk_object_key(video + "+" + audio, chunk));
-      } else {
-        (void)chain.fetch(chunk_object_key(video, chunk));
-        (void)chain.fetch(chunk_object_key(audio, chunk));
-      }
-    }
-  }
-  return chain.stats();
-}
-
 void print_once() {
   static bool printed = false;
   if (printed) return;
@@ -75,13 +46,13 @@ void print_once() {
       std::printf("  %-7s hit=%.3f byte-hit=%.3f origin-egress=%.1f MB\n",
                   storage_mode_name(result.mode), result.cdn.hit_ratio(),
                   result.cdn.byte_hit_ratio(),
-                  static_cast<double>(result.cdn.bytes_from_origin) / 1e6);
+                  static_cast<double>(result.cdn.origin_bytes) / 1e6);
     }
   }
 
   // Two-tier chain sweep -> BENCH_cdn.json: storage mode x fill policy at a
   // quarter-catalog edge and a full-catalog regional, eviction churn
-  // included per tier.
+  // included per tier, replaying a 200-user population drawn with seed 11.
   const ObjectCatalog demuxed = build_demuxed_catalog(content);
   const ObjectCatalog muxed = build_muxed_catalog(content);
   const std::int64_t edge_cap = demuxed.total_bytes() / 4;
@@ -94,19 +65,21 @@ void print_once() {
       static_cast<double>(storage.demuxed_bytes) / 1e6,
       static_cast<double>(storage.muxed_bytes) / 1e6,
       storage.muxed_to_demuxed_ratio());
+  config.seed = 11;  // the sweep's own 200-user population
   bool first = true;
   for (const StorageMode mode : {StorageMode::kDemuxed, StorageMode::kMuxed}) {
     for (const FillPolicy fill : {FillPolicy::kBothTiers, FillPolicy::kEdgeOnly}) {
       const ObjectCatalog& catalog =
           mode == StorageMode::kMuxed ? muxed : demuxed;
-      const CdnChain::Stats stats = run_chain_workload(
-          content, catalog, mode, fill, edge_cap, regional_cap, 200);
+      CdnChain chain(&catalog, edge_cap, regional_cap, fill);
+      replay_workload(content, mode, config, chain);
+      const CdnChain::Stats stats = chain.stats();
       std::printf(
           "  %-7s fill=%-10s hit=%.3f regional=%lld origin-egress=%.1f MB "
           "evictions=%zu+%zu\n",
           storage_mode_name(mode), fill_policy_name(fill),
-          stats.edge_hit_ratio(), static_cast<long long>(stats.regional_hits),
-          static_cast<double>(stats.bytes_from_origin) / 1e6,
+          stats.hit_ratio(), static_cast<long long>(stats.regional_hits),
+          static_cast<double>(stats.origin_bytes) / 1e6,
           stats.edge_evictions, stats.regional_evictions);
       json += first ? "" : ",\n";
       json += format(
@@ -116,10 +89,10 @@ void print_once() {
           "\"origin_egress_mb\": %.1f, \"edge_evictions\": %zu, "
           "\"regional_evictions\": %zu}",
           storage_mode_name(mode), fill_policy_name(fill),
-          static_cast<long long>(stats.requests), stats.edge_hit_ratio(),
+          static_cast<long long>(stats.requests), stats.hit_ratio(),
           static_cast<long long>(stats.regional_hits),
           static_cast<long long>(stats.origin_fetches),
-          static_cast<double>(stats.bytes_from_origin) / 1e6,
+          static_cast<double>(stats.origin_bytes) / 1e6,
           stats.edge_evictions, stats.regional_evictions);
       first = false;
     }
@@ -146,7 +119,7 @@ void BM_Cdn_Workload(benchmark::State& state) {
   for (auto _ : state) {
     const WorkloadResult result = run_cdn_workload(content, mode, config);
     hit_ratio = result.cdn.hit_ratio();
-    origin_mb = static_cast<double>(result.cdn.bytes_from_origin) / 1e6;
+    origin_mb = static_cast<double>(result.cdn.origin_bytes) / 1e6;
     benchmark::DoNotOptimize(result.cdn.requests);
   }
   state.counters["hit_ratio"] = hit_ratio;
@@ -163,7 +136,7 @@ BENCHMARK(BM_Cdn_Workload)
 void BM_Cdn_LruCacheOps(benchmark::State& state) {
   const Content content = make_drama_content();
   const ObjectCatalog catalog = build_demuxed_catalog(content);
-  CdnNode cdn(&catalog, catalog.total_bytes() / 2);
+  CdnChain cdn(&catalog, catalog.total_bytes() / 2, -1);
   Rng rng(5);
   const BitrateLadder& ladder = content.ladder();
   for (auto _ : state) {

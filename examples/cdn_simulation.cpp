@@ -35,7 +35,7 @@ int main() {
       std::printf(
           "  %-7s: hit ratio %.3f, byte hit ratio %.3f, origin egress %.1f MB\n",
           storage_mode_name(r.mode), r.cdn.hit_ratio(), r.cdn.byte_hit_ratio(),
-          static_cast<double>(r.cdn.bytes_from_origin) / 1e6);
+          static_cast<double>(r.cdn.origin_bytes) / 1e6);
     }
     std::printf("\n");
   }

@@ -6,14 +6,17 @@
 #include "obs/telemetry.h"
 
 namespace demuxabr::fleet {
+namespace {
 
-CdnState::Node::Node(std::size_t link_index, const CacheSpec& cache)
-    : link(link_index), edge(cache.capacity_bytes) {
-  if (cache.has_regional()) {
-    regional = std::make_unique<LruCache>(cache.regional_capacity_bytes);
+std::string key_of(const DownloadRequest& request) {
+  if (request.muxed) {
+    return chunk_object_key(request.track_id + "+" + request.audio_track_id,
+                            request.chunk_index);
   }
-  stats.link = link_index;
+  return chunk_object_key(request.track_id, request.chunk_index);
 }
+
+}  // namespace
 
 CdnState::CdnState(const TopologySpec& spec, Topology& topology,
                    std::shared_ptr<const ObjectCatalog> catalog)
@@ -21,10 +24,12 @@ CdnState::CdnState(const TopologySpec& spec, Topology& topology,
   assert(catalog_ != nullptr);
   std::vector<std::size_t> node_of_link(spec.links.size(), spec.links.size());
   for (std::size_t l = 0; l < spec.links.size(); ++l) {
-    if (!spec.links[l].cache.has_value()) continue;
+    const std::optional<CacheSpec>& cache = spec.links[l].cache;
+    if (!cache.has_value()) continue;
     node_of_link[l] = nodes_.size();
-    nodes_.emplace_back(l, *spec.links[l].cache);
-    nodes_.back().stats.link_name = spec.links[l].name;
+    nodes_.push_back({l, spec.links[l].name,
+                      CdnChain(catalog_.get(), cache->capacity_bytes,
+                               cache->regional_capacity_bytes)});
   }
   for (std::size_t p = 0; p < topology.path_count(); ++p) {
     const std::optional<PathCacheRoute>& route = topology.cache_route(p);
@@ -34,75 +39,36 @@ CdnState::CdnState(const TopologySpec& spec, Topology& topology,
   }
 }
 
-std::string CdnState::key_of(const DownloadRequest& request) const {
-  if (request.muxed) {
-    return chunk_object_key(request.track_id + "+" + request.audio_track_id,
-                            request.chunk_index);
-  }
-  return chunk_object_key(request.track_id, request.chunk_index);
-}
-
 FlowRoute CdnState::admit(const DownloadRequest& request, Channel& origin_route,
                           double now) {
   const auto it = routes_.find(&origin_route);
   if (it == routes_.end()) return {};  // no cache on this path
-  Node& node = nodes_[it->second.first];
-  CdnStats& s = node.stats;
-  const std::string key = key_of(request);
-  const std::int64_t size = catalog_->size_of(key);
-  if (size < 0) {
-    // Not in the origin inventory (e.g. a muxed request against a demuxed
-    // catalog): uncacheable, full path, no delivery owed.
-    ++s.uncacheable;
-    return {};
-  }
-  ++s.requests;
-  if (node.edge.get(key)) {
-    ++s.edge_hits;
-    s.edge_hit_bytes += size;
-    if (telemetry_ != nullptr) telemetry_->cdn_request(node.link, now, true);
-    // Resident at the edge: the flow only spans the client→edge prefix.
-    return {it->second.second, 0};
-  }
-  if (telemetry_ != nullptr) telemetry_->cdn_request(node.link, now, false);
-  if (node.regional != nullptr && node.regional->get(key)) {
-    // Regional tier sits by the origin: saves origin egress, not hops.
-    ++s.regional_hits;
-    s.regional_hit_bytes += size;
-    return {nullptr, make_ticket(it->second.first, kFillEdge)};
-  }
-  ++s.origin_fetches;
-  s.origin_bytes += size;
-  return {nullptr, make_ticket(it->second.first,
-                               node.regional != nullptr ? kFillBoth : kFillEdge)};
+  const std::size_t node = it->second.first;
+  const CdnChain::ServedBy served_by =
+      nodes_[node].chain.lookup(key_of(request)).served_by;
+  // Not in the origin inventory (e.g. a muxed request against a demuxed
+  // catalog): uncacheable, full path, no delivery owed.
+  if (served_by == CdnChain::ServedBy::kNotFound) return {};
+  const bool hit = served_by == CdnChain::ServedBy::kEdge;
+  if (telemetry_ != nullptr) telemetry_->cdn_request(nodes_[node].link, now, hit);
+  // Resident at the edge: the flow only spans the client→edge prefix.
+  if (hit) return {it->second.second, 0};
+  return {nullptr, make_ticket(node, served_by)};
 }
 
 void CdnState::delivered(const DownloadRequest& request, std::uint64_t ticket,
                          double /*now*/) {
   if (ticket == 0) return;
-  const auto action = static_cast<Action>(ticket & 0x3u);
+  const auto served_by = static_cast<CdnChain::ServedBy>(ticket & 0x3u);
   Node& node = nodes_[static_cast<std::size_t>(ticket >> 2) - 1];
-  const std::string key = key_of(request);
-  const std::int64_t size = catalog_->size_of(key);
-  assert(size >= 0 && "ticketed delivery of an uncatalogued object");
-  if (action == kFillBoth) {
-    assert(node.regional != nullptr);
-    node.regional->put(key, size);
-  }
-  node.edge.put(key, size);
+  node.chain.fill(key_of(request), served_by);
 }
 
 std::vector<CdnStats> CdnState::stats() const {
   std::vector<CdnStats> out;
   out.reserve(nodes_.size());
   for (const Node& node : nodes_) {
-    CdnStats s = node.stats;
-    s.edge_evictions = node.edge.eviction_count();
-    s.regional_evictions =
-        node.regional != nullptr ? node.regional->eviction_count() : 0;
-    s.edge_used_bytes = node.edge.used_bytes();
-    s.edge_objects = node.edge.object_count();
-    out.push_back(std::move(s));
+    out.push_back({node.chain.stats(), node.link_name, node.link});
   }
   return out;
 }

@@ -37,7 +37,7 @@ void push_csr_row(std::vector<std::uint32_t>& csr, std::vector<std::uint32_t>& o
 // --- TopologySpec ---
 
 std::size_t TopologySpec::add_link(std::string name, BandwidthTrace trace) {
-  links.push_back({std::move(name), std::move(trace)});
+  links.push_back({std::move(name), std::move(trace), 0, std::nullopt});
   return links.size() - 1;
 }
 
@@ -81,6 +81,9 @@ std::string TopologySpec::validate() const {
   if (paths.empty()) return "topology has no paths";
   for (std::size_t l = 0; l < links.size(); ++l) {
     if (links[l].name.empty()) return format("link %zu is unnamed", l);
+    if (links[l].cache.has_value() && links[l].cache->capacity_bytes < 0) {
+      return format("link %zu has a negative cache capacity", l);
+    }
   }
   for (std::size_t p = 0; p < paths.size(); ++p) {
     const PathSpec& path = paths[p];

@@ -83,19 +83,19 @@ struct LinkStats {
   }
 };
 
-/// A CDN cache co-located with a topology link (fleet/cdn_fleet.h). A
-/// request whose object is resident in the edge tier rides only the hop
-/// prefix of its path up to this link; misses ride the full path to the
-/// origin and fill the cache at flow completion.
+/// A CDN cache co-located with a topology link (fleet/cdn_fleet.h): the
+/// tier capacities of the node's CdnChain (httpsim/cdn_chain.h). A request
+/// whose object is resident in the edge tier rides only the hop prefix of
+/// its path up to this link; misses ride the full path to the origin and
+/// fill the cache at flow completion.
 struct CacheSpec {
-  /// Edge LRU capacity in bytes; 0 = unbounded.
+  /// Edge LRU capacity in bytes; 0 = unbounded. validate() rejects a
+  /// negative capacity.
   std::int64_t capacity_bytes = 0;
-  /// Optional second tier with CdnChain semantics (a regional cache close
-  /// to the origin: hits save origin egress but still ride the full path).
-  /// Negative = no regional tier; 0 = unbounded regional.
+  /// Optional regional tier close to the origin: hits save origin egress
+  /// but still ride the full path. Negative = no regional tier; 0 =
+  /// unbounded regional.
   std::int64_t regional_capacity_bytes = -1;
-
-  [[nodiscard]] bool has_regional() const { return regional_capacity_bytes >= 0; }
 };
 
 /// One named bottleneck of the topology.
@@ -156,7 +156,8 @@ struct TopologySpec {
 
   /// Empty string when well-formed; otherwise a description of the first
   /// problem (no links, empty/out-of-range/duplicate hops, bad assignment,
-  /// a path traversing more than one cached link).
+  /// a negative edge cache capacity, a path traversing more than one
+  /// cached link).
   [[nodiscard]] std::string validate() const;
 };
 

@@ -34,6 +34,26 @@ std::vector<UserChoice> draw_users(const Content& content, const WorkloadConfig&
 
 }  // namespace
 
+void replay_workload(const Content& content, StorageMode mode,
+                     const WorkloadConfig& config, CdnChain& chain) {
+  for (const UserChoice& user : draw_users(content, config)) {
+    for (int chunk = 0; chunk < content.num_chunks(); ++chunk) {
+      if (mode == StorageMode::kMuxed) {
+        [[maybe_unused]] const auto result =
+            chain.fetch(chunk_object_key(user.video_id + "+" + user.audio_id, chunk));
+        assert(result.served_by != CdnChain::ServedBy::kNotFound);
+      } else {
+        [[maybe_unused]] const auto video_result =
+            chain.fetch(chunk_object_key(user.video_id, chunk));
+        [[maybe_unused]] const auto audio_result =
+            chain.fetch(chunk_object_key(user.audio_id, chunk));
+        assert(video_result.served_by != CdnChain::ServedBy::kNotFound &&
+               audio_result.served_by != CdnChain::ServedBy::kNotFound);
+      }
+    }
+  }
+}
+
 WorkloadResult run_cdn_workload(const Content& content, StorageMode mode,
                                 const WorkloadConfig& config) {
   const ObjectCatalog catalog = mode == StorageMode::kDemuxed
@@ -45,28 +65,12 @@ WorkloadResult run_cdn_workload(const Content& content, StorageMode mode,
         static_cast<double>(build_demuxed_catalog(content).total_bytes()) *
         config.cache_fraction);
   }
-  CdnNode cdn(&catalog, capacity);
-
-  const std::vector<UserChoice> users = draw_users(content, config);
-  for (const UserChoice& user : users) {
-    for (int chunk = 0; chunk < content.num_chunks(); ++chunk) {
-      if (mode == StorageMode::kMuxed) {
-        [[maybe_unused]] const auto result =
-            cdn.fetch(chunk_object_key(user.video_id + "+" + user.audio_id, chunk));
-        assert(result.found);
-      } else {
-        [[maybe_unused]] const auto video_result =
-            cdn.fetch(chunk_object_key(user.video_id, chunk));
-        [[maybe_unused]] const auto audio_result =
-            cdn.fetch(chunk_object_key(user.audio_id, chunk));
-        assert(video_result.found && audio_result.found);
-      }
-    }
-  }
+  CdnChain chain(&catalog, capacity, -1);
+  replay_workload(content, mode, config, chain);
 
   WorkloadResult result;
   result.mode = mode;
-  result.cdn = cdn.stats();
+  result.cdn = chain.stats();
   result.origin_storage_bytes = catalog.total_bytes();
   result.origin_object_count = catalog.object_count();
   return result;

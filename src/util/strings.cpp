@@ -144,7 +144,12 @@ std::vector<std::pair<std::string, std::string>> parse_attribute_list(std::strin
 }
 
 std::string quote_attribute(std::string_view value) {
-  return "\"" + std::string(value) + "\"";
+  std::string quoted;
+  quoted.reserve(value.size() + 2);
+  quoted += '"';
+  quoted += value;
+  quoted += '"';
+  return quoted;
 }
 
 }  // namespace demuxabr

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "httpsim/workload.h"
 #include "media/content.h"
 #include "util/rng.h"
 
@@ -20,7 +21,7 @@ TEST_F(CdnChainTest, ColdFetchComesFromOriginAndFillsBothTiers) {
   const auto first = chain.fetch(key);
   EXPECT_EQ(first.served_by, CdnChain::ServedBy::kOrigin);
   EXPECT_TRUE(chain.edge().contains(key));
-  EXPECT_TRUE(chain.regional().contains(key));
+  EXPECT_TRUE(chain.regional()->contains(key));
   const auto second = chain.fetch(key);
   EXPECT_EQ(second.served_by, CdnChain::ServedBy::kEdge);
 }
@@ -56,7 +57,7 @@ TEST_F(CdnChainTest, EdgeOnlyFillLeavesRegionalCold) {
   const std::string key = chunk_object_key("V2", 3);
   (void)chain.fetch(key);
   EXPECT_TRUE(chain.edge().contains(key));
-  EXPECT_FALSE(chain.regional().contains(key));
+  EXPECT_FALSE(chain.regional()->contains(key));
   EXPECT_EQ(chain.stats().fill, FillPolicy::kEdgeOnly);
   EXPECT_STREQ(fill_policy_name(FillPolicy::kEdgeOnly), "edge_only");
   // Re-fetch after an edge eviction must go back to the origin: nothing
@@ -67,6 +68,50 @@ TEST_F(CdnChainTest, EdgeOnlyFillLeavesRegionalCold) {
   (void)tiny.fetch(chunk_object_key("V2", 4));  // evicts `key` from edge
   EXPECT_EQ(tiny.fetch(key).served_by, CdnChain::ServedBy::kOrigin);
   EXPECT_EQ(tiny.stats().regional_hits, 0);
+}
+
+TEST_F(CdnChainTest, LookupCountsAndFillAppliesThePolicy) {
+  const std::string key = chunk_object_key("V3", 7);
+  // lookup() counts the request and touches, but fills nothing.
+  CdnChain chain(&catalog_, 0, 0);
+  EXPECT_EQ(chain.lookup(key).served_by, CdnChain::ServedBy::kOrigin);
+  EXPECT_EQ(chain.lookup(key).served_by, CdnChain::ServedBy::kOrigin);
+  EXPECT_FALSE(chain.edge().contains(key));
+  EXPECT_FALSE(chain.regional()->contains(key));
+  EXPECT_EQ(chain.stats().requests, 2);
+  EXPECT_EQ(chain.stats().origin_fetches, 2);
+  // An edge hit fills nothing; fill() after kOrigin fills both tiers under
+  // kBothTiers, and no counter moves.
+  chain.fill(key, CdnChain::ServedBy::kEdge);
+  EXPECT_FALSE(chain.edge().contains(key));
+  chain.fill(key, CdnChain::ServedBy::kOrigin);
+  EXPECT_TRUE(chain.edge().contains(key));
+  EXPECT_TRUE(chain.regional()->contains(key));
+  EXPECT_EQ(chain.stats().requests, 2);
+  EXPECT_EQ(chain.lookup(key).served_by, CdnChain::ServedBy::kEdge);
+
+  // fill() after kOrigin fills only the edge under kEdgeOnly.
+  CdnChain edge_only(&catalog_, 0, 0, FillPolicy::kEdgeOnly);
+  edge_only.fill(key, CdnChain::ServedBy::kOrigin);
+  EXPECT_TRUE(edge_only.edge().contains(key));
+  EXPECT_FALSE(edge_only.regional()->contains(key));
+
+  // fill() after kRegional fills only the edge.
+  CdnChain regional_hit(&catalog_, 0, 0);
+  regional_hit.fill(key, CdnChain::ServedBy::kRegional);
+  EXPECT_TRUE(regional_hit.edge().contains(key));
+  EXPECT_FALSE(regional_hit.regional()->contains(key));
+
+  // A chain without a regional tier never reports a regional hit: an object
+  // the tiny edge evicted comes back from the origin.
+  const std::int64_t one_chunk = catalog_.size_of(key);
+  CdnChain single(&catalog_, one_chunk + 1, -1);
+  EXPECT_EQ(single.regional(), nullptr);
+  (void)single.fetch(key);
+  (void)single.fetch(chunk_object_key("V3", 8));  // evicts `key` from the edge
+  EXPECT_EQ(single.fetch(key).served_by, CdnChain::ServedBy::kOrigin);
+  EXPECT_EQ(single.stats().regional_hits, 0);
+  EXPECT_EQ(single.stats().regional_evictions, 0u);
 }
 
 TEST_F(CdnChainTest, UnknownKeyNotCounted) {
@@ -91,7 +136,7 @@ TEST_F(CdnChainTest, StatsAddUp) {
   // With unbounded caches the regional tier never gets hit (the edge holds
   // everything it ever saw).
   EXPECT_EQ(stats.regional_hits, 0);
-  EXPECT_NEAR(stats.edge_hit_ratio() + stats.origin_fetch_ratio(), 1.0, 1e-12);
+  EXPECT_NEAR(stats.hit_ratio() + stats.origin_fetch_ratio(), 1.0, 1e-12);
 }
 
 TEST_F(CdnChainTest, DemuxedBeatsMuxedAcrossTheChain) {
@@ -102,21 +147,11 @@ TEST_F(CdnChainTest, DemuxedBeatsMuxedAcrossTheChain) {
   const std::int64_t regional_cap = catalog_.total_bytes();
   CdnChain demuxed_chain(&catalog_, edge_cap, regional_cap);
   CdnChain muxed_chain(&muxed, edge_cap, regional_cap);
-
-  Rng rng(7);
-  ZipfDistribution video_dist(content_.ladder().video_count(), 0.8);
-  ZipfDistribution audio_dist(content_.ladder().audio_count(), 0.8);
-  for (int user = 0; user < 60; ++user) {
-    const std::string video = content_.ladder().video()[video_dist.sample(rng)].id;
-    const std::string audio = content_.ladder().audio()[audio_dist.sample(rng)].id;
-    for (int chunk = 0; chunk < content_.num_chunks(); ++chunk) {
-      (void)demuxed_chain.fetch(chunk_object_key(video, chunk));
-      (void)demuxed_chain.fetch(chunk_object_key(audio, chunk));
-      (void)muxed_chain.fetch(chunk_object_key(video + "+" + audio, chunk));
-    }
-  }
-  EXPECT_LT(demuxed_chain.stats().bytes_from_origin,
-            muxed_chain.stats().bytes_from_origin);
+  WorkloadConfig config;
+  config.num_users = 60;
+  replay_workload(content_, StorageMode::kDemuxed, config, demuxed_chain);
+  replay_workload(content_, StorageMode::kMuxed, config, muxed_chain);
+  EXPECT_LT(demuxed_chain.stats().origin_bytes, muxed_chain.stats().origin_bytes);
 }
 
 }  // namespace

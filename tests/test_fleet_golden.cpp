@@ -11,6 +11,12 @@
 // whose capacity changes fall inside flows, with a player mix, Poisson
 // arrivals, churn and a session cap that together end sessions by
 // completion, departure and cap.
+//
+// A second battery pins cache-aware fleets (fleet/cdn_fleet.h): cached
+// edge -> core chains under demuxed and muxed storage, an unbounded and an
+// evicting edge, and no, an unbounded and a bounded regional tier. Its
+// digests were recorded from the fleet CDN plane's former private edge and
+// regional LRU tiers, before that plane was rebuilt on CdnChain.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,13 +24,16 @@
 #include <string>
 #include <utility>
 
+#include "core/muxed_player.h"
 #include "experiments/scenarios.h"
+#include "fleet/cdn_fleet.h"
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
 #include "fleet/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
+#include "util/strings.h"
 
 namespace demuxabr::fleet {
 namespace {
@@ -48,6 +57,10 @@ std::unique_ptr<PlayerAdapter> make_exo() {
 
 std::unique_ptr<PlayerAdapter> make_dashjs() {
   return std::make_unique<DashJsPlayerModel>();
+}
+
+std::unique_ptr<PlayerAdapter> make_muxed() {
+  return std::make_unique<MuxedPlayer>();
 }
 
 /// Square waves with phases shorter than a chunk download at the fleet's
@@ -173,6 +186,159 @@ TEST(GoldenFingerprint, SingleAndTwoLinkFleetsMatchRecordedDigests) {
     ASSERT_EQ(result.links.size(), golden.split_audio ? 2u : 1u);
     EXPECT_EQ(result.split_audio, golden.split_audio);
     EXPECT_EQ(fnv1a(fleet_fingerprint(result)), golden.digest);
+  }
+}
+
+// --- Cache-aware fleets ---
+
+enum class Regional { kNone, kUnbounded, kBounded };
+
+/// One cache-fleet configuration plus the FNV-1a digest of its
+/// fleet_fingerprint. Every case runs under kBarrier, kEventHeap and the
+/// 2-thread shard runner, which must all reproduce the same digest.
+struct CacheGoldenCase {
+  StorageMode storage;
+  bool evicting_edge;  ///< edge of 1/60 of the demuxed catalog; else unbounded
+  Regional regional;
+  bool streaming;
+  bool telemetry;
+  std::uint64_t digest;
+};
+
+/// Two independent edge -> core chains (so threads=2 runs two shards), the
+/// cache on the client-side edge hop so edge hits skip the core.
+TopologySpec golden_cached_chains(const CacheSpec& cache) {
+  TopologySpec spec;
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t edge = spec.add_link(
+        format("edge-%d", i), BandwidthTrace::square_wave(2400.0, 5200.0, 6.0, 4.5));
+    const std::size_t core = spec.add_link(
+        format("core-%d", i), BandwidthTrace::square_wave(3000.0, 7000.0, 7.0, 5.0));
+    spec.add_path(format("chain-%d", i), {edge, core});
+    spec.links[edge].cache = cache;
+  }
+  return spec;
+}
+
+FleetConfig cache_golden_config(const CacheGoldenCase& golden,
+                                std::int64_t demuxed_catalog_bytes) {
+  FleetConfig config;
+  config.client_count = 10;
+  config.seed = 53;
+  // ExoPlayer fetches demuxed objects and MuxedPlayer A x V combinations,
+  // so either storage mode also sees uncacheable requests.
+  config.players.push_back({"exoplayer", &make_exo, 1.0});
+  config.players.push_back({"muxed", &make_muxed, 1.0});
+  // Sparse arrivals: a late client asks for objects the evicting edge has
+  // dropped, which is what reaches the regional tier.
+  config.arrivals = ArrivalProcess::kPoisson;
+  config.arrival_rate_per_s = 0.1;
+  config.churn.leave_probability = 0.3;
+  config.churn.min_watch_s = 20.0;
+  config.churn.max_watch_s = 60.0;
+  config.session.max_sim_time_s = 100.0;
+  if (golden.streaming) config.streaming.client_threshold = 0;
+  config.telemetry.enabled = golden.telemetry;
+  config.telemetry.bin_s = 4.0;
+  config.cdn.storage = golden.storage;
+  CacheSpec cache;
+  cache.capacity_bytes = golden.evicting_edge ? demuxed_catalog_bytes / 60 : 0;
+  switch (golden.regional) {
+    case Regional::kNone: cache.regional_capacity_bytes = -1; break;
+    case Regional::kUnbounded: cache.regional_capacity_bytes = 0; break;
+    case Regional::kBounded: cache.regional_capacity_bytes = demuxed_catalog_bytes / 16; break;
+  }
+  config.topology = golden_cached_chains(cache);
+  return config;
+}
+
+constexpr CacheGoldenCase kCacheGoldenCases[] = {
+  {StorageMode::kDemuxed, false, Regional::kNone, false, false, 0xd92dbdd620ee98c9ull},
+  {StorageMode::kDemuxed, false, Regional::kNone, false, true, 0x4dd343c081aeaec7ull},
+  {StorageMode::kDemuxed, false, Regional::kNone, true, false, 0x2b3a6d3f1d8a5416ull},
+  {StorageMode::kDemuxed, false, Regional::kNone, true, true, 0xe7e7b74bca811ec4ull},
+  {StorageMode::kDemuxed, false, Regional::kUnbounded, false, false, 0xd92dbdd620ee98c9ull},
+  {StorageMode::kDemuxed, false, Regional::kUnbounded, false, true, 0x4dd343c081aeaec7ull},
+  {StorageMode::kDemuxed, false, Regional::kUnbounded, true, false, 0x2b3a6d3f1d8a5416ull},
+  {StorageMode::kDemuxed, false, Regional::kUnbounded, true, true, 0xe7e7b74bca811ec4ull},
+  {StorageMode::kDemuxed, false, Regional::kBounded, false, false, 0x1aa58eda439622aeull},
+  {StorageMode::kDemuxed, false, Regional::kBounded, false, true, 0x7126c017258ed37cull},
+  {StorageMode::kDemuxed, false, Regional::kBounded, true, false, 0x6e4af34e8326fbb9ull},
+  {StorageMode::kDemuxed, false, Regional::kBounded, true, true, 0xde5535a7970bfdd7ull},
+  {StorageMode::kDemuxed, true, Regional::kNone, false, false, 0x4a7e687c7c8a624aull},
+  {StorageMode::kDemuxed, true, Regional::kNone, false, true, 0x8bbfe2184f2a0e2bull},
+  {StorageMode::kDemuxed, true, Regional::kNone, true, false, 0xeb9c43e3ccd93174ull},
+  {StorageMode::kDemuxed, true, Regional::kNone, true, true, 0x49ab29fec533d081ull},
+  {StorageMode::kDemuxed, true, Regional::kUnbounded, false, false, 0x3aaa3efed9bd23c4ull},
+  {StorageMode::kDemuxed, true, Regional::kUnbounded, false, true, 0x263b6c97a3bd5371ull},
+  {StorageMode::kDemuxed, true, Regional::kUnbounded, true, false, 0xf4cd364c1d5d702eull},
+  {StorageMode::kDemuxed, true, Regional::kUnbounded, true, true, 0x80a082e0694b4577ull},
+  {StorageMode::kDemuxed, true, Regional::kBounded, false, false, 0xc6657fb6a6e241a1ull},
+  {StorageMode::kDemuxed, true, Regional::kBounded, false, true, 0xe222f8cd72bfd492ull},
+  {StorageMode::kDemuxed, true, Regional::kBounded, true, false, 0x3e8fd2a244d14ca3ull},
+  {StorageMode::kDemuxed, true, Regional::kBounded, true, true, 0x012ea84bb75ab530ull},
+  {StorageMode::kMuxed, false, Regional::kNone, false, false, 0x6e56363998d2a9faull},
+  {StorageMode::kMuxed, false, Regional::kNone, false, true, 0x10675f9954d41e47ull},
+  {StorageMode::kMuxed, false, Regional::kNone, true, false, 0xa56c3df917936bc6ull},
+  {StorageMode::kMuxed, false, Regional::kNone, true, true, 0x55e6ac017206d933ull},
+  {StorageMode::kMuxed, false, Regional::kUnbounded, false, false, 0x6e56363998d2a9faull},
+  {StorageMode::kMuxed, false, Regional::kUnbounded, false, true, 0x10675f9954d41e47ull},
+  {StorageMode::kMuxed, false, Regional::kUnbounded, true, false, 0xa56c3df917936bc6ull},
+  {StorageMode::kMuxed, false, Regional::kUnbounded, true, true, 0x55e6ac017206d933ull},
+  {StorageMode::kMuxed, false, Regional::kBounded, false, false, 0xb6090857c3c4beadull},
+  {StorageMode::kMuxed, false, Regional::kBounded, false, true, 0xf1e7b79aff295ef0ull},
+  {StorageMode::kMuxed, false, Regional::kBounded, true, false, 0x5ac7093973023499ull},
+  {StorageMode::kMuxed, false, Regional::kBounded, true, true, 0xc1fce380deee9b2cull},
+  {StorageMode::kMuxed, true, Regional::kNone, false, false, 0x4de4fa230ce6e7feull},
+  {StorageMode::kMuxed, true, Regional::kNone, false, true, 0x85611f6afc692423ull},
+  {StorageMode::kMuxed, true, Regional::kNone, true, false, 0x9f8de596082c47a6ull},
+  {StorageMode::kMuxed, true, Regional::kNone, true, true, 0xe701e79a498ceadbull},
+  {StorageMode::kMuxed, true, Regional::kUnbounded, false, false, 0x54135332b3698010ull},
+  {StorageMode::kMuxed, true, Regional::kUnbounded, false, true, 0xdc5b3f188b3f3af1ull},
+  {StorageMode::kMuxed, true, Regional::kUnbounded, true, false, 0xc1596c953866b318ull},
+  {StorageMode::kMuxed, true, Regional::kUnbounded, true, true, 0xfaf520920b211d09ull},
+  {StorageMode::kMuxed, true, Regional::kBounded, false, false, 0xce1209552719db61ull},
+  {StorageMode::kMuxed, true, Regional::kBounded, false, true, 0xb64ef46636db76ccull},
+  {StorageMode::kMuxed, true, Regional::kBounded, true, false, 0x70a234c29ece5889ull},
+  {StorageMode::kMuxed, true, Regional::kBounded, true, true, 0xc46b85d903e3d8e4ull},
+};
+
+TEST(GoldenFingerprint, CacheAwareFleetsMatchRecordedDigests) {
+  const ex::ExperimentSetup setup = ex::plain_dash(golden_video_trace(1), "golden-cdn");
+  const std::int64_t demuxed_bytes =
+      make_fleet_catalog(setup.content, StorageMode::kDemuxed)->total_bytes();
+  const BandwidthTrace unused = BandwidthTrace::constant(1000.0);
+  for (const CacheGoldenCase& golden : kCacheGoldenCases) {
+    FleetConfig config = cache_golden_config(golden, demuxed_bytes);
+    for (const int mode : {0, 1, 2}) {
+      config.engine = mode == 0 ? Engine::kBarrier : Engine::kEventHeap;
+      config.threads = mode == 2 ? 2 : 1;
+      SCOPED_TRACE(testing::Message()
+                   << storage_mode_name(golden.storage) << " storage, "
+                   << (golden.evicting_edge ? "evicting" : "unbounded") << " edge, regional "
+                   << static_cast<int>(golden.regional) << ", streaming "
+                   << golden.streaming << ", telemetry " << golden.telemetry
+                   << (mode == 0 ? ", barrier" : mode == 1 ? ", event-heap" : ", threads=2"));
+      const FleetResult result = run_fleet(setup.content, setup.view, unused, config);
+      ASSERT_EQ(result.cdns.size(), 2u);
+      // The battery exercises what it claims to pin.
+      std::int64_t uncacheable = 0;
+      std::int64_t regional_hits = 0;
+      std::size_t edge_evictions = 0;
+      for (const CdnStats& cdn : result.cdns) {
+        uncacheable += cdn.uncacheable;
+        regional_hits += cdn.regional_hits;
+        edge_evictions += cdn.edge_evictions;
+      }
+      EXPECT_GT(uncacheable, 0);
+      EXPECT_EQ(edge_evictions > 0, golden.evicting_edge);
+      if (golden.regional == Regional::kNone) {
+        EXPECT_EQ(regional_hits, 0);
+      } else if (golden.evicting_edge) {
+        EXPECT_GT(regional_hits, 0);
+      }
+      EXPECT_EQ(fnv1a(fleet_fingerprint(result)), golden.digest);
+    }
   }
 }
 

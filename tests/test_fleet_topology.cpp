@@ -565,6 +565,10 @@ TEST(TopologySpecValidate, RejectsMalformedSpecs) {
   bad_assignment.video_assignment = {4};
   expect_run_fleet_rejects(bad_assignment);
 
+  TopologySpec negative_edge = TopologySpec::single(BandwidthTrace::constant(1.0));
+  negative_edge.links[0].cache = CacheSpec{-5, -1};
+  expect_run_fleet_rejects(negative_edge);
+
   EXPECT_EQ(TopologySpec::single(BandwidthTrace::constant(1.0)).validate(), "");
   EXPECT_EQ(TopologySpec::sharded(3, BandwidthTrace::constant(1.0),
                                   BandwidthTrace::constant(1.0),

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "httpsim/catalog.h"
-#include "httpsim/cdn.h"
+#include "httpsim/cdn_chain.h"
 #include "httpsim/lru_cache.h"
 #include "httpsim/workload.h"
 #include "media/content.h"
@@ -40,7 +40,7 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 
 TEST(LruCache, UnboundedNeverEvicts) {
   LruCache cache(0);
-  for (int i = 0; i < 1000; ++i) cache.put("k" + std::to_string(i), 1000);
+  for (int i = 0; i < 1000; ++i) cache.put(std::string("k").append(std::to_string(i)), 1000);
   EXPECT_EQ(cache.object_count(), 1000u);
   EXPECT_EQ(cache.eviction_count(), 0u);
 }
@@ -211,23 +211,22 @@ TEST_F(CatalogTest, UnknownKeyReportsNegative) {
 
 TEST_F(CatalogTest, CdnServesHitsFromCacheAfterFirstFetch) {
   const ObjectCatalog catalog = build_demuxed_catalog(content_);
-  CdnNode cdn(&catalog, 0);
+  CdnChain cdn(&catalog, 0, -1);  // single-tier, unbounded edge
   const std::string key = chunk_object_key("V1", 0);
   const auto first = cdn.fetch(key);
-  EXPECT_TRUE(first.found);
-  EXPECT_FALSE(first.from_cache);
+  EXPECT_EQ(first.served_by, CdnChain::ServedBy::kOrigin);
   const auto second = cdn.fetch(key);
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(cdn.stats().hits, 1);
-  EXPECT_EQ(cdn.stats().misses, 1);
-  EXPECT_EQ(cdn.stats().bytes_from_origin, first.bytes);
+  EXPECT_EQ(second.served_by, CdnChain::ServedBy::kEdge);
+  EXPECT_EQ(cdn.stats().edge_hits, 1);
+  EXPECT_EQ(cdn.stats().origin_fetches, 1);
+  EXPECT_EQ(cdn.stats().origin_bytes, first.bytes);
 }
 
 TEST_F(CatalogTest, CdnUnknownObject) {
   const ObjectCatalog catalog = build_demuxed_catalog(content_);
-  CdnNode cdn(&catalog, 0);
+  CdnChain cdn(&catalog, 0, -1);
   const auto result = cdn.fetch("missing/object");
-  EXPECT_FALSE(result.found);
+  EXPECT_EQ(result.served_by, CdnChain::ServedBy::kNotFound);
   EXPECT_EQ(cdn.stats().requests, 0);
 }
 
@@ -250,7 +249,7 @@ TEST_F(CatalogTest, DemuxedModeReducesOriginEgressWithBoundedCache) {
   config.num_users = 150;
   config.cache_fraction = 0.5;
   const auto results = run_cdn_comparison(content_, config);
-  EXPECT_LT(results[0].cdn.bytes_from_origin, results[1].cdn.bytes_from_origin);
+  EXPECT_LT(results[0].cdn.origin_bytes, results[1].cdn.origin_bytes);
 }
 
 TEST_F(CatalogTest, WorkloadDeterministicPerSeed) {
@@ -258,12 +257,12 @@ TEST_F(CatalogTest, WorkloadDeterministicPerSeed) {
   config.num_users = 50;
   const auto a = run_cdn_workload(content_, StorageMode::kDemuxed, config);
   const auto b = run_cdn_workload(content_, StorageMode::kDemuxed, config);
-  EXPECT_EQ(a.cdn.hits, b.cdn.hits);
-  EXPECT_EQ(a.cdn.bytes_from_origin, b.cdn.bytes_from_origin);
+  EXPECT_EQ(a.cdn.edge_hits, b.cdn.edge_hits);
+  EXPECT_EQ(a.cdn.origin_bytes, b.cdn.origin_bytes);
 }
 
 TEST(CdnStats, RatiosHandleZeroRequests) {
-  CdnStats stats;
+  const CdnChain::Stats stats;
   EXPECT_DOUBLE_EQ(stats.hit_ratio(), 0.0);
   EXPECT_DOUBLE_EQ(stats.byte_hit_ratio(), 0.0);
 }

@@ -229,9 +229,9 @@ TEST_P(TraceCorpusClass, LinkAndOneHopPathChannelAreBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, TraceCorpusClass,
                          testing::Range<std::size_t>(0, 4),
-                         [](const testing::TestParamInfo<std::size_t>& info) {
+                         [](const testing::TestParamInfo<std::size_t>& param_info) {
                            std::string name =
-                               trace_class_registry()[info.param].name;
+                               trace_class_registry()[param_info.param].name;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }
