@@ -18,14 +18,16 @@
 //
 // CLI mode runs exactly the requested fleet, prints one row per engine, and
 // exits non-zero when a --min-steps-per-s floor is not met, peak RSS
-// exceeds --max-rss-mib, or (under --cdn) the demuxed edge hit ratio falls
-// below --min-cdn-hit. --profile turns on the engine self-profiler and
-// the metrics registry and prints both; --trace-out captures the run with a
-// Tracer and writes Chrome trace-event JSON (open in chrome://tracing or
-// Perfetto) to PATH. --disjoint swaps the shared-core layout for causally
-// independent per-edge chains, which partition into parallel shards
-// (fleet/shard.h) driven by --threads; --streaming drops per-session logs
-// for O(shards + sketch) memory (fleet/metrics.h StreamingFleetStats).
+// exceeds --max-rss-mib, (under --cdn) the demuxed edge hit ratio falls
+// below --min-cdn-hit, or the topology clamped a double remove (the
+// machine-greppable line's double_removes, FleetResult::double_removes).
+// --profile turns on the engine self-profiler and prints its phase table;
+// --trace-out captures the run with a Tracer and writes Chrome trace-event
+// JSON (open in chrome://tracing or Perfetto) to PATH. --disjoint swaps
+// the shared-core layout for causally independent per-edge chains, which
+// partition into parallel shards (fleet/shard.h) driven by --threads;
+// --streaming drops per-session logs for O(shards + sketch) memory
+// (fleet/metrics.h StreamingFleetStats).
 // --cdn puts an LRU edge cache on every chain's access link
 // (fleet/cdn_fleet.h) and runs the same seeds under demuxed and muxed
 // origin storage back to back — the paper's §1 storage axis as a cache
@@ -62,7 +64,6 @@
 #include "fleet/scheduler.h"
 #include "fleet/topology.h"
 #include "obs/incidents.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "players/dashjs.h"
@@ -253,6 +254,7 @@ struct FleetRunRecord {
   double peak_rss_mib = 0.0;  ///< process high-water mark after the run
   double wall_s = 0.0;
   std::size_t steps = 0;
+  std::uint64_t double_removes = 0;
   double simulated_s = 0.0;
   fleet::FleetMetrics metrics;
   double link_utilization = 0.0;
@@ -288,6 +290,7 @@ FleetRunRecord run_configured(const ex::ExperimentSetup& setup,
   record.rss_mib = current_rss_mib();
   record.peak_rss_mib = peak_rss_mib();
   record.steps = result.steps;
+  record.double_removes = result.double_removes;
   if (result.streaming.has_value()) {
     record.simulated_s = result.streaming->active_s_sum;
   } else {
@@ -726,7 +729,7 @@ struct CliOptions {
   double max_rss_mib = 0.0;           ///< 0 = no RSS ceiling check
   int threads = 1;                    ///< shard workers (0 = hardware)
   bool streaming = false;             ///< streaming-metrics mode (no logs)
-  bool profile = false;               ///< engine self-profile + metrics dump
+  bool profile = false;               ///< engine self-profile table
   bool topology = false;              ///< sharded 10-edge multi-link fleet
   bool disjoint = false;              ///< disjoint per-edge chains (parallel)
   bool cdn = false;                   ///< cache-aware chains, demuxed vs muxed
@@ -821,6 +824,15 @@ CliOptions parse_cli(int argc, char** argv) {
   return cli;
 }
 
+/// A clamped double remove means the run's flow accounting was corrupt:
+/// report it and fail the CLI, whatever the perf floors say.
+bool guards_clean(const FleetRunRecord& r) {
+  if (r.double_removes == 0) return true;
+  std::fprintf(stderr, "FAIL: %s %s clamped %llu double removes\n", r.engine.c_str(),
+               r.topology.c_str(), static_cast<unsigned long long>(r.double_removes));
+  return false;
+}
+
 int run_cli(const CliOptions& cli) {
   if (cli.clients <= 0) cli_usage_and_exit();
   std::vector<fleet::Engine> engines;
@@ -843,8 +855,6 @@ int run_cli(const CliOptions& cli) {
   if (!cli.trace_out.empty()) {
     scoped_tracer = std::make_unique<obs::ScopedTracer>(obs::kCatAll);
   }
-  std::unique_ptr<obs::ScopedMetrics> scoped_metrics;
-  if (cli.profile) scoped_metrics = std::make_unique<obs::ScopedMetrics>();
 
   // --topology / --disjoint / --cdn distribute the requested fleet over 10
   // equal shards (block assignment), rounding --clients down to a multiple
@@ -877,11 +887,12 @@ int run_cli(const CliOptions& cli) {
           "engine=%s topology=%s storage=%s clients=%d threads=%d "
           "steps_per_s=%.0f wall_s=%.3f rss_mib=%.1f peak_rss_mib=%.1f "
           "cdn_hit=%.4f cdn_byte_hit=%.4f cdn_origin_mb=%.1f "
-          "cdn_evictions=%zu\n",
+          "cdn_evictions=%zu double_removes=%llu\n",
           r.engine.c_str(), r.topology.c_str(), r.storage.c_str(), r.clients,
           r.threads, r.steps_per_s(), r.wall_s, r.rss_mib, r.peak_rss_mib,
           r.cdn_hit_ratio, r.cdn_byte_hit_ratio, r.cdn_origin_mb,
-          r.cdn_evictions);
+          r.cdn_evictions, static_cast<unsigned long long>(r.double_removes));
+      if (!guards_clean(r)) floor_met = false;
       if (cli.min_steps_per_s > 0.0 && r.steps_per_s() < cli.min_steps_per_s) {
         std::fprintf(stderr, "FAIL: %s steps_per_s %.0f below floor %.0f\n",
                      r.storage.c_str(), r.steps_per_s(), cli.min_steps_per_s);
@@ -933,10 +944,12 @@ int run_cli(const CliOptions& cli) {
     // Machine-greppable line for CI floors and trend tracking.
     std::printf(
         "engine=%s topology=%s clients=%d threads=%d streaming=%d "
-        "steps_per_s=%.0f wall_s=%.3f rss_mib=%.1f peak_rss_mib=%.1f\n",
+        "steps_per_s=%.0f wall_s=%.3f rss_mib=%.1f peak_rss_mib=%.1f "
+        "double_removes=%llu\n",
         r.engine.c_str(), r.topology.c_str(), r.clients, r.threads,
         r.streaming ? 1 : 0, r.steps_per_s(), r.wall_s, r.rss_mib,
-        r.peak_rss_mib);
+        r.peak_rss_mib, static_cast<unsigned long long>(r.double_removes));
+    if (!guards_clean(r)) floor_met = false;
     if (cli.profile) {
       std::printf("%s", r.profile.to_table().c_str());
     }
@@ -998,10 +1011,6 @@ int run_cli(const CliOptions& cli) {
                   scoped_tracer->get().event_count(), cli.trace_out.c_str());
       scoped_tracer.reset();  // only the first engine's run is captured
     }
-  }
-  if (cli.profile) {
-    std::printf("--- metrics registry ---\n%s",
-                obs::MetricsRegistry::global().to_text().c_str());
   }
   return floor_met ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 #include "players/exo_legacy.h"
 #include "players/exoplayer.h"
 #include "players/shaka.h"
-#include "obs/metrics.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -38,8 +37,6 @@ SweepJobResult run_one(const SweepJob& job, bool with_qoe) {
   }
   result.completed = result.log.completed;
   result.wall_s = seconds_since(t0);
-  DMX_COUNT("sweep.jobs", 1);
-  DMX_HIST("sweep.job_wall_s", result.wall_s);
   return result;
 }
 

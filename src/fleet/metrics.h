@@ -118,6 +118,10 @@ struct FleetResult {
   /// Engine work units executed: global barriers (kBarrier) or heap events
   /// (kEventHeap). Diagnostic only — excluded from fleet_fingerprint.
   std::size_t steps = 0;
+  /// Double removes the topology clamped (Topology::double_removes();
+  /// summed across shards). Anything but 0 is an engine bug; bench_fleet
+  /// exits 1 on it. Excluded from fleet_fingerprint.
+  std::uint64_t double_removes = 0;
   /// Engine self-profile: heap counters always (event-heap engine), phase
   /// wall-clock when FleetConfig::profile. Diagnostic only — excluded from
   /// fleet_fingerprint.

@@ -54,24 +54,7 @@ struct ChurnConfig {
 enum class Engine {
   kBarrier,    ///< reference: global phase barriers over all active sessions
   kEventHeap,  ///< default: indexed event heap + per-link completion registry
-  /// Pick per fleet size: the barrier's flat scan beats the heap's
-  /// pop/re-key round-trip when there is almost nobody to scan (measured
-  /// ~6.9M vs ~4.2M steps/s at 1 client), so populations at or below
-  /// kAutoBarrierMaxClients run kBarrier and everything larger kEventHeap.
-  /// Results are byte-identical either way, so the switch is pure policy.
-  kAuto,
 };
-
-/// Largest client count Engine::kAuto serves with the barrier engine.
-inline constexpr std::size_t kAutoBarrierMaxClients = 2;
-
-/// The engine kAuto resolves to for a fleet of `clients`; identity for the
-/// explicit engines. Everything downstream of FleetConfig::engine (the
-/// scheduler dispatch, trace-track naming) sees only resolved values.
-[[nodiscard]] inline Engine resolve_engine(Engine engine, std::size_t clients) {
-  if (engine != Engine::kAuto) return engine;
-  return clients <= kAutoBarrierMaxClients ? Engine::kBarrier : Engine::kEventHeap;
-}
 
 /// Streaming-metrics mode switch (DESIGN.md §10): fleets at or above
 /// `client_threshold` clients drop per-session logs and aggregate into

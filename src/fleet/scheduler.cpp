@@ -9,7 +9,6 @@
 
 #include "fleet/event_heap.h"
 #include "fleet/shard.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/indexed_min_heap.h"
@@ -98,7 +97,6 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
     tr->name_track(session_config.trace_track,
                    format("c%d %s", plan.id, plan.player_label.c_str()));
   }
-  DMX_COUNT("fleet.admitted", 1);
 
   client->session = std::make_unique<StreamingSession>(
       content_, view_, std::move(network), *client->player, session_config);
@@ -132,7 +130,6 @@ void FleetScheduler::finalize_client(Client& client, double now) {
   } else {
     result_.clients.push_back(std::move(outcome));
   }
-  DMX_COUNT("fleet.retired", 1);
   // Release the session and player: long fleets churn through thousands of
   // clients and only a fraction are ever concurrently active.
   client.session.reset();
@@ -165,17 +162,13 @@ FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans) {
   // Trace tracks: links and the engine live in their own id namespaces.
   topology_.name_trace_tracks();
   if (obs::Tracer* tr = obs::tracer()) {
-    tr->name_track(obs::kEngineTrack,
-                   resolve_engine(config_.engine, plans.size()) == Engine::kBarrier
-                       ? "engine barrier"
-                       : "engine event_heap");
+    tr->name_track(obs::kEngineTrack, config_.engine == Engine::kBarrier
+                                          ? "engine barrier"
+                                          : "engine event_heap");
   }
 
-  const double end_time =
-      resolve_engine(config_.engine, plans.size()) == Engine::kBarrier
-          ? run_barrier(plans)
-          : run_event_heap(plans);
-  DMX_COUNT("fleet.steps", result_.steps);
+  const double end_time = config_.engine == Engine::kBarrier ? run_barrier(plans)
+                                                             : run_event_heap(plans);
 
   // Clients finalize in retirement order; re-sort to client-id order so the
   // result layout is stable regardless of who finished first.
@@ -189,6 +182,7 @@ void FleetScheduler::close_links(FleetResult& result, double end_time) {
   topology_.finalize(end_time);
   result.links = topology_.link_stats();
   result.paths = topology_.path_stats();
+  result.double_removes = topology_.double_removes();
   // Aliases kept for single-link consumers; the fingerprint serializes
   // result.links instead.
   result.video_link = result.links.front();

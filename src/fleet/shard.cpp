@@ -271,6 +271,7 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
     const FleetShard& shard = partition.shards[s];
     FleetResult& result = results[s];
     merged.steps += result.steps;
+    merged.double_removes += result.double_removes;
     merged.client_digest += result.client_digest;
     merge_profiles(merged.profile, result.profile);
     for (std::size_t l = 0; l < shard.link_ids.size(); ++l) {

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -385,7 +384,7 @@ std::size_t Topology::audio_path_for(int client_id) const {
 void Topology::population_change(std::size_t p, int delta, double now) {
   PathChannel& path = paths_[p];
   if (delta < 0 && path.active_flows_ <= 0) {
-    DMX_COUNT("path.double_removes", 1);
+    ++double_removes_;
     assert(false && "PathChannel::remove_flow on an idle path (double remove)");
     DMX_ERROR << "PathChannel::remove_flow on an idle path (double remove?) — "
                  "flow accounting is corrupt; clamping at zero";
@@ -437,11 +436,6 @@ void Topology::population_change(std::size_t p, int delta, double now) {
         dirty_channels_.push_back(q);
       }
     }
-  }
-  if (delta > 0) {
-    DMX_COUNT("path.flows_added", 1);
-  } else {
-    DMX_COUNT("path.flows_removed", 1);
   }
 }
 

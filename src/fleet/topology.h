@@ -297,6 +297,10 @@ class Topology {
   /// Spec paths only (derived hit channels report through link_stats and
   /// the fleet's CdnStats).
   [[nodiscard]] std::vector<PathSummary> path_stats() const;
+  /// Double removes clamped so far (a flow removed from an idle path:
+  /// asserts in debug builds, logs an error and clamps at zero in
+  /// release). Anything but 0 is an engine bug.
+  [[nodiscard]] std::uint64_t double_removes() const { return double_removes_; }
 
   /// Name one obs trace track per link (obs::kLinkTrackBase + index).
   void name_trace_tracks() const;
@@ -389,6 +393,7 @@ class Topology {
   std::vector<std::size_t> video_assignment_;
   std::vector<std::size_t> audio_assignment_;
   obs::TimelineShard* telemetry_ = nullptr;
+  std::uint64_t double_removes_ = 0;
   std::vector<LinkNode> links_;
   /// Spec paths [0, spec_path_count_), then derived hit channels. Sized
   /// once at construction (sessions hold raw Channel pointers into it).

@@ -49,8 +49,11 @@ class Link final : public Channel {
   /// Unregister one flow at time `now`. Removing from an idle link is a
   /// flow-accounting bug in the caller (double remove) that would corrupt
   /// processor sharing across every other flow on the link: asserts in
-  /// debug builds, logs an error and clamps at zero in release.
+  /// debug builds, logs an error, counts it in double_removes() and clamps
+  /// at zero in release.
   void remove_flow(double now) override;
+  /// Double removes clamped so far; anything but 0 is a caller bug.
+  [[nodiscard]] std::uint64_t double_removes() const { return double_removes_; }
 
   [[nodiscard]] int active_flows() const override { return active_flows_; }
   /// Highest concurrent flow count ever observed.
@@ -140,6 +143,7 @@ class Link final : public Channel {
   int active_flows_ = 0;
   int peak_flows_ = 0;
   std::uint64_t epoch_ = 0;
+  std::uint64_t double_removes_ = 0;
 
   double clock_s_ = 0.0;    ///< time up to which all integrals are advanced
   double service_kbit_ = 0.0;  ///< V(clock_s_): per-flow service integral

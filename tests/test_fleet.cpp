@@ -298,42 +298,6 @@ TEST(CrossEngine, IdenticalOnPaperTraceAcrossFleetSizes) {
   }
 }
 
-TEST(CrossEngine, AutoEngineMatchesBothExplicitEngines) {
-  // kAuto is pure dispatch policy: at every fleet size — and in particular
-  // on both sides of the barrier/heap switch at kAutoBarrierMaxClients — it
-  // must produce the exact fingerprint both explicit engines produce.
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 1), Engine::kBarrier);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, kAutoBarrierMaxClients),
-            Engine::kBarrier);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, kAutoBarrierMaxClients + 1),
-            Engine::kEventHeap);
-  EXPECT_EQ(resolve_engine(Engine::kBarrier, 1000), Engine::kBarrier);
-  EXPECT_EQ(resolve_engine(Engine::kEventHeap, 1), Engine::kEventHeap);
-
-  const ex::ExperimentSetup setup =
-      ex::plain_dash(ex::varying_600_trace(), "auto-engine");
-  for (const std::size_t n : {std::size_t{1}, kAutoBarrierMaxClients,
-                              kAutoBarrierMaxClients + 1, std::size_t{10}}) {
-    SCOPED_TRACE("clients=" + std::to_string(n));
-    FleetConfig config = base_config(static_cast<int>(n), 29);
-    config.arrivals = ArrivalProcess::kDeterministic;
-    config.arrival_interval_s = 5.0;
-    const BandwidthTrace bottleneck =
-        BandwidthTrace::constant(600.0 * static_cast<double>(n) + 900.0);
-
-    std::string fingerprints[3];
-    int i = 0;
-    for (const Engine engine :
-         {Engine::kAuto, Engine::kBarrier, Engine::kEventHeap}) {
-      config.engine = engine;
-      fingerprints[i++] =
-          fleet_fingerprint(run_fleet(setup.content, setup.view, bottleneck, config));
-    }
-    EXPECT_EQ(fingerprints[0], fingerprints[1]);
-    EXPECT_EQ(fingerprints[0], fingerprints[2]);
-  }
-}
-
 TEST(CrossEngine, IdenticalOnSplitAudioPath) {
   const ex::ExperimentSetup setup =
       ex::plain_dash(BandwidthTrace::constant(1000.0), "cross-split");

@@ -13,8 +13,8 @@
 //     and bit-exact agreement of a 1-hop path with a plain net/link.h Link.
 //  3. Regression: finalize on never-used links (idle tail, 0/0 utilization
 //     guard), completion re-keying when the binding constraint moves
-//     mid-flow (epoch-lazy sync counters must reconcile), and malformed
-//     specs failing closed.
+//     mid-flow (epoch-lazy sync counters must reconcile), double removes
+//     counted and clamped, and malformed specs failing closed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,6 +34,7 @@
 #include "net/link.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -520,6 +521,37 @@ TEST(TopologyRegression, EventHeapSyncCountersReconcileOnTopologyFleet) {
   EXPECT_GT(result.profile.link_sync_checks, 0u);
   EXPECT_GT(result.profile.link_sync_refreshes, 0u);
   EXPECT_EQ(result.profile.link_sync_checks, result.profile.link_sync_refreshes);
+}
+
+TEST(TopologyRegression, DoubleRemoveIsCountedAndClamped) {
+  TopologySpec spec;
+  const std::size_t core = spec.add_link("core", BandwidthTrace::constant(3000.0));
+  const std::size_t edge = spec.add_link("edge", BandwidthTrace::constant(1000.0));
+  spec.add_path("p", {edge, core});
+  Topology topo(std::move(spec));
+  const std::shared_ptr<Channel> path = topo.path_channel(0);
+  path->add_flow(0.0);
+  path->remove_flow(1.0);
+  EXPECT_EQ(topo.double_removes(), 0u);
+#ifdef NDEBUG
+  // Release: count it, clamp at zero on the path and every hop, and log an
+  // error rather than corrupting processor sharing for the other flows.
+  CaptureLogSink capture;
+  ScopedLogSink sink_guard(&capture);
+  path->remove_flow(2.0);
+  EXPECT_EQ(topo.double_removes(), 1u);
+  EXPECT_EQ(path->active_flows(), 0);
+  EXPECT_EQ(topo.link_active_flows(edge), 0);
+  EXPECT_EQ(topo.link_active_flows(core), 0);
+  EXPECT_TRUE(capture.contains("double remove"));
+  // The path stays functional after the clamp: accounting is not corrupt.
+  const double v0 = path->add_flow(3.0);
+  EXPECT_DOUBLE_EQ(path->service_at(4.0) - v0, 1000.0);
+  EXPECT_EQ(path->active_flows(), 1);
+#else
+  // Debug: a double remove is an engine bug and asserts.
+  EXPECT_DEATH(path->remove_flow(2.0), "remove_flow");
+#endif
 }
 
 /// A malformed spec must fail closed at the fleet entry point — serial and

@@ -31,6 +31,7 @@ TEST(Link, DoubleRemoveIsDetected) {
   ScopedLogSink sink_guard(&capture);
   link.remove_flow(2.0);
   EXPECT_EQ(link.active_flows(), 0);
+  EXPECT_EQ(link.double_removes(), 1u);
   EXPECT_TRUE(capture.contains("double remove"));
   // The link stays functional after the clamp: accounting is not corrupt.
   const double v0 = link.add_flow(3.0);
