@@ -62,11 +62,13 @@ int main() {
 
   std::printf("\n=== per-client outcomes ===\n");
   for (const fleet::ClientResult& client : result.clients) {
-    const TimeSeries& selected = client.log.selected_video_kbps;
-    const double kbps =
-        selected.empty() ? 0.0
-                         : selected.time_weighted_mean(selected.front().t,
-                                                       selected.back().t);
+    // Mean bitrate of the video chunks this client fetched (fleet sessions
+    // record no series). qoe.avg_video_kbps divides by every chunk of the
+    // clip instead, which understates clients who churned.
+    const SessionTotals& totals = client.log.totals;
+    const double kbps = totals.video_chunks > 0
+                            ? totals.video_kbps_sum / totals.video_chunks
+                            : 0.0;
     std::printf(
         "  client %2d  %-12s avg video %6.0f kbps  stalls %zu (%5.1fs)  %s\n",
         client.id, client.player.c_str(), kbps, client.log.stall_count(),

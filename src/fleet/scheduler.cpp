@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -75,11 +76,12 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
   network.router = cdn_.get();  // null for cache-less fleets
 
   SessionConfig session_config = config_.session;
+  // No fleet reader needs per-tick series; the §3.4 imbalance is in totals.
+  session_config.record_series = false;
   if (streaming_) {
-    // Streaming-metrics mode: no per-session vectors, no series — the
-    // session maintains SessionTotals only (O(1) memory per session).
+    // Streaming-metrics mode: no per-session vectors either — the session
+    // maintains SessionTotals only (O(1) memory per session).
     session_config.minimal_log = true;
-    session_config.record_series = false;
   }
   session_config.start_time_s = plan.arrival_s;
   // The base max_sim_time_s is the per-client budget; the session cap is
@@ -477,6 +479,12 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
 
 FleetResult run_fleet(const Content& content, const ManifestView& view,
                       const BandwidthTrace& bottleneck, const FleetConfig& config) {
+  // Minimal logs cannot hold seeks: fail before any session or shard starts.
+  const auto clients = static_cast<std::size_t>(std::max(0, config.client_count));
+  if (!config.session.seeks.empty() &&
+      (config.session.minimal_log || config.streaming.enabled_for(clients))) {
+    throw std::invalid_argument("run_fleet: minimal logs do not support seeks");
+  }
   if (config.threads != 1 && config.topology.has_value()) {
     // Multi-component topologies run their shards concurrently; the runner
     // falls back to the serial path when the topology is one component.

@@ -60,27 +60,9 @@ std::int64_t SessionLog::wasted_bytes() const {
 }
 
 double SessionLog::mean_buffer_imbalance_s() const {
-  if (minimal) {
-    return totals.imbalance_span_s > 0.0
-               ? totals.imbalance_integral / totals.imbalance_span_s
-               : 0.0;
-  }
-  // Left-endpoint rule over the recorded series samples (both series are
-  // sampled at the same instants by the engine) — the arithmetic the
-  // minimal-mode incremental integral mirrors term for term.
-  const auto& audio = audio_buffer_s.points();
-  const auto& video = video_buffer_s.points();
-  const std::size_t n = std::min(audio.size(), video.size());
-  if (n < 2) return 0.0;
-  double integral = 0.0;
-  double total = 0.0;
-  for (std::size_t i = 1; i < n; ++i) {
-    const double dt = audio[i].t - audio[i - 1].t;
-    if (dt <= 0.0) continue;
-    integral += std::abs(audio[i - 1].value - video[i - 1].value) * dt;
-    total += dt;
-  }
-  return total > 0.0 ? integral / total : 0.0;
+  return totals.imbalance_span_s > 0.0
+             ? totals.imbalance_integral / totals.imbalance_span_s
+             : 0.0;
 }
 
 QoeReport compute_qoe(const SessionLog& log, const BitrateLadder& ladder,

@@ -66,9 +66,9 @@ struct SessionTotals {
   double last_video_kbps = 0.0;
   double last_audio_kbps = 0.0;
 
-  /// Time-weighted |audio − video| buffer-level integral over the series
-  /// sampling instants (left-endpoint rule — the exact arithmetic the fleet
-  /// layer historically ran over the recorded series points).
+  /// Time-weighted |audio − video| buffer-level integral over the tick
+  /// sampling instants (left-endpoint rule), folded whether or not series
+  /// are recorded. The only source of mean_buffer_imbalance_s().
   double imbalance_integral = 0.0;
   double imbalance_span_s = 0.0;
   double last_sample_t = 0.0;
@@ -102,7 +102,8 @@ struct SessionLog {
   std::vector<std::string> video_selection;
   std::vector<std::string> audio_selection;
 
-  /// Time series (wall-clock time on the x axis).
+  /// Time series (wall-clock time on the x axis). Solo sessions only
+  /// (SessionConfig::record_series): fleet sessions leave all six empty.
   TimeSeries video_buffer_s;
   TimeSeries audio_buffer_s;
   TimeSeries bandwidth_estimate_kbps;
@@ -120,11 +121,11 @@ struct SessionLog {
   /// reallocation churn on the common path.
   void reserve_for(int chunks, double expected_duration_s, double delta_s);
 
-  // Accessors answer from the record vectors in full-log mode (hand-built
-  // logs in tests never touch `totals`) and from the choke-point aggregates
-  // in minimal mode. For session-produced logs the two are bit-identical:
-  // the totals accumulate the same values in the same order the vectors
-  // record them.
+  // Count and sum accessors answer from the record vectors in full-log mode
+  // (hand-built test logs never touch `totals`) and from the choke-point
+  // aggregates in minimal mode. For session-produced logs the two are
+  // bit-identical: the totals accumulate the same values in the same order
+  // the vectors record them.
   [[nodiscard]] double total_stall_s() const;
   [[nodiscard]] std::size_t stall_count() const {
     return minimal ? static_cast<std::size_t>(totals.stall_events) : stalls.size();
@@ -142,7 +143,7 @@ struct SessionLog {
                    : abandoned.size();
   }
   /// Time-weighted mean |audio − video| buffer level over the session
-  /// (§3.4's imbalance metric); 0 when fewer than two samples were taken.
+  /// (§3.4's imbalance metric), from `totals` in both modes; 0 on no span.
   [[nodiscard]] double mean_buffer_imbalance_s() const;
   /// Distinct combination labels selected over the session, in first-use order.
   [[nodiscard]] std::vector<std::string> selected_combination_labels() const;

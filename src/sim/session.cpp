@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/trace.h"
@@ -30,6 +31,9 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
       player_(player),
       config_(config),
       pending_deliveries_(ArenaAllocator<PendingDelivery>(config.arena)) {
+  if (config_.minimal_log && !config_.seeks.empty()) {
+    throw std::invalid_argument("StreamingSession: minimal_log does not support seeks");
+  }
   // A player must know the timeline before adapting; when the manifest view
   // lacks it (HLS top-level only), model the mandatory fetch of the first
   // media playlist by filling it in here.
@@ -308,9 +312,8 @@ void StreamingSession::perform_seek(const SeekEvent& seek) {
   record.at_t = now_;
   record.from_position_s = playhead_s_;
   record.to_position_s = target_position;
-  // Seeks overwrite earlier selection slots, which the minimal-log
-  // aggregates cannot represent; fleets never script seeks (asserted).
-  assert(!config_.minimal_log && "minimal_log does not support seeks");
+  // Seeks overwrite earlier selection slots, which minimal-log totals cannot
+  // represent; the constructor rejects minimal_log with seeks.
   log_.seeks.push_back(record);
 
   // Cancel in-flight downloads (wasted bytes, accounted like abandonment).
@@ -433,10 +436,10 @@ void StreamingSession::sample_series() {
                     obs::TraceArgs()
                         .kv("audio", audio_buffer_.level_s())
                         .kv("video", video_buffer_.level_s()));
-  // A/V buffer-imbalance integral, folded in sample by sample with the same
-  // left-endpoint arithmetic the fleet layer historically ran over the
-  // recorded buffer series — so the §3.4 imbalance metric survives with the
-  // series recording off (streaming fleets).
+  // A/V buffer-imbalance integral, folded in sample by sample with the
+  // left-endpoint rule. It is the only source of the §3.4 imbalance metric
+  // (SessionLog::mean_buffer_imbalance_s), so it runs whether or not the
+  // series below are recorded.
   {
     SessionTotals& totals = log_.totals;
     if (totals.have_sample) {

@@ -70,13 +70,15 @@ struct SessionConfig {
   /// global clock (link traces are evaluated at absolute time). All logged
   /// times are then absolute; startup_delay_s stays relative to this.
   double start_time_s = 0.0;
-  /// Record buffer/estimate/selection time series in the log.
+  /// Record buffer/estimate/selection time series in the log. Solo
+  /// sessions only: fleet schedulers turn it off for every session.
   bool record_series = true;
   /// Minimal-log mode (streaming fleets, DESIGN.md §10): suppress the
   /// per-download/stall/selection vectors entirely — the log carries only
   /// SessionTotals plus scalars, so memory per session is O(1) instead of
   /// O(chunks). The totals are maintained identically in both modes; only
-  /// compute_qoe's combo_switches (and seek support) need the vectors.
+  /// compute_qoe's combo_switches needs the vectors. The totals cannot
+  /// represent seeks: the constructor throws std::invalid_argument on both.
   bool minimal_log = false;
   /// Base id for this session's flow tokens on shared links (audio flow =
   /// base, video flow = base + 1). Tokens must be unique per link; a fleet
@@ -87,7 +89,7 @@ struct SessionConfig {
   std::uint32_t trace_track = 0;
   /// Scripted seeks, ascending by at_time_s. A seek cancels in-flight
   /// downloads, flushes both buffers and rebuffers at the target position
-  /// (counted as a stall while playback is paused).
+  /// (counted as a stall while playback is paused). Not with minimal_log.
   std::vector<SeekEvent> seeks;
   /// Optional arena (must outlive the session) backing the pending-delivery
   /// queue: fleet schedulers pass their per-shard arena so queue growth in

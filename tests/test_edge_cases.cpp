@@ -5,8 +5,10 @@
 
 #include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
+#include "experiments/sweep.h"
 #include "manifest/builder.h"
 #include "players/estimators.h"
+#include "sim/metrics.h"
 #include "sim/session.h"
 #include "util/result.h"
 
@@ -74,6 +76,37 @@ TEST(Session, RecordSeriesOffKeepsLogLean) {
   // Selections and downloads are always recorded.
   EXPECT_FALSE(log.video_selection.empty());
   EXPECT_FALSE(log.downloads.empty());
+
+  // Recording series changes nothing else: a series-on run of the same
+  // setup, with its six series cleared, is the same log with the same QoE
+  // and the same §3.4 imbalance.
+  setup.session.record_series = true;
+  CoordinatedPlayer series_player;
+  SessionLog with_series = ex::run(setup, series_player);
+  ASSERT_FALSE(with_series.video_buffer_s.empty());
+  EXPECT_GT(log.mean_buffer_imbalance_s(), 0.0);
+  EXPECT_EQ(log.mean_buffer_imbalance_s(), with_series.mean_buffer_imbalance_s());
+
+  const QoeReport lean_qoe = compute_qoe(log, setup.content.ladder());
+  const QoeReport series_qoe = compute_qoe(with_series, setup.content.ladder());
+  EXPECT_EQ(lean_qoe.startup_delay_s, series_qoe.startup_delay_s);
+  EXPECT_EQ(lean_qoe.total_stall_s, series_qoe.total_stall_s);
+  EXPECT_EQ(lean_qoe.stall_count, series_qoe.stall_count);
+  EXPECT_EQ(lean_qoe.avg_video_kbps, series_qoe.avg_video_kbps);
+  EXPECT_EQ(lean_qoe.avg_audio_kbps, series_qoe.avg_audio_kbps);
+  EXPECT_EQ(lean_qoe.video_switches, series_qoe.video_switches);
+  EXPECT_EQ(lean_qoe.audio_switches, series_qoe.audio_switches);
+  EXPECT_EQ(lean_qoe.combo_switches, series_qoe.combo_switches);
+  EXPECT_EQ(lean_qoe.off_manifest_chunks, series_qoe.off_manifest_chunks);
+  EXPECT_EQ(lean_qoe.qoe_score, series_qoe.qoe_score);
+
+  for (TimeSeries* series :
+       {&with_series.video_buffer_s, &with_series.audio_buffer_s,
+        &with_series.bandwidth_estimate_kbps, &with_series.achieved_throughput_kbps,
+        &with_series.selected_video_kbps, &with_series.selected_audio_kbps}) {
+    series->clear();
+  }
+  EXPECT_EQ(ex::log_fingerprint(log), ex::log_fingerprint(with_series));
 }
 
 TEST(Session, CustomDeltaChangesSamplingGranularity) {

@@ -90,9 +90,11 @@ TEST(SessionStepping, StartTimeOffsetsClockButNotStartupDelay) {
 }
 
 TEST(Fleet, SingleClientMatchesSoloSession) {
-  // A fleet of one on a shared link is exactly the solo engine.
-  const ex::ExperimentSetup setup =
+  // A fleet of one on a shared link is exactly the solo engine. Fleet
+  // sessions record no series, so the solo side runs without them too.
+  ex::ExperimentSetup setup =
       ex::plain_dash(BandwidthTrace::constant(900.0), "solo");
+  setup.session.record_series = false;
   ExoPlayerModel solo;
   const SessionLog solo_log = ex::run(setup, solo);
 
@@ -100,8 +102,17 @@ TEST(Fleet, SingleClientMatchesSoloSession) {
   const FleetResult result =
       run_fleet(setup.content, setup.view, setup.trace, config);
   ASSERT_EQ(result.clients.size(), 1u);
-  EXPECT_EQ(ex::log_fingerprint(solo_log),
-            ex::log_fingerprint(result.clients[0].log));
+  const SessionLog& fleet_log = result.clients[0].log;
+  EXPECT_EQ(ex::log_fingerprint(solo_log), ex::log_fingerprint(fleet_log));
+  EXPECT_TRUE(fleet_log.video_buffer_s.empty());
+  EXPECT_TRUE(fleet_log.audio_buffer_s.empty());
+  EXPECT_TRUE(fleet_log.bandwidth_estimate_kbps.empty());
+  EXPECT_TRUE(fleet_log.achieved_throughput_kbps.empty());
+  EXPECT_TRUE(fleet_log.selected_video_kbps.empty());
+  EXPECT_TRUE(fleet_log.selected_audio_kbps.empty());
+  // The §3.4 imbalance comes from SessionTotals, series or not.
+  EXPECT_GT(fleet_log.mean_buffer_imbalance_s(), 0.0);
+  EXPECT_EQ(fleet_log.mean_buffer_imbalance_s(), solo_log.mean_buffer_imbalance_s());
 }
 
 TEST(Fleet, SameSeedSameFingerprint) {

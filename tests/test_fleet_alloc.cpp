@@ -87,7 +87,6 @@ FleetResult run_capped_fleet(const ex::ExperimentSetup& setup, double cap_s) {
   // (SessionTotals into a reserved ClientResult slot), so the only thing
   // that can differ between the two caps is the drain loop itself.
   config.session.minimal_log = true;
-  config.session.record_series = false;
   return run_fleet(setup.content, setup.view,
                    BandwidthTrace::constant(3000.0), config);
 }

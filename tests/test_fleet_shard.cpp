@@ -340,6 +340,12 @@ TEST(StreamingMetrics, MatchesFullLogModeWithinSketchTolerance) {
   EXPECT_TRUE(near_rel(sm.video_kbps.mean, fm.video_kbps.mean));
   EXPECT_DOUBLE_EQ(sm.video_kbps.min, fm.video_kbps.min);
   EXPECT_DOUBLE_EQ(sm.video_kbps.max, fm.video_kbps.max);
+  // The §3.4 imbalance reads SessionTotals in both modes, never a series.
+  EXPECT_GT(fm.buffer_imbalance_s.max, 0.0);
+  EXPECT_DOUBLE_EQ(sm.buffer_imbalance_s.min, fm.buffer_imbalance_s.min);
+  EXPECT_DOUBLE_EQ(sm.buffer_imbalance_s.max, fm.buffer_imbalance_s.max);
+  EXPECT_TRUE(near_rel(sm.buffer_imbalance_s.mean, fm.buffer_imbalance_s.mean))
+      << sm.buffer_imbalance_s.mean << " vs " << fm.buffer_imbalance_s.mean;
 
   // Percentiles: sketch-approximate, within alpha of the exact order
   // statistic at rank q * (n - 1) derived from the retained full logs.

@@ -8,6 +8,7 @@
 #include "core/compliance.h"
 #include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
+#include "imbalance_oracle.h"
 #include "manifest/builder.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
@@ -143,6 +144,11 @@ TEST_P(PlayerTraceSweep, SessionInvariantsHold) {
     EXPECT_DOUBLE_EQ(log2.downloads[i].end_t, log.downloads[i].end_t);
   }
   EXPECT_DOUBLE_EQ(log2.end_time_s, log.end_time_s);
+
+  // 9. The §3.4 imbalance metric, folded into SessionTotals at every tick,
+  //    equals the walk over the recorded buffer series bit for bit.
+  ASSERT_GE(log.audio_buffer_s.size(), 2u);
+  EXPECT_EQ(log.mean_buffer_imbalance_s(), series_imbalance_s(log));
 }
 
 std::vector<Case> all_cases() {

@@ -2,9 +2,14 @@
 // accounting, and interaction with each player model.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
 #include "core/coordinated_player.h"
 #include "core/muxed_player.h"
 #include "experiments/scenarios.h"
+#include "fleet/scheduler.h"
+#include "imbalance_oracle.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 
@@ -93,6 +98,10 @@ TEST(Seek, MultipleSeeksInOneSession) {
   ASSERT_TRUE(log.completed);
   EXPECT_EQ(log.seeks.size(), 3u);
   EXPECT_LT(log.end_time_s, 120.0);
+  // The imbalance fold samples straight through the buffer flushes: it
+  // still equals the walk over the recorded buffer series, bit for bit.
+  EXPECT_GT(log.mean_buffer_imbalance_s(), 0.0);
+  EXPECT_EQ(log.mean_buffer_imbalance_s(), series_imbalance_s(log));
 }
 
 TEST(Seek, WorksWithEveryPlayerModel) {
@@ -124,6 +133,41 @@ TEST(Seek, SeekToNearEndFinishesQuickly) {
   const SessionLog log = run_with_seeks(player, {{10.0, 296.0}});
   ASSERT_TRUE(log.completed);
   EXPECT_LT(log.end_time_s, 30.0);
+}
+
+// Seeks overwrite earlier selection slots, which a minimal log's totals
+// cannot represent. The combination is refused up front, in every build
+// type.
+TEST(Seek, MinimalLogSessionRejectsSeeks) {
+  auto setup = ex::bestpractice_dash(BandwidthTrace::constant(1200.0), "seek");
+  setup.session.seeks = {{30.0, 200.0}};
+  setup.session.minimal_log = true;
+  CoordinatedPlayer player;
+  EXPECT_THROW(ex::run(setup, player), std::invalid_argument);
+}
+
+TEST(Seek, StreamingFleetRejectsSeeks) {
+  const auto setup = ex::plain_dash(BandwidthTrace::constant(2400.0), "seek");
+  int players_built = 0;
+  fleet::FleetConfig config;
+  config.client_count = 2;
+  config.players.push_back({"exoplayer",
+                            [&players_built] {
+                              ++players_built;
+                              return std::make_unique<ExoPlayerModel>();
+                            },
+                            1.0});
+  config.session.seeks = {{30.0, 200.0}};
+  // Full logs carry seeks.
+  EXPECT_NO_THROW(fleet::run_fleet(setup.content, setup.view, setup.trace, config));
+  EXPECT_EQ(players_built, 2);
+  // Streaming metrics switch every session to a minimal log: the run fails
+  // before it admits a single client.
+  config.streaming.client_threshold = 1;
+  players_built = 0;
+  EXPECT_THROW(fleet::run_fleet(setup.content, setup.view, setup.trace, config),
+               std::invalid_argument);
+  EXPECT_EQ(players_built, 0);
 }
 
 }  // namespace
