@@ -62,7 +62,7 @@
 #include "experiments/scenarios.h"
 #include "fleet/cdn_fleet.h"
 #include "fleet/scheduler.h"
-#include "fleet/topology.h"
+#include "net/topology.h"
 #include "obs/incidents.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -191,14 +191,14 @@ BandwidthTrace trace_by_label(const std::string& label, int clients) {
 /// kbps/client), edge at the single-session operating point (900
 /// kbps/client per shard) and the core undersized (700 kbps/client) so the
 /// binding constraint moves between edge and core as shards fill.
-fleet::TopologySpec sharded_spec(int edges, int clients_per_edge) {
+TopologySpec sharded_spec(int edges, int clients_per_edge) {
   const double per_edge = static_cast<double>(clients_per_edge);
   const double total = per_edge * edges;
-  fleet::TopologySpec spec = fleet::TopologySpec::sharded(
+  TopologySpec spec = TopologySpec::sharded(
       edges, BandwidthTrace::constant(2500.0 * per_edge),
       BandwidthTrace::constant(900.0 * per_edge),
       BandwidthTrace::constant(700.0 * total));
-  spec.video_assignment = fleet::TopologySpec::block_assignment(
+  spec.video_assignment = TopologySpec::block_assignment(
       static_cast<std::size_t>(edges), static_cast<std::size_t>(clients_per_edge));
   return spec;
 }
@@ -208,9 +208,9 @@ fleet::TopologySpec sharded_spec(int edges, int clients_per_edge) {
 /// independent shards that run concurrently under --threads != 1 with a
 /// byte-identical merged fingerprint (tests/test_fleet_shard.cpp). Same
 /// per-capita scaling as sharded_spec, minus the shared core.
-fleet::TopologySpec disjoint_spec(int edges, int clients_per_edge) {
+TopologySpec disjoint_spec(int edges, int clients_per_edge) {
   const double per_edge = static_cast<double>(clients_per_edge);
-  fleet::TopologySpec spec;
+  TopologySpec spec;
   for (int e = 0; e < edges; ++e) {
     const std::size_t edge = spec.add_link(
         format("edge-%d", e), BandwidthTrace::constant(900.0 * per_edge));
@@ -218,7 +218,7 @@ fleet::TopologySpec disjoint_spec(int edges, int clients_per_edge) {
         format("core-%d", e), BandwidthTrace::constant(700.0 * per_edge));
     spec.add_path(format("chain-%d", e), {edge, core});
   }
-  spec.video_assignment = fleet::TopologySpec::block_assignment(
+  spec.video_assignment = TopologySpec::block_assignment(
       static_cast<std::size_t>(edges), static_cast<std::size_t>(clients_per_edge));
   return spec;
 }
@@ -226,11 +226,10 @@ fleet::TopologySpec disjoint_spec(int edges, int clients_per_edge) {
 /// Disjoint chains with an LRU edge cache on every access link (the
 /// client-side hop, so edge hits skip the per-chain core entirely). The
 /// layout partitions into `edges` shards like disjoint_spec.
-fleet::TopologySpec cdn_spec(int edges, int clients_per_edge,
-                             std::int64_t cache_bytes) {
-  fleet::TopologySpec spec = disjoint_spec(edges, clients_per_edge);
+TopologySpec cdn_spec(int edges, int clients_per_edge, std::int64_t cache_bytes) {
+  TopologySpec spec = disjoint_spec(edges, clients_per_edge);
   for (std::size_t l = 0; l < spec.links.size(); l += 2) {
-    spec.links[l].cache = fleet::CacheSpec{cache_bytes, -1};
+    spec.links[l].cache = CacheSpec{cache_bytes, -1};
   }
   return spec;
 }

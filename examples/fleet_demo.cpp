@@ -13,7 +13,7 @@
 #include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
 #include "fleet/scheduler.h"
-#include "fleet/topology.h"
+#include "net/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 
@@ -103,10 +103,10 @@ int main() {
   // access → edge shards of 4 clients each, funnelling into one undersized
   // core so the binding constraint moves between the edge and core layers.
   // The shared trace argument is ignored once a topology is set.
-  config.topology = fleet::TopologySpec::sharded(
+  config.topology = TopologySpec::sharded(
       3, BandwidthTrace::constant(10000.0), BandwidthTrace::constant(3600.0),
       BandwidthTrace::constant(8400.0));
-  config.topology->video_assignment = fleet::TopologySpec::block_assignment(3, 4);
+  config.topology->video_assignment = TopologySpec::block_assignment(3, 4);
   const fleet::FleetResult topo_result =
       fleet::run_fleet(setup.content, setup.view, setup.trace, config);
   const fleet::FleetMetrics topo_metrics = fleet::compute_fleet_metrics(topo_result);
@@ -116,7 +116,7 @@ int main() {
   // *path* (summed over its flows' wall clock), so a path's row sums to its
   // own busy seconds, not the fleet's.
   std::printf("\n=== bottleneck attribution (binding seconds per hop) ===\n");
-  for (const fleet::PathSummary& path : topo_result.paths) {
+  for (const PathSummary& path : topo_result.paths) {
     std::printf("  %-10s", path.name.c_str());
     for (std::size_t h = 0; h < path.hop_names.size(); ++h) {
       std::printf("  %s=%.1fs", path.hop_names[h].c_str(), path.binding_s[h]);

@@ -5,7 +5,7 @@
 
 #include "core/compliance.h"
 #include "manifest/builder.h"
-#include "net/link.h"
+#include "net/topology.h"
 
 namespace demuxabr::experiments {
 namespace {

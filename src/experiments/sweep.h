@@ -3,10 +3,10 @@
 // A sweep is a list of jobs, each pairing an (immutable, shareable)
 // ExperimentSetup with a factory that builds a fresh PlayerAdapter per run.
 // Every session is an isolated deterministic simulation — the setup is read
-// only, the Network (and its mutable Link flow counters) is rebuilt per run
-// by experiments::run(), and all per-session state lives in the player and
-// session objects the job creates — so results are byte-identical no matter
-// how many threads execute the sweep. Results always come back in job
+// only, the Network (and the flow counters of its topology) is rebuilt per
+// run by experiments::run(), and all per-session state lives in the player
+// and session objects the job creates — so results are byte-identical no
+// matter how many threads execute the sweep. Results always come back in job
 // order; `threads = 1` bypasses the pool entirely and is bit-identical to
 // the historical serial loop.
 //

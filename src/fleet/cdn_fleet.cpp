@@ -34,8 +34,7 @@ CdnState::CdnState(const TopologySpec& spec, Topology& topology,
   for (std::size_t p = 0; p < topology.path_count(); ++p) {
     const std::optional<PathCacheRoute>& route = topology.cache_route(p);
     if (!route.has_value()) continue;
-    routes_[topology.path_channel(p).get()] = {node_of_link[route->link],
-                                               route->hit_channel};
+    routes_[&topology.path_channel(p)] = {node_of_link[route->link], route->hit_channel};
   }
 }
 

@@ -31,9 +31,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fleet/topology.h"
 #include "httpsim/catalog.h"
 #include "httpsim/cdn_chain.h"
+#include "net/topology.h"
 #include "sim/flow_router.h"
 
 namespace demuxabr::fleet {

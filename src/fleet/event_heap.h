@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/channel.h"
+#include "net/topology.h"
 #include "util/arena.h"
 #include "util/indexed_min_heap.h"
 
@@ -82,8 +82,8 @@ class EventHeap {
   BasicIndexedMinHeap<ArenaAllocator<HeapEntry>> heap_;
   Stats stats_;
   std::uint32_t link_base_;
-  /// Last-synced Link::epoch() per link; starts at a sentinel no real epoch
-  /// takes so the first sync always refreshes.
+  /// Last-synced Channel::epoch() per link entity; starts at a sentinel no
+  /// real epoch takes so the first sync always refreshes.
   std::vector<std::uint64_t, ArenaAllocator<std::uint64_t>> link_epochs_;
 };
 

@@ -11,8 +11,8 @@
 #include <optional>
 
 #include "fleet/cdn_fleet.h"
-#include "fleet/topology.h"
 #include "media/track.h"
+#include "net/topology.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
 #include "sim/metrics.h"

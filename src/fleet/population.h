@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "fleet/topology.h"
 #include "httpsim/catalog.h"
+#include "net/topology.h"
 #include "obs/telemetry.h"
 #include "sim/player.h"
 #include "sim/session.h"
@@ -101,7 +101,7 @@ struct FleetConfig {
   /// Per-request RTT of every client's network.
   double rtt_s = 0.05;
 
-  /// The fleet's topology (fleet/topology.h): every client rides a *path*
+  /// The fleet's topology (net/topology.h): every client rides a *path*
   /// of shared links (client → edge → core) chosen by the spec's
   /// assignment vectors. Unset = TopologySpec::single(bottleneck), the
   /// bottleneck trace passed to the scheduler, which is ignored otherwise.

@@ -69,9 +69,8 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
   const std::size_t audio_path = topology_.audio_path_for(plan.id);
   client->video_path = static_cast<int>(video_path);
   client->audio_path = static_cast<int>(audio_path);
-  network.video_link = topology_.path_channel(video_path);
-  network.audio_link = audio_path == video_path ? network.video_link
-                                                : topology_.path_channel(audio_path);
+  network.video_link = &topology_.path_channel(video_path);
+  network.audio_link = &topology_.path_channel(audio_path);
   network.rtt_s = config_.rtt_s;
   network.router = cdn_.get();  // null for cache-less fleets
 
@@ -288,7 +287,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   // their completions like any other carrier.
   std::vector<Channel*> links;
   for (std::size_t p = 0; p < topology_.channel_count(); ++p) {
-    links.push_back(topology_.path_channel(p).get());
+    links.push_back(&topology_.path_channel(p));
   }
 
   EventHeap heap(static_cast<std::uint32_t>(plans.size()),

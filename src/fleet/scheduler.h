@@ -1,5 +1,5 @@
 // FleetScheduler: the multi-client discrete-event engine. Interleaves N
-// StreamingSessions over the shared links of one Topology (fleet/
+// StreamingSessions over the shared links of one Topology (net/
 // topology.h) so processor sharing spans *sessions*, not just one client's
 // audio/video flows — the workload class where the paper's §3.3
 // mis-estimation and §3.4 buffer-imbalance pathologies compound across a
@@ -34,10 +34,10 @@
 #include "fleet/cdn_fleet.h"
 #include "fleet/metrics.h"
 #include "fleet/population.h"
-#include "fleet/topology.h"
 #include "manifest/view.h"
 #include "media/content.h"
 #include "net/bandwidth_trace.h"
+#include "net/topology.h"
 #include "sim/session.h"
 #include "util/arena.h"
 

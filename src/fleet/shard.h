@@ -30,10 +30,10 @@
 
 #include "fleet/metrics.h"
 #include "fleet/population.h"
-#include "fleet/topology.h"
 #include "manifest/view.h"
 #include "media/content.h"
 #include "net/bandwidth_trace.h"
+#include "net/topology.h"
 
 namespace demuxabr::fleet {
 

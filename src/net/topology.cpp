@@ -1,4 +1,4 @@
-#include "fleet/topology.h"
+#include "net/topology.h"
 
 #include <algorithm>
 #include <cassert>
@@ -10,7 +10,7 @@
 #include "util/logging.h"
 #include "util/strings.h"
 
-namespace demuxabr::fleet {
+namespace demuxabr {
 namespace {
 
 /// Hard cap on path depth so the pure walks can use stack buffers for the
@@ -120,18 +120,18 @@ std::string TopologySpec::validate() const {
   return "";
 }
 
-// --- PathChannel ---
+// --- Channel ---
 
-double PathChannel::add_flow(double now) {
+double Channel::add_flow(double now) {
   topo_->population_change(index_, +1, now);
   return service_kbit_;
 }
 
-void PathChannel::remove_flow(double now) {
+void Channel::remove_flow(double now) {
   topo_->population_change(index_, -1, now);
 }
 
-double PathChannel::service_at(double t) const {
+double Channel::service_at(double t) const {
   if (t <= clock_s_) return service_kbit_;
   if (active_flows_ <= 0) return service_kbit_;  // idle: nobody is served
   const std::vector<Topology::LinkNode>& links = topo_->links_;
@@ -152,23 +152,28 @@ double PathChannel::service_at(double t) const {
     const double seg_end = std::min(boundary, t);
     const double dt = seg_end - at;
     if (dt <= 0.0) break;
-    // Binding hop: smallest fair share; ties keep the earliest hop.
+    // Binding hop: smallest fair share; ties keep the earliest hop. Its
+    // rate is kept from the scan, so a one-hop path reads the trace once
+    // per segment.
     std::size_t b = 0;
-    double best = links[hops[0]].trace.rate_kbps(at) * inv[0];
+    double rate = links[hops[0]].trace.rate_kbps(at);
+    double best = rate * inv[0];
     for (std::size_t i = 1; i < hop_count; ++i) {
-      const double share = links[hops[i]].trace.rate_kbps(at) * inv[i];
+      const double hop_rate = links[hops[i]].trace.rate_kbps(at);
+      const double share = hop_rate * inv[i];
       if (share < best) {
         best = share;
+        rate = hop_rate;
         b = i;
       }
     }
-    v += links[hops[b]].trace.rate_kbps(at) * dt * inv[b];
+    v += rate * dt * inv[b];
     at = seg_end;
   }
   return v;
 }
 
-double PathChannel::time_when_service_reaches(double v_target) const {
+double Channel::time_when_service_reaches(double v_target) const {
   if (v_target <= service_kbit_) return clock_s_;
   if (active_flows_ <= 0) return std::numeric_limits<double>::infinity();
   const std::vector<Topology::LinkNode>& links = topo_->links_;
@@ -180,8 +185,9 @@ double PathChannel::time_when_service_reaches(double v_target) const {
   }
   double v = service_kbit_;
   double at = clock_s_;
-  // Walk forward one capacity segment at a time, as net/link.h does; the
-  // iteration cap guards against a pathological all-zero tail.
+  // Walk forward one capacity segment at a time. Terminates for any trace
+  // with positive average rate; the iteration cap guards against a
+  // pathological all-zero tail (treated as "never").
   for (int guard = 0; guard < 1000000; ++guard) {
     double boundary = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < hop_count; ++i) {
@@ -203,17 +209,6 @@ double PathChannel::time_when_service_reaches(double v_target) const {
     at = boundary;
   }
   return std::numeric_limits<double>::infinity();
-}
-
-double PathChannel::capacity_kbps(double t) const {
-  const std::vector<Topology::LinkNode>& links = topo_->links_;
-  const std::uint32_t* const hops = topo_->hops_of(index_);
-  const std::size_t hop_count = topo_->hop_count_of(index_);
-  double cap = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < hop_count; ++i) {
-    cap = std::min(cap, links[hops[i]].trace.rate_kbps(t));
-  }
-  return cap;
 }
 
 // --- Topology ---
@@ -341,7 +336,7 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
   // The channels themselves: one contiguous vector, sized exactly once.
   paths_.reserve(channel_count);
   for (std::size_t p = 0; p < channel_count; ++p) {
-    PathChannel channel;
+    Channel channel;
     channel.topo_ = this;
     channel.index_ = static_cast<std::uint32_t>(p);
     channel.name_ = std::move(channel_names[p]);
@@ -363,12 +358,6 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
   dirty_channels_.reserve(channel_count);
 }
 
-std::shared_ptr<Channel> Topology::path_channel(std::size_t p) {
-  // Aliasing, non-owning: sessions are torn down before the Topology (the
-  // FleetScheduler owns both, Topology outermost).
-  return {std::shared_ptr<Channel>(), &paths_[p]};
-}
-
 std::size_t Topology::video_path_for(int client_id) const {
   const auto id = static_cast<std::size_t>(client_id);
   if (video_assignment_.empty()) return id % spec_path_count_;
@@ -382,11 +371,11 @@ std::size_t Topology::audio_path_for(int client_id) const {
 }
 
 void Topology::population_change(std::size_t p, int delta, double now) {
-  PathChannel& path = paths_[p];
+  Channel& path = paths_[p];
   if (delta < 0 && path.active_flows_ <= 0) {
     ++double_removes_;
-    assert(false && "PathChannel::remove_flow on an idle path (double remove)");
-    DMX_ERROR << "PathChannel::remove_flow on an idle path (double remove?) — "
+    assert(false && "Channel::remove_flow on an idle path (double remove)");
+    DMX_ERROR << "Channel::remove_flow on an idle path (double remove?) — "
                  "flow accounting is corrupt; clamping at zero";
     return;
   }
@@ -440,11 +429,10 @@ void Topology::population_change(std::size_t p, int delta, double now) {
 }
 
 void Topology::advance_path(std::size_t p, double now) {
-  PathChannel& path = paths_[p];
+  Channel& path = paths_[p];
   if (now <= path.clock_s_) return;
   if (path.active_flows_ <= 0) {
-    // Idle: V_P is frozen (nobody is served), only the clock moves — the
-    // same gating net/link.h applies to its service integral.
+    // Idle: V_P is frozen (nobody is served), only the clock moves.
     path.clock_s_ = now;
     return;
   }
@@ -465,15 +453,18 @@ void Topology::advance_path(std::size_t p, double now) {
     const double dt = seg_end - at;
     if (dt <= 0.0) break;  // defensive: a trace must advance time
     std::size_t b = 0;
-    double best = links_[hops[0]].trace.rate_kbps(at) * inv[0];
+    double rate = links_[hops[0]].trace.rate_kbps(at);
+    double best = rate * inv[0];
     for (std::size_t i = 1; i < hop_count; ++i) {
-      const double share = links_[hops[i]].trace.rate_kbps(at) * inv[i];
+      const double hop_rate = links_[hops[i]].trace.rate_kbps(at);
+      const double share = hop_rate * inv[i];
       if (share < best) {
         best = share;
+        rate = hop_rate;
         b = i;
       }
     }
-    const double offered = links_[hops[b]].trace.rate_kbps(at) * dt;
+    const double offered = rate * dt;
     path.service_kbit_ += offered * inv[b];
     binding[b] += dt;
     at = seg_end;
@@ -489,9 +480,8 @@ void Topology::advance_link(std::size_t l, double now) {
       node.active_flows > 0 ? 1.0 / static_cast<double>(node.active_flows) : 1.0;
   if (node.saturating) {
     // Every traversing path is bottlenecked here alone: processor sharing
-    // saturates the pipe, so delivered == offered while busy. This branch
-    // is expression-for-expression Link::advance_to, so a single-link fleet
-    // accounts exactly as a solo session's Link does.
+    // saturates the pipe, so delivered == offered while busy — the plain
+    // single-link accounting, expression for expression.
     while (at < now) {
       const double boundary = node.trace.next_change_after(at);
       const double seg_end = std::min(boundary, now);
@@ -542,7 +532,7 @@ void Topology::advance_link(std::size_t l, double now) {
       node.service_kbit += offered * inv_flows;
       double rate_sum_kbps = 0.0;
       for (std::size_t i = 0; i < rider_count; ++i) {
-        const PathChannel& path = paths_[riders[i]];
+        const Channel& path = paths_[riders[i]];
         if (path.active_flows_ <= 0) continue;
         const std::uint32_t* const hops = hops_of(riders[i]);
         const std::size_t hop_count = hop_count_of(riders[i]);
@@ -605,7 +595,7 @@ std::vector<PathSummary> Topology::path_stats() const {
   std::vector<PathSummary> stats;
   stats.reserve(spec_path_count_);
   for (std::size_t p = 0; p < spec_path_count_; ++p) {
-    const PathChannel& path = paths_[p];
+    const Channel& path = paths_[p];
     PathSummary s;
     s.name = path.name_;
     const std::uint32_t* const hops = hops_of(p);
@@ -646,4 +636,28 @@ double Topology::link_fair_share_at(std::size_t l, double t) const {
   return node.trace.rate_kbps(t) / static_cast<double>(std::max(1, node.active_flows));
 }
 
-}  // namespace demuxabr::fleet
+// --- Network ---
+
+Network Network::shared(BandwidthTrace trace, double rtt_s) {
+  Network net;
+  net.topology_ = std::make_shared<Topology>(TopologySpec::single(std::move(trace)));
+  net.video_link = &net.topology_->path_channel(0);
+  net.audio_link = net.video_link;
+  net.rtt_s = rtt_s;
+  return net;
+}
+
+Network Network::split(BandwidthTrace video_trace, BandwidthTrace audio_trace,
+                       double rtt_s) {
+  TopologySpec spec;
+  spec.add_path("video", {spec.add_link("video", std::move(video_trace))});
+  spec.add_path("audio", {spec.add_link("audio", std::move(audio_trace))});
+  Network net;
+  net.topology_ = std::make_shared<Topology>(std::move(spec));
+  net.video_link = &net.topology_->path_channel(0);
+  net.audio_link = &net.topology_->path_channel(1);
+  net.rtt_s = rtt_s;
+  return net;
+}
+
+}  // namespace demuxabr

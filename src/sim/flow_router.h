@@ -17,7 +17,7 @@
 
 #include <cstdint>
 
-#include "net/channel.h"
+#include "net/topology.h"
 #include "sim/player.h"
 
 namespace demuxabr {

@@ -34,6 +34,12 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
   if (config_.minimal_log && !config_.seeks.empty()) {
     throw std::invalid_argument("StreamingSession: minimal_log does not support seeks");
   }
+  if (network_.video_link->clock_s() > config_.start_time_s ||
+      network_.audio_link->clock_s() > config_.start_time_s) {
+    throw std::invalid_argument(
+        "StreamingSession: a carrier's clock is past start_time_s (Network reused "
+        "after another session?)");
+  }
   // A player must know the timeline before adapting; when the manifest view
   // lacks it (HLS top-level only), model the mandatory fetch of the first
   // media playlist by filling it in here.

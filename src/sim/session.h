@@ -10,9 +10,10 @@
 //    max_concurrent_downloads() caps overall parallelism (1 = serial A/V,
 //    2 = concurrent pipelines);
 //  * each request pays an RTT before data flows; active flows on a link
-//    share its capacity equally — accounted through the link's fair-share
-//    service integral (net/link.h), so delivered bytes are an integral
-//    difference rather than a per-interval accumulation;
+//    share its capacity equally — accounted through the carrier's
+//    fair-share service integral (a Channel, net/topology.h), so delivered
+//    bytes are an integral difference rather than a per-interval
+//    accumulation;
 //  * per-delta (default 0.125 s) progress samples are emitted per flow —
 //    the granularity Shaka's estimator filters on (§3.3);
 //  * playback consumes audio and video in lockstep; a stall starts when
@@ -36,7 +37,7 @@
 
 #include "manifest/view.h"
 #include "media/content.h"
-#include "net/link.h"
+#include "net/topology.h"
 #include "obs/telemetry.h"
 #include "sim/buffer.h"
 #include "sim/metrics.h"
@@ -105,7 +106,9 @@ struct SessionConfig {
 class StreamingSession {
  public:
   /// `content` is server-side truth (chunk sizes); `view` is what the player
-  /// sees. The session keeps references; all must outlive run().
+  /// sees. The session keeps references; all must outlive run(). Throws
+  /// std::invalid_argument when either default carrier's clock is already
+  /// past config.start_time_s: a Network that carried another session.
   StreamingSession(const Content& content, ManifestView view, Network network,
                    PlayerAdapter& player, SessionConfig config = {});
 
@@ -157,7 +160,7 @@ class StreamingSession {
 
   /// next_event_time() without the link-dependent completion candidates:
   /// the event-heap engine keys sessions on this and lets each shared link
-  /// announce its own earliest completion (Link::earliest_completion_time),
+  /// announce its own earliest completion (Channel::earliest_completion_time),
   /// so no per-session key ever goes stale when a link's population moves.
   [[nodiscard]] double next_local_event_time() const;
 
@@ -338,7 +341,10 @@ class StreamingSession {
   SessionLog log_;
 };
 
-/// Convenience one-call runner.
+/// Convenience one-call runner. `network` carries this one session: its
+/// carriers keep their state afterwards, so a second run over the same
+/// Network throws std::invalid_argument (see StreamingSession). Build a
+/// fresh Network per run.
 SessionLog run_session(const Content& content, const ManifestView& view,
                        const Network& network, PlayerAdapter& player,
                        const SessionConfig& config = {});

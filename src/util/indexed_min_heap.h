@@ -1,7 +1,7 @@
 // Indexed d-ary min-heap (kArity below) over dense integer ids with
 // deterministic (key, id) ordering. The index makes decrease-key/erase
 // O(log n) by id — the primitive under both the fleet event heap (entries
-// keyed by wall-clock event time) and each Link's completion registry
+// keyed by wall-clock event time) and each Channel's completion registry
 // (entries keyed by virtual-service targets, which never change when the
 // flow population or capacity does).
 //

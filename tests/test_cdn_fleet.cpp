@@ -29,8 +29,8 @@
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
-#include "fleet/topology.h"
 #include "httpsim/catalog.h"
+#include "net/topology.h"
 #include "players/exoplayer.h"
 #include "util/strings.h"
 

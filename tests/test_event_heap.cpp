@@ -1,6 +1,6 @@
 // Property tests for the indexed min-heap under the fleet event engine and
-// each Link's completion registry: a long random stream of update (insert +
-// decrease/increase-key), erase and pop operations must track a
+// each Channel's completion registry: a long random stream of update
+// (insert + decrease/increase-key), erase and pop operations must track a
 // std::multimap oracle exactly — same top, same pop order, same membership.
 #include "util/indexed_min_heap.h"
 
@@ -11,7 +11,7 @@
 #include <utility>
 
 #include "fleet/event_heap.h"
-#include "net/link.h"
+#include "net/topology.h"
 #include "util/rng.h"
 
 namespace demuxabr {
@@ -103,7 +103,8 @@ TEST(EventHeap, SessionsPopBeforeLinksOnTies) {
   // Link entity ids sit above all session ids, so at equal times a
   // session's own events fire before link completions surface.
   fleet::EventHeap heap(4, 1);
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   link.register_completion(0, 5000.0);  // completes at t = 5
   heap.sync_link(0, link);
@@ -121,7 +122,8 @@ TEST(EventHeap, SessionsPopBeforeLinksOnTies) {
 
 TEST(EventHeap, LazyLinkSyncTracksEpoch) {
   fleet::EventHeap heap(2, 1);
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   link.register_completion(1, 1000.0);  // t = 1 with one flow
   heap.sync_link(0, link);
@@ -160,7 +162,8 @@ TEST(EventHeapStats, PopsCountEveryPop) {
 
 TEST(EventHeapStats, SyncChecksCountEveryCallRefreshesOnlyEpochMoves) {
   fleet::EventHeap heap(2, 1);
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   link.register_completion(0, 1000.0);
 

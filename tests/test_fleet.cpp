@@ -16,7 +16,7 @@
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
-#include "fleet/topology.h"
+#include "net/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 

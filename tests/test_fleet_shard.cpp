@@ -32,7 +32,7 @@
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
 #include "fleet/shard.h"
-#include "fleet/topology.h"
+#include "net/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 #include "util/strings.h"

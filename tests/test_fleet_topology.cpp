@@ -1,4 +1,4 @@
-// Multi-link topology battery (fleet/topology.h), in three tiers:
+// Multi-link topology battery (net/topology.h), in three tiers:
 //
 //  1. Differential: kBarrier and kEventHeap produce byte-identical fleet
 //     fingerprints on >=3-link client→edge→core topologies, heterogeneous
@@ -10,7 +10,8 @@
 //     Topology oracle and checks conservation (flow bytes partition each
 //     link's delivered integral), residual_flows == 0, the min-share
 //     bound (a path's rate/integral never exceeds any hop's fair share),
-//     and bit-exact agreement of a 1-hop path with a plain net/link.h Link.
+//     and bit-exact agreement of a 1-hop path with the plain single-link
+//     oracle of link_oracle.h.
 //  3. Regression: finalize on never-used links (idle tail, 0/0 utilization
 //     guard), completion re-keying when the binding constraint moves
 //     mid-flow (epoch-lazy sync counters must reconcile), double removes
@@ -30,8 +31,8 @@
 #include "fleet/event_heap.h"
 #include "fleet/metrics.h"
 #include "fleet/scheduler.h"
-#include "fleet/topology.h"
-#include "net/link.h"
+#include "link_oracle.h"
+#include "net/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 #include "util/logging.h"
@@ -237,9 +238,9 @@ int run_oracle_case(std::uint64_t seed) {
   const std::size_t path_count = spec.paths.size();
   Topology topo(std::move(spec));
 
-  std::vector<std::shared_ptr<Channel>> channels;
+  std::vector<Channel*> channels;
   for (std::size_t p = 0; p < topo.path_count(); ++p) {
-    channels.push_back(topo.path_channel(p));
+    channels.push_back(&topo.path_channel(p));
   }
   // Per-link sum of flow service deltas (conservation ledger).
   std::vector<double> ledger_kbit(topo.link_count(), 0.0);
@@ -348,7 +349,7 @@ TEST(TopologyProperty, OneHopPathIsBitIdenticalToPlainLink) {
     const BandwidthTrace trace = random_trace(rng);
     Link link(trace);
     Topology topo(TopologySpec::single(trace));
-    const std::shared_ptr<Channel> path = topo.path_channel(0);
+    Channel& path = topo.path_channel(0);
 
     double now = 0.0;
     int active = 0;
@@ -357,26 +358,26 @@ TEST(TopologyProperty, OneHopPathIsBitIdenticalToPlainLink) {
       const bool add = active == 0 || rng.bernoulli(0.5);
       if (add) {
         const double link_v = link.add_flow(now);
-        const double path_v = path->add_flow(now);
+        const double path_v = path.add_flow(now);
         EXPECT_EQ(link_v, path_v);
         ++active;
       } else {
         link.remove_flow(now);
-        path->remove_flow(now);
+        path.remove_flow(now);
         --active;
       }
       const double probe = now + rng.uniform(0.0, 30.0);
-      EXPECT_EQ(link.service_at(probe), path->service_at(probe));
+      EXPECT_EQ(link.service_at(probe), path.service_at(probe));
       const double target = link.service_at(now) + rng.uniform(1.0, 50000.0);
       EXPECT_EQ(link.time_when_service_reaches(target),
-                path->time_when_service_reaches(target));
-      EXPECT_EQ(link.active_flows(), path->active_flows());
-      EXPECT_EQ(link.epoch(), path->epoch());
+                path.time_when_service_reaches(target));
+      EXPECT_EQ(link.active_flows(), path.active_flows());
+      EXPECT_EQ(link.epoch(), path.epoch());
     }
     while (active-- > 0) {
       now += 0.25;
       link.remove_flow(now);
-      path->remove_flow(now);
+      path.remove_flow(now);
     }
     link.finalize(now + 3.0);
     topo.finalize(now + 3.0);
@@ -430,9 +431,9 @@ TEST(TopologyRegression, NeverUsedTopologyLinkFinalizesClean) {
   spec.add_path("only", {used});
   Topology topo(std::move(spec));
 
-  const std::shared_ptr<Channel> path = topo.path_channel(0);
-  path->add_flow(1.0);
-  path->remove_flow(11.0);
+  Channel& path = topo.path_channel(0);
+  path.add_flow(1.0);
+  path.remove_flow(11.0);
   topo.finalize(20.0);
 
   const std::vector<LinkStats> stats = topo.link_stats();
@@ -458,43 +459,43 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
   const std::size_t path_b = spec.add_path("b", {core});
   Topology topo(std::move(spec));
 
-  const std::shared_ptr<Channel> a = topo.path_channel(path_a);
-  const std::shared_ptr<Channel> b = topo.path_channel(path_b);
+  Channel& a = topo.path_channel(path_a);
+  Channel& b = topo.path_channel(path_b);
 
-  const double v_start = a->add_flow(0.0);
+  const double v_start = a.add_flow(0.0);
   const double target = v_start + 10000.0;  // 10 Mbit at 1000 kbps -> t=10
-  a->register_completion(0, target);
-  EXPECT_DOUBLE_EQ(a->earliest_completion_time(), 10.0);
+  a.register_completion(0, target);
+  EXPECT_DOUBLE_EQ(a.earliest_completion_time(), 10.0);
 
   EventHeap heap(/*session_count=*/1, /*link_count=*/2);
-  heap.sync_link(0, *a);
-  heap.sync_link(1, *b);
+  heap.sync_link(0, a);
+  heap.sync_link(1, b);
   const std::uint64_t checks_before = heap.stats().sync_checks;
   const std::uint64_t refreshes_before = heap.stats().sync_refreshes;
 
   // Re-sync without any population change: the epoch cache must swallow it.
-  heap.sync_link(0, *a);
+  heap.sync_link(0, a);
   EXPECT_EQ(heap.stats().sync_checks, checks_before + 1);
   EXPECT_EQ(heap.stats().sync_refreshes, refreshes_before);
 
-  const std::uint64_t epoch_before = a->epoch();
-  for (int i = 0; i < 5; ++i) b->add_flow(2.0);
+  const std::uint64_t epoch_before = a.epoch();
+  for (int i = 0; i < 5; ++i) b.add_flow(2.0);
   // A population change on a sibling path sharing the core bumps A's epoch…
-  EXPECT_GT(a->epoch(), epoch_before);
+  EXPECT_GT(a.epoch(), epoch_before);
   // …and the re-derived completion lands later: 2 Mbit done in the first
   // 2 s at 1000 kbps, the remaining 8 Mbit now trickles at core/6 = 500.
-  EXPECT_DOUBLE_EQ(a->earliest_completion_time(), 2.0 + 8000.0 / 500.0);
+  EXPECT_DOUBLE_EQ(a.earliest_completion_time(), 2.0 + 8000.0 / 500.0);
 
   // The lazy sync notices exactly one stale entry and re-keys it.
   const std::uint64_t refreshes_mid = heap.stats().sync_refreshes;
-  heap.sync_link(0, *a);
-  heap.sync_link(1, *b);
+  heap.sync_link(0, a);
+  heap.sync_link(1, b);
   EXPECT_EQ(heap.stats().sync_refreshes, refreshes_mid + 2);  // both paths moved
   EXPECT_TRUE(heap.stats().sync_checks >= heap.stats().sync_refreshes);
 
-  a->unregister_completion(0);
-  a->remove_flow(4.0);
-  for (int i = 0; i < 5; ++i) b->remove_flow(4.0);
+  a.unregister_completion(0);
+  a.remove_flow(4.0);
+  for (int i = 0; i < 5; ++i) b.remove_flow(4.0);
   topo.finalize(5.0);
   for (const LinkStats& link : topo.link_stats()) {
     EXPECT_EQ(link.residual_flows, 0) << link.name;
@@ -529,28 +530,28 @@ TEST(TopologyRegression, DoubleRemoveIsCountedAndClamped) {
   const std::size_t edge = spec.add_link("edge", BandwidthTrace::constant(1000.0));
   spec.add_path("p", {edge, core});
   Topology topo(std::move(spec));
-  const std::shared_ptr<Channel> path = topo.path_channel(0);
-  path->add_flow(0.0);
-  path->remove_flow(1.0);
+  Channel& path = topo.path_channel(0);
+  path.add_flow(0.0);
+  path.remove_flow(1.0);
   EXPECT_EQ(topo.double_removes(), 0u);
 #ifdef NDEBUG
   // Release: count it, clamp at zero on the path and every hop, and log an
   // error rather than corrupting processor sharing for the other flows.
   CaptureLogSink capture;
   ScopedLogSink sink_guard(&capture);
-  path->remove_flow(2.0);
+  path.remove_flow(2.0);
   EXPECT_EQ(topo.double_removes(), 1u);
-  EXPECT_EQ(path->active_flows(), 0);
+  EXPECT_EQ(path.active_flows(), 0);
   EXPECT_EQ(topo.link_active_flows(edge), 0);
   EXPECT_EQ(topo.link_active_flows(core), 0);
   EXPECT_TRUE(capture.contains("double remove"));
   // The path stays functional after the clamp: accounting is not corrupt.
-  const double v0 = path->add_flow(3.0);
-  EXPECT_DOUBLE_EQ(path->service_at(4.0) - v0, 1000.0);
-  EXPECT_EQ(path->active_flows(), 1);
+  const double v0 = path.add_flow(3.0);
+  EXPECT_DOUBLE_EQ(path.service_at(4.0) - v0, 1000.0);
+  EXPECT_EQ(path.active_flows(), 1);
 #else
   // Debug: a double remove is an engine bug and asserts.
-  EXPECT_DEATH(path->remove_flow(2.0), "remove_flow");
+  EXPECT_DEATH(path.remove_flow(2.0), "remove_flow");
 #endif
 }
 

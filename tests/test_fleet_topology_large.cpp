@@ -10,7 +10,7 @@
 #include "experiments/sweep.h"
 #include "fleet/metrics.h"
 #include "fleet/scheduler.h"
-#include "fleet/topology.h"
+#include "net/topology.h"
 #include "players/exoplayer.h"
 
 namespace demuxabr::fleet {

@@ -1,50 +1,31 @@
-#include "net/link.h"
+// The processor-sharing carrier on its own: a one-link Topology (what
+// Network::shared builds for a solo session) driven flow by flow, and the
+// shared and split Networks built on it.
+#include "net/topology.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
-
-#include "util/logging.h"
 
 namespace demuxabr {
 namespace {
 
 TEST(Link, ProcessorSharingSplitsCapacity) {
-  Link link(BandwidthTrace::constant(1000.0));
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 1000.0);  // idle: quoted full rate
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 0.0), 1000.0);  // idle: quoted full rate
   link.add_flow(0.0);
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 0.0), 1000.0);
   link.add_flow(0.0);
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 500.0);
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 0.0), 500.0);
   link.remove_flow(0.0);
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 1000.0);
-}
-
-TEST(Link, DoubleRemoveIsDetected) {
-  Link link(BandwidthTrace::constant(1000.0));
-  link.add_flow(0.0);
-  link.remove_flow(1.0);
-#ifdef NDEBUG
-  // Release: clamp at zero and log an error rather than corrupting the
-  // processor-sharing count for every other flow on the link.
-  CaptureLogSink capture;
-  ScopedLogSink sink_guard(&capture);
-  link.remove_flow(2.0);
-  EXPECT_EQ(link.active_flows(), 0);
-  EXPECT_EQ(link.double_removes(), 1u);
-  EXPECT_TRUE(capture.contains("double remove"));
-  // The link stays functional after the clamp: accounting is not corrupt.
-  const double v0 = link.add_flow(3.0);
-  EXPECT_DOUBLE_EQ(link.service_at(4.0) - v0, 1000.0);
-  EXPECT_EQ(link.active_flows(), 1);
-#else
-  // Debug: a double remove is a caller bug and asserts.
-  EXPECT_DEATH(link.remove_flow(2.0), "remove_flow");
-#endif
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 0.0), 1000.0);
 }
 
 TEST(Link, PeakFlowsTracksHighWaterMark) {
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   EXPECT_EQ(link.peak_flows(), 0);
   link.add_flow(0.0);
   link.add_flow(0.0);
@@ -58,7 +39,8 @@ TEST(Link, PeakFlowsTracksHighWaterMark) {
 }
 
 TEST(Link, PeakFlowsSurvivesFinalize) {
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   link.add_flow(0.0);
   link.remove_flow(1.0);
@@ -66,21 +48,28 @@ TEST(Link, PeakFlowsSurvivesFinalize) {
   EXPECT_EQ(link.peak_flows(), 2);
   // Closing the books must not reset the cross-run high-water mark — the
   // fleet scheduler reads peak_flows *after* finalize().
-  link.finalize(10.0);
+  topo.finalize(10.0);
   EXPECT_EQ(link.peak_flows(), 2);
   EXPECT_EQ(link.active_flows(), 0);
-  EXPECT_DOUBLE_EQ(link.observed_s(), 10.0);
+  const LinkStats stats = topo.link_stats()[0];
+  EXPECT_EQ(stats.peak_flows, 2);
+  EXPECT_DOUBLE_EQ(stats.observed_s, 10.0);
 }
 
 TEST(Link, CapacityFollowsTrace) {
-  Link link(BandwidthTrace::square_wave(300.0, 900.0, 10.0, 10.0));
-  EXPECT_DOUBLE_EQ(link.capacity_kbps(5.0), 300.0);
-  EXPECT_DOUBLE_EQ(link.capacity_kbps(15.0), 900.0);
-  EXPECT_DOUBLE_EQ(link.next_change_after(5.0), 10.0);
+  // 300 kbps for 10 s, then 900 kbps for 10 s.
+  Topology topo(
+      TopologySpec::single(BandwidthTrace::square_wave(300.0, 900.0, 10.0, 10.0)));
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 5.0), 300.0);
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 15.0), 900.0);
+  // The capacity changes at the trace boundary.
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 9.9), 300.0);
+  EXPECT_DOUBLE_EQ(topo.link_fair_share_at(0, 10.0), 900.0);
 }
 
 TEST(Link, ServiceIntegralAccruesPerFlow) {
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   // A lone flow receives the full 1000 kbps: after 2 s it has 2000 kbit.
   const double v0 = link.add_flow(0.0);
   EXPECT_DOUBLE_EQ(v0, 0.0);
@@ -95,31 +84,37 @@ TEST(Link, ServiceIntegralAccruesPerFlow) {
 
 TEST(Link, ServiceIntegralWalksTraceSegments) {
   // 300 kbps for 10 s, then 900 kbps for 10 s.
-  Link link(BandwidthTrace::square_wave(300.0, 900.0, 10.0, 10.0));
+  Topology topo(
+      TopologySpec::single(BandwidthTrace::square_wave(300.0, 900.0, 10.0, 10.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   EXPECT_DOUBLE_EQ(link.service_at(10.0), 3000.0);
   EXPECT_DOUBLE_EQ(link.service_at(12.0), 3000.0 + 1800.0);
 }
 
 TEST(Link, TimeWhenServiceReachesInvertsTheIntegral) {
-  Link link(BandwidthTrace::square_wave(300.0, 900.0, 10.0, 10.0));
+  Topology topo(
+      TopologySpec::single(BandwidthTrace::square_wave(300.0, 900.0, 10.0, 10.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   // 1500 kbit at 300 kbps -> t = 5.
   EXPECT_DOUBLE_EQ(link.time_when_service_reaches(1500.0), 5.0);
   // 3900 kbit: 3000 in the first segment + 900 at 900 kbps -> t = 11.
   EXPECT_DOUBLE_EQ(link.time_when_service_reaches(3900.0), 11.0);
-  // Already-served targets report the link clock (last mutation time).
+  // Already-served targets report the channel clock (last mutation time).
+  EXPECT_DOUBLE_EQ(link.clock_s(), 0.0);
   EXPECT_DOUBLE_EQ(link.time_when_service_reaches(-1.0), 0.0);
 }
 
 TEST(Link, TimeWhenServiceReachesOnIdleLinkIsNever) {
-  Link link(BandwidthTrace::constant(1000.0));
-  EXPECT_EQ(link.time_when_service_reaches(1.0),
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  EXPECT_EQ(topo.path_channel(0).time_when_service_reaches(1.0),
             std::numeric_limits<double>::infinity());
 }
 
 TEST(Link, CompletionRegistryOrdersByTargetThenToken) {
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   link.register_completion(7, 2000.0);
   link.register_completion(3, 1000.0);
@@ -136,7 +131,8 @@ TEST(Link, CompletionRegistryOrdersByTargetThenToken) {
 }
 
 TEST(Link, EpochBumpsOnEveryPopulationChange) {
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   const std::uint64_t e0 = link.epoch();
   link.add_flow(0.0);
   EXPECT_GT(link.epoch(), e0);
@@ -146,15 +142,17 @@ TEST(Link, EpochBumpsOnEveryPopulationChange) {
 }
 
 TEST(Link, UtilizationIntegralsCoverIdleTime) {
-  Link link(BandwidthTrace::constant(1000.0));
+  Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
+  Channel& link = topo.path_channel(0);
   link.add_flow(1.0);     // idle for [0, 1)
   link.remove_flow(3.0);  // busy for [1, 3)
-  link.finalize(4.0);     // idle tail [3, 4)
-  EXPECT_DOUBLE_EQ(link.observed_s(), 4.0);
-  EXPECT_DOUBLE_EQ(link.busy_s(), 2.0);
-  EXPECT_DOUBLE_EQ(link.flow_seconds(), 2.0);
-  EXPECT_DOUBLE_EQ(link.offered_kbit(), 4000.0);
-  EXPECT_DOUBLE_EQ(link.delivered_kbit(), 2000.0);
+  topo.finalize(4.0);     // idle tail [3, 4)
+  const LinkStats stats = topo.link_stats()[0];
+  EXPECT_DOUBLE_EQ(stats.observed_s, 4.0);
+  EXPECT_DOUBLE_EQ(stats.busy_s, 2.0);
+  EXPECT_DOUBLE_EQ(stats.flow_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(stats.offered_kbit, 4000.0);
+  EXPECT_DOUBLE_EQ(stats.delivered_kbit, 2000.0);
 }
 
 TEST(Network, SharedLinkIsSameObject) {
@@ -171,8 +169,10 @@ TEST(Network, SplitLinksAreIndependent) {
   EXPECT_FALSE(net.is_shared());
   net.link_for(true).add_flow(0.0);
   EXPECT_EQ(net.link_for(false).active_flows(), 0);
-  EXPECT_DOUBLE_EQ(net.link_for(true).capacity_kbps(0.0), 700.0);
-  EXPECT_DOUBLE_EQ(net.link_for(false).capacity_kbps(0.0), 200.0);
+  net.link_for(false).add_flow(0.0);
+  // Each lone flow gets its own link's full capacity.
+  EXPECT_DOUBLE_EQ(net.link_for(true).service_at(1.0), 700.0);
+  EXPECT_DOUBLE_EQ(net.link_for(false).service_at(1.0), 200.0);
 }
 
 TEST(Network, DefaultRtt) {

@@ -10,8 +10,8 @@
 //     `rate_kbps` boundary walk obeys the renormalized-reduction
 //     invariants pinned in PR 5 (strictly increasing boundaries, rate
 //     constant between boundaries, periodic wrap agreement).
-//  3. Differential: every corpus trace behaves bit-identically through a
-//     plain net/link.h Link and a degenerate one-hop fleet PathChannel.
+//  3. Differential: every corpus trace behaves bit-identically through the
+//     plain single-link oracle (link_oracle.h) and a one-hop Channel.
 //  4. CSV: to_csv ↔ from_csv round-trips corpus traces exactly (%.17g),
 //     the new period_s parameter restores periodicity, and a seeded
 //     mutation fuzzer over corpus CSVs always returns Result errors —
@@ -21,13 +21,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "fleet/topology.h"
-#include "net/link.h"
+#include "link_oracle.h"
+#include "net/topology.h"
 #include "net/trace_corpus.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -180,15 +179,15 @@ TEST_P(TraceCorpusClass, ScaleTracePreservesShape) {
   EXPECT_NEAR(ms.cv, m.cv, 1e-12);  // scaling is CV-invariant
 }
 
-// --- 3. Link / one-hop PathChannel differential. ---
+// --- 3. Link oracle / one-hop Channel differential. ---
 
 TEST_P(TraceCorpusClass, LinkAndOneHopPathChannelAreBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE(testing::Message() << cls().name << " seed " << seed);
     const BandwidthTrace trace = cls().generate(kDuration, seed);
     Link link(trace);
-    fleet::Topology topo(fleet::TopologySpec::single(trace));
-    const std::shared_ptr<Channel> path = topo.path_channel(0);
+    Topology topo(TopologySpec::single(trace));
+    Channel& path = topo.path_channel(0);
 
     Rng rng(seed * 1303);
     double now = 0.0;
@@ -197,28 +196,28 @@ TEST_P(TraceCorpusClass, LinkAndOneHopPathChannelAreBitIdentical) {
       now += rng.exponential(0.5);
       const bool add = active == 0 || rng.bernoulli(0.5);
       if (add) {
-        EXPECT_EQ(link.add_flow(now), path->add_flow(now));
+        EXPECT_EQ(link.add_flow(now), path.add_flow(now));
         ++active;
       } else {
         link.remove_flow(now);
-        path->remove_flow(now);
+        path.remove_flow(now);
         --active;
       }
       const double probe = now + rng.uniform(0.0, 2.0 * kDuration);
-      EXPECT_EQ(link.service_at(probe), path->service_at(probe));
+      EXPECT_EQ(link.service_at(probe), path.service_at(probe));
       const double target = link.service_at(now) + rng.uniform(1.0, 50000.0);
       EXPECT_EQ(link.time_when_service_reaches(target),
-                path->time_when_service_reaches(target));
-      EXPECT_EQ(link.active_flows(), path->active_flows());
+                path.time_when_service_reaches(target));
+      EXPECT_EQ(link.active_flows(), path.active_flows());
     }
     while (active-- > 0) {
       now += 0.25;
       link.remove_flow(now);
-      path->remove_flow(now);
+      path.remove_flow(now);
     }
     link.finalize(now + 2.0);
     topo.finalize(now + 2.0);
-    const fleet::LinkStats stats = topo.link_stats()[0];
+    const LinkStats stats = topo.link_stats()[0];
     EXPECT_EQ(link.busy_s(), stats.busy_s);
     EXPECT_EQ(link.flow_seconds(), stats.flow_seconds);
     EXPECT_EQ(link.offered_kbit(), stats.offered_kbit);

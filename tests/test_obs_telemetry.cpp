@@ -24,6 +24,7 @@
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
+#include "net/topology.h"
 #include "obs/incidents.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -214,8 +215,8 @@ TEST(FleetTelemetry, CrossEngineTimelineIsByteIdentical) {
 }
 
 /// Three disjoint edge→core chains so the shard runner actually partitions.
-fleet::TopologySpec telemetry_chains() {
-  fleet::TopologySpec spec;
+TopologySpec telemetry_chains() {
+  TopologySpec spec;
   for (int i = 0; i < 3; ++i) {
     const std::size_t edge = spec.add_link(
         format("edge-%d", i), BandwidthTrace::constant(2000.0 + 300.0 * i));

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
 #include <map>
@@ -299,6 +301,32 @@ TEST(Tracer, NdjsonEmitsOneObjectPerLine) {
   EXPECT_EQ(count, 3);  // 1 meta line + 2 events
   EXPECT_NE(out.str().find("\"meta\":\"track_name\""), std::string::npos);
   EXPECT_NE(out.str().find("\"kind\":\"begin\""), std::string::npos);
+}
+
+TEST(Tracer, SplitNetworkCountsEachLinkOnItsOwnTrack) {
+  // §4.1 split paths: video and audio ride separate links, so a traced
+  // session shows two active_flows counters, each on its own link track
+  // and never above the one flow its media type can have in flight.
+  const ex::ExperimentSetup setup = ex::split_path_dash(
+      BandwidthTrace::constant(1200.0), BandwidthTrace::constant(200.0), "split-trace");
+  ScopedTracer scoped(kCatLink);
+  ExoPlayerModel player;
+  ex::run(setup, player);
+  CaptureSink sink;
+  scoped.get().drain_to(sink);
+
+  std::map<std::uint32_t, long long> peak_flows;  // per track
+  for (const TraceEvent& e : sink.events) {
+    if (e.kind != TraceEvent::Kind::kCounter) continue;
+    ASSERT_EQ(std::string(e.name), "active_flows");
+    const long long flows = std::stoll(e.args.substr(e.args.find(':') + 1));
+    long long& peak = peak_flows[e.track];
+    peak = std::max(peak, flows);
+  }
+  ASSERT_EQ(peak_flows.size(), 2u);
+  EXPECT_EQ(peak_flows.count(kLinkTrackBase), 1u);
+  EXPECT_EQ(peak_flows.count(kLinkTrackBase + 1), 1u);
+  for (const auto& [track, peak] : peak_flows) EXPECT_EQ(peak, 1) << track;
 }
 
 // --- Chrome trace acceptance ---------------------------------------------

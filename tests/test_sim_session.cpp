@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "manifest/builder.h"
 
@@ -275,6 +276,40 @@ TEST(Session, DeterministicAcrossRuns) {
     EXPECT_DOUBLE_EQ(a.downloads[i].end_t, b.downloads[i].end_t);
   }
   EXPECT_DOUBLE_EQ(a.end_time_s, b.end_time_s);
+}
+
+TEST(Session, ReusedNetworkIsRejected) {
+  // Carriers keep their clock and flows after a session ends. A second
+  // session over the same Network would start its downloads at the first
+  // session's end time, so the constructor refuses it.
+  const Content content = small_content();
+  const Network network = Network::shared(BandwidthTrace::constant(1500.0));
+  ScriptedPlayer first(2, 20.0);
+  const SessionLog log = run_session(content, view_of(content), network, first);
+  ASSERT_TRUE(log.completed);
+  ScriptedPlayer second(2, 20.0);
+  EXPECT_THROW(run_session(content, view_of(content), network, second),
+               std::invalid_argument);
+  // A fresh Network reproduces the first run.
+  ScriptedPlayer fresh(2, 20.0);
+  const SessionLog again = run_session(
+      content, view_of(content), Network::shared(BandwidthTrace::constant(1500.0)), fresh);
+  EXPECT_EQ(again.startup_delay_s, log.startup_delay_s);
+  EXPECT_EQ(again.end_time_s, log.end_time_s);
+
+  // The audio carrier alone trips it too, and a session that starts at the
+  // carriers' clock is accepted.
+  const Network split = Network::split(BandwidthTrace::constant(1500.0),
+                                       BandwidthTrace::constant(200.0));
+  split.link_for(false).add_flow(1.0);
+  split.link_for(false).remove_flow(2.0);
+  ScriptedPlayer early(2, 20.0);
+  EXPECT_THROW(run_session(content, view_of(content), split, early), std::invalid_argument);
+  SessionConfig at_clock;
+  at_clock.start_time_s = 2.0;
+  at_clock.max_sim_time_s = 2.0 + at_clock.max_sim_time_s;
+  ScriptedPlayer on_time(2, 20.0);
+  EXPECT_TRUE(run_session(content, view_of(content), split, on_time, at_clock).completed);
 }
 
 TEST(Session, PlaybackTimeEqualsContentPlusStallsPlusStartup) {
