@@ -58,7 +58,7 @@ AblationResult run_one(const CoordinatedConfig& config, const BandwidthTrace& tr
   CoordinatedPlayer player(config);
   const SessionLog log = ex::run(setup, player);
   AblationResult result;
-  result.qoe = compute_qoe(log, setup.content.ladder());
+  result.qoe = compute_qoe(log);
   for (const auto& point : log.video_buffer_s.points()) {
     result.max_imbalance_s =
         std::max(result.max_imbalance_s,

@@ -48,8 +48,8 @@ void BM_BestPractices_Session(benchmark::State& state) {
   for (auto _ : state) {
     auto player = spec.factory();
     const SessionLog log = ex::run(setup, *player);
-    const QoeReport report = compute_qoe(log, setup.content.ladder(),
-                                         setup.allowed.empty() ? nullptr : &setup.allowed);
+    const QoeReport report =
+        compute_qoe(log, setup.allowed.empty() ? nullptr : &setup.allowed);
     qoe_score = report.qoe_score;
     rebuffer = report.total_stall_s;
     switches = report.combo_switches;

@@ -21,7 +21,7 @@ void print_once(const char* tag, const ex::ExperimentSetup& setup, const Session
   const int slot = tag[4] == 'a' ? 0 : 1;
   if (printed[slot]) return;
   printed[slot] = true;
-  const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+  const QoeReport qoe = compute_qoe(log);
   std::printf("=== %s: %s ===\n%s  timeline: %s\n\n", tag, setup.description.c_str(),
               summarize(log, qoe).c_str(),
               ex::render_selection_timeline(log).c_str());

@@ -23,7 +23,7 @@ void print_once(int slot, const ex::ExperimentSetup& setup, const SessionLog& lo
   static bool printed[2] = {false, false};
   if (printed[slot]) return;
   printed[slot] = true;
-  const QoeReport qoe = compute_qoe(log, setup.content.ladder(), &setup.allowed);
+  const QoeReport qoe = compute_qoe(log, &setup.allowed);
   std::printf("=== %s ===\n%s  timeline: %s\n", setup.description.c_str(),
               summarize(log, qoe).c_str(), ex::render_selection_timeline(log).c_str());
   const ComplianceReport compliance = check_compliance(log, setup.allowed);
@@ -70,7 +70,7 @@ void BM_Fig3x_A1First_5Mbps(benchmark::State& state) {
     print_once(1, setup, log);
     std::set<std::string> audio(log.audio_selection.begin(), log.audio_selection.end());
     pinned_a1 = (audio.size() == 1 && audio.count("A1")) ? 1.0 : 0.0;
-    avg_video = compute_qoe(log, setup.content.ladder()).avg_video_kbps;
+    avg_video = compute_qoe(log).avg_video_kbps;
     benchmark::DoNotOptimize(log.end_time_s);
   }
   state.counters["audio_pinned_A1"] = pinned_a1;

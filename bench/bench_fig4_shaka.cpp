@@ -24,7 +24,7 @@ void print_once(int slot, const ex::ExperimentSetup& setup, const SessionLog& lo
   static bool printed[3] = {false, false, false};
   if (printed[slot]) return;
   printed[slot] = true;
-  const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+  const QoeReport qoe = compute_qoe(log);
   std::printf("=== %s ===\n%s  timeline: %s\n", setup.description.c_str(),
               summarize(log, qoe).c_str(), ex::render_selection_timeline(log).c_str());
   std::printf("  estimate: t=20s %.0f kbps, t=60s %.0f kbps, min %.0f, max %.0f\n\n",

@@ -31,7 +31,7 @@ void print_once(const ex::ExperimentSetup& setup, const SessionLog& log) {
   static bool printed = false;
   if (printed) return;
   printed = true;
-  const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+  const QoeReport qoe = compute_qoe(log);
   std::printf("=== %s ===\n%s  timeline: %s\n", setup.description.c_str(),
               summarize(log, qoe).c_str(), ex::render_selection_timeline(log).c_str());
   std::printf("  max |video buffer - audio buffer| = %.1f s\n\n",
@@ -48,7 +48,7 @@ void BM_Fig5_DashJs700(benchmark::State& state) {
     DashJsPlayerModel player;
     const SessionLog log = ex::run(setup, player);
     print_once(setup, log);
-    const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+    const QoeReport qoe = compute_qoe(log);
     combo_switches = qoe.combo_switches;
     distinct_combos = static_cast<double>(log.selected_combination_labels().size());
     imbalance = max_buffer_imbalance(log);
@@ -78,7 +78,7 @@ void BM_Fig5_Sweep(benchmark::State& state) {
   for (auto _ : state) {
     DashJsPlayerModel player;
     const SessionLog log = ex::run(setup, player);
-    switches = compute_qoe(log, setup.content.ladder()).combo_switches;
+    switches = compute_qoe(log).combo_switches;
     imbalance = max_buffer_imbalance(log);
     benchmark::DoNotOptimize(log.end_time_s);
   }

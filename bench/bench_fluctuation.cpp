@@ -82,7 +82,7 @@ void run_session_fluctuation(benchmark::State& state, bool coordinated) {
       ShakaPlayerModel player(config);
       log = ex::run(setup, player);
     }
-    const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+    const QoeReport qoe = compute_qoe(log);
     switches = qoe.combo_switches;
     rebuffer = qoe.total_stall_s;
     benchmark::DoNotOptimize(log.end_time_s);

@@ -53,7 +53,7 @@ void print_table_once() {
       }
       CoordinatedPlayer player(config);
       const SessionLog log = ex::run(setup, player);
-      const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+      const QoeReport qoe = compute_qoe(log);
       std::printf("%-24s | %-12s | %8.0f | %8.0f | %6d | %6.1f\n", topo.name, label,
                   qoe.avg_video_kbps, qoe.avg_audio_kbps, qoe.stall_count,
                   qoe.total_stall_s);
@@ -76,7 +76,7 @@ void BM_SplitPaths(benchmark::State& state) {
     config.per_path_estimation = per_path;
     CoordinatedPlayer player(config);
     const SessionLog log = ex::run(setup, player);
-    const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+    const QoeReport qoe = compute_qoe(log);
     avg_video = qoe.avg_video_kbps;
     avg_audio = qoe.avg_audio_kbps;
     rebuffer = qoe.total_stall_s;

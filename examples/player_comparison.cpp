@@ -20,8 +20,8 @@ using namespace demuxabr;
 namespace ex = demuxabr::experiments;
 
 void report(const ex::ExperimentSetup& setup, const SessionLog& log) {
-  const QoeReport qoe = compute_qoe(log, setup.content.ladder(),
-                                    setup.allowed.empty() ? nullptr : &setup.allowed);
+  const QoeReport qoe =
+      compute_qoe(log, setup.allowed.empty() ? nullptr : &setup.allowed);
   std::printf("== %s: %s ==\n", setup.id.c_str(), setup.description.c_str());
   std::printf("%s", summarize(log, qoe).c_str());
   std::printf("  timeline: %s\n\n", ex::render_selection_timeline(log).c_str());

@@ -41,7 +41,7 @@ int main() {
   const SessionLog log = run_session(content, view, network, player);
 
   // 4. Results.
-  const QoeReport qoe = compute_qoe(log, content.ladder());
+  const QoeReport qoe = compute_qoe(log);
   std::printf("%s\n", summarize(log, qoe).c_str());
   std::printf("selection timeline: %s\n",
               experiments::render_selection_timeline(log).c_str());

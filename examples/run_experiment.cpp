@@ -227,8 +227,7 @@ int main(int argc, char** argv) {
 
   // Run.
   const SessionLog log = run_session(content, view, network, *player);
-  const QoeReport qoe =
-      compute_qoe(log, content.ladder(), allowed.empty() ? nullptr : &allowed);
+  const QoeReport qoe = compute_qoe(log, allowed.empty() ? nullptr : &allowed);
   std::printf("%s", summarize(log, qoe).c_str());
   std::printf("timeline: %s\n", demuxabr::experiments::render_selection_timeline(log).c_str());
   if (!allowed.empty()) {

@@ -1,7 +1,6 @@
 #include "experiments/sweep.h"
 
 #include <chrono>
-#include <future>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +10,7 @@
 #include "players/exo_legacy.h"
 #include "players/exoplayer.h"
 #include "players/shaka.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -32,7 +32,7 @@ SweepJobResult run_one(const SweepJob& job, bool with_qoe) {
   const std::unique_ptr<PlayerAdapter> player = job.make_player();
   result.log = run(*job.setup, *player);
   if (with_qoe) {
-    result.qoe = compute_qoe(result.log, job.setup->content.ladder(),
+    result.qoe = compute_qoe(result.log,
                              job.setup->allowed.empty() ? nullptr : &job.setup->allowed);
   }
   result.completed = result.log.completed;
@@ -51,29 +51,13 @@ int SweepRunner::resolved_threads() const {
 
 SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs) const {
   SweepResult result;
-  result.jobs.resize(jobs.size());
   const int threads = resolved_threads();
   const auto t0 = Clock::now();
 
-  if (threads <= 1) {
-    // Serial path: the historical loop, bit for bit — no pool, no futures.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      result.jobs[i] = run_one(jobs[i], options_.with_qoe);
-    }
-  } else {
-    ThreadPool pool(static_cast<unsigned>(threads));
-    std::vector<std::future<SweepJobResult>> futures;
-    futures.reserve(jobs.size());
-    for (const SweepJob& job : jobs) {
-      futures.push_back(pool.submit(
-          [&job, with_qoe = options_.with_qoe] { return run_one(job, with_qoe); }));
-    }
-    // Futures are collected in submission order, so completion order (which
-    // the pool does not promise) never leaks into the result layout.
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      result.jobs[i] = futures[i].get();
-    }
-  }
+  result.jobs = fan_out_ordered(jobs.size(), threads,
+                                [&jobs, with_qoe = options_.with_qoe](std::size_t i) {
+                                  return run_one(jobs[i], with_qoe);
+                                });
 
   SweepSummary& summary = result.summary;
   summary.threads = threads;

@@ -292,9 +292,9 @@ std::string fleet_fingerprint(const FleetResult& result) {
           << " departed=" << (client.departed_early ? 1 : 0)
           << " completed=" << (log.completed ? 1 : 0)
           << format(" startup=%.17g end=%.17g", log.startup_delay_s, log.end_time_s)
-          << " downloads=" << log.downloads.size()
+          << " downloads=" << log.download_count()
           << " bytes=" << log.total_downloaded_bytes()
-          << " abandoned=" << log.abandoned.size()
+          << " abandoned=" << log.abandoned_count()
           << " wasted=" << log.wasted_bytes() << " stalls=" << log.stall_count()
           << format(" stall_s=%.17g", log.total_stall_s()) << "\nvsel:";
       for (const std::string& id : log.video_selection) out << id << ";";

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -118,7 +117,7 @@ void FleetScheduler::finalize_client(Client& client, double now) {
   outcome.departed_early =
       !client.session->log().completed && client.plan.leave_at_s <= now;
   outcome.log = client.session->finish();
-  outcome.qoe = compute_qoe(outcome.log, content_.ladder());
+  outcome.qoe = compute_qoe(outcome.log);
   if (telemetry_ != nullptr) {
     // Session-clock departure time: digest-covered, so engine-identical.
     telemetry_->session_departed(outcome.log.end_time_s);
@@ -478,12 +477,6 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
 
 FleetResult run_fleet(const Content& content, const ManifestView& view,
                       const BandwidthTrace& bottleneck, const FleetConfig& config) {
-  // Minimal logs cannot hold seeks: fail before any session or shard starts.
-  const auto clients = static_cast<std::size_t>(std::max(0, config.client_count));
-  if (!config.session.seeks.empty() &&
-      (config.session.minimal_log || config.streaming.enabled_for(clients))) {
-    throw std::invalid_argument("run_fleet: minimal logs do not support seeks");
-  }
   if (config.threads != 1 && config.topology.has_value()) {
     // Multi-component topologies run their shards concurrently; the runner
     // falls back to the serial path when the topology is one component.

@@ -1,12 +1,22 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <sstream>
 
 #include "util/strings.h"
 
 namespace demuxabr {
+
+void SessionLog::begin(int chunks, bool minimal_log) {
+  total_chunks = chunks;
+  minimal = minimal_log;
+  if (minimal) return;
+  const auto slots = static_cast<std::size_t>(std::max(0, chunks));
+  video_selection.assign(slots, "");
+  audio_selection.assign(slots, "");
+}
 
 void SessionLog::reserve_for(int chunks, double expected_duration_s, double delta_s) {
   const auto chunk_slots = static_cast<std::size_t>(std::max(0, chunks));
@@ -38,25 +48,55 @@ std::vector<std::string> SessionLog::selected_combination_labels() const {
   return labels;
 }
 
-double SessionLog::total_stall_s() const {
-  if (minimal) return totals.stall_s;
-  double total = 0.0;
-  for (const StallEvent& s : stalls) total += s.duration_s();
-  return total;
+void SessionLog::record_download(const TrackInfo& track, int chunk_index,
+                                 std::int64_t bytes, double start_t, double end_t) {
+  totals.downloaded_bytes += bytes;
+  ++totals.download_records;
+  const bool video = track.is_video();
+  int& chunks = video ? totals.video_chunks : totals.audio_chunks;
+  int& switches = video ? totals.video_switches : totals.audio_switches;
+  double& kbps_sum = video ? totals.video_kbps_sum : totals.audio_kbps_sum;
+  double& last_kbps = video ? totals.last_video_kbps : totals.last_audio_kbps;
+  const TrackInfo*& last_track = video ? last_video_track_ : last_audio_track_;
+  const double kbps = track.avg_kbps;
+  if (chunks > 0 && &track != last_track) {
+    ++switches;
+    totals.switch_cost_kbps += std::abs(kbps - last_kbps);
+  }
+  kbps_sum += kbps;
+  ++chunks;
+  last_track = &track;
+  last_kbps = kbps;
+  if (minimal) return;
+  downloads.push_back({track.type, track.id, chunk_index, bytes, start_t, end_t});
+  std::vector<std::string>& selection = video ? video_selection : audio_selection;
+  assert(chunk_index >= 0 && static_cast<std::size_t>(chunk_index) < selection.size());
+  selection[static_cast<std::size_t>(chunk_index)] = track.id;
 }
 
-std::int64_t SessionLog::total_downloaded_bytes() const {
-  if (minimal) return totals.downloaded_bytes;
-  std::int64_t total = 0;
-  for (const DownloadRecord& d : downloads) total += d.bytes;
-  return total;
+void SessionLog::record_abandoned(const DownloadRecord& record) {
+  totals.wasted_bytes += record.bytes;
+  ++totals.abandoned_records;
+  if (!minimal) abandoned.push_back(record);
 }
 
-std::int64_t SessionLog::wasted_bytes() const {
-  if (minimal) return totals.wasted_bytes;
-  std::int64_t total = 0;
-  for (const DownloadRecord& d : abandoned) total += d.bytes;
-  return total;
+void SessionLog::record_stall(double start_t, double end_t) {
+  totals.stall_s += end_t - start_t;
+  ++totals.stall_events;
+  if (!minimal) stalls.push_back({start_t, end_t});
+}
+
+void SessionLog::record_buffer_levels(double t, double audio_s, double video_s) {
+  if (totals.have_sample) {
+    const double dt = t - totals.last_sample_t;
+    if (dt > 0.0) {
+      totals.imbalance_integral += totals.last_abs_imbalance_s * dt;
+      totals.imbalance_span_s += dt;
+    }
+  }
+  totals.last_sample_t = t;
+  totals.last_abs_imbalance_s = std::abs(audio_s - video_s);
+  totals.have_sample = true;
 }
 
 double SessionLog::mean_buffer_imbalance_s() const {
@@ -65,97 +105,57 @@ double SessionLog::mean_buffer_imbalance_s() const {
              : 0.0;
 }
 
-QoeReport compute_qoe(const SessionLog& log, const BitrateLadder& ladder,
-                      const std::vector<AvCombination>* allowed, const QoeConfig& config) {
+QoeReport compute_qoe(const SessionLog& log, const std::vector<AvCombination>* allowed,
+                      const QoeConfig& config) {
+  const SessionTotals& t = log.totals;
+  const int chunks = log.total_chunks;
   QoeReport report;
   report.startup_delay_s = log.startup_delay_s;
   report.total_stall_s = log.total_stall_s();
   report.stall_count = static_cast<int>(log.stall_count());
-
-  if (log.minimal) {
-    // Minimal-log sessions carry the selection walk pre-aggregated
-    // (SessionTotals) instead of the per-chunk vectors. Reproduce the
-    // vector walk's arithmetic exactly for the sequential-download case:
-    // the selection vectors would be the first `*_chunks` slots filled and
-    // the tail empty (""), so empty slots contribute 0 to the bitrate sums
-    // and a partially-watched session pays exactly one extra switch per
-    // type at the fill boundary, costing the last selected bitrate.
-    // Not supported with seeks (they overwrite earlier slots); fleets
-    // don't script seeks. combo_switches needs per-slot alignment of the
-    // two types and stays 0 — no fleet aggregate consumes it.
-    const SessionTotals& t = log.totals;
-    const int chunks = log.total_chunks;
-    report.video_switches = t.video_switches;
-    report.audio_switches = t.audio_switches;
-    double switch_cost = t.switch_cost_kbps;
-    if (t.video_chunks > 0 && t.video_chunks < chunks) {
-      ++report.video_switches;
-      switch_cost += t.last_video_kbps;
-    }
-    if (t.audio_chunks > 0 && t.audio_chunks < chunks) {
-      ++report.audio_switches;
-      switch_cost += t.last_audio_kbps;
-    }
-    if (chunks > 0) {
-      report.avg_video_kbps = t.video_kbps_sum / static_cast<double>(chunks);
-      report.avg_audio_kbps = t.audio_kbps_sum / static_cast<double>(chunks);
-    }
-    const double utility = t.video_kbps_sum + config.audio_weight * t.audio_kbps_sum;
-    const double penalty = config.stall_penalty_per_s * report.total_stall_s +
-                           config.startup_penalty_per_s * report.startup_delay_s +
-                           config.switch_penalty_kbps * switch_cost;
-    report.qoe_score =
-        chunks > 0 ? (utility - penalty) / static_cast<double>(chunks) : 0.0;
-    return report;
+  report.video_switches = t.video_switches;
+  report.audio_switches = t.audio_switches;
+  // Fill boundary: a type that stopped short of the last slot pays one more
+  // switch there, costing its last bitrate.
+  double switch_cost = t.switch_cost_kbps;
+  if (t.video_chunks > 0 && t.video_chunks < chunks) {
+    ++report.video_switches;
+    switch_cost += t.last_video_kbps;
   }
-
-  auto kbps_of = [&ladder](const std::string& id) {
-    const TrackInfo* track = ladder.find(id);
-    return track != nullptr ? track->avg_kbps : 0.0;
-  };
-
-  const std::size_t chunks =
-      std::min(log.video_selection.size(), log.audio_selection.size());
-  double video_sum = 0.0;
-  double audio_sum = 0.0;
-  double switch_cost = 0.0;
-  for (std::size_t i = 0; i < chunks; ++i) {
-    const double v = kbps_of(log.video_selection[i]);
-    const double a = kbps_of(log.audio_selection[i]);
-    video_sum += v;
-    audio_sum += a;
-    if (i > 0) {
-      if (log.video_selection[i] != log.video_selection[i - 1]) {
-        ++report.video_switches;
-        switch_cost += std::abs(v - kbps_of(log.video_selection[i - 1]));
-      }
-      if (log.audio_selection[i] != log.audio_selection[i - 1]) {
-        ++report.audio_switches;
-        switch_cost += std::abs(a - kbps_of(log.audio_selection[i - 1]));
-      }
-      if (log.video_selection[i] != log.video_selection[i - 1] ||
-          log.audio_selection[i] != log.audio_selection[i - 1]) {
-        ++report.combo_switches;
-      }
-    }
-    if (allowed != nullptr &&
-        !contains_combination(*allowed, log.video_selection[i], log.audio_selection[i])) {
-      ++report.off_manifest_chunks;
-    }
+  if (t.audio_chunks > 0 && t.audio_chunks < chunks) {
+    ++report.audio_switches;
+    switch_cost += t.last_audio_kbps;
   }
-  if (chunks > 0) {
-    report.avg_video_kbps = video_sum / static_cast<double>(chunks);
-    report.avg_audio_kbps = audio_sum / static_cast<double>(chunks);
+  // Seeks can download a slot twice; every download then counts once.
+  const int n = std::max({chunks, t.video_chunks, t.audio_chunks});
+  if (n > 0) {
+    report.avg_video_kbps = t.video_kbps_sum / static_cast<double>(n);
+    report.avg_audio_kbps = t.audio_kbps_sum / static_cast<double>(n);
   }
 
   // Linear QoE: per-chunk bitrate utility minus penalties, normalized per
   // chunk so scores are comparable across content lengths.
-  const double utility = video_sum + config.audio_weight * audio_sum;
+  const double utility = t.video_kbps_sum + config.audio_weight * t.audio_kbps_sum;
   const double penalty = config.stall_penalty_per_s * report.total_stall_s +
                          config.startup_penalty_per_s * report.startup_delay_s +
                          config.switch_penalty_kbps * switch_cost;
-  report.qoe_score =
-      chunks > 0 ? (utility - penalty) / static_cast<double>(chunks) : 0.0;
+  report.qoe_score = n > 0 ? (utility - penalty) / static_cast<double>(n) : 0.0;
+
+  // The per-slot terms walk the selection slots (full logs only).
+  const std::size_t slots =
+      std::min(log.video_selection.size(), log.audio_selection.size());
+  for (std::size_t i = 0; i < slots; ++i) {
+    const std::string& video = log.video_selection[i];
+    const std::string& audio = log.audio_selection[i];
+    if (i > 0 &&
+        (video != log.video_selection[i - 1] || audio != log.audio_selection[i - 1])) {
+      ++report.combo_switches;
+    }
+    if (allowed != nullptr && !video.empty() && !audio.empty() &&
+        !contains_combination(*allowed, video, audio)) {
+      ++report.off_manifest_chunks;
+    }
+  }
   return report;
 }
 

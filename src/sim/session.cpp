@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -31,9 +30,6 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
       player_(player),
       config_(config),
       pending_deliveries_(ArenaAllocator<PendingDelivery>(config.arena)) {
-  if (config_.minimal_log && !config_.seeks.empty()) {
-    throw std::invalid_argument("StreamingSession: minimal_log does not support seeks");
-  }
   if (network_.video_link->clock_s() > config_.start_time_s ||
       network_.audio_link->clock_s() > config_.start_time_s) {
     throw std::invalid_argument(
@@ -54,11 +50,8 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
   last_series_sample_t_ = config_.start_time_s;
   log_.content_duration_s = content_duration_s_;
   log_.chunk_duration_s = content_.chunk_duration_s();
-  log_.total_chunks = total_chunks_;
-  log_.minimal = config_.minimal_log;
+  log_.begin(total_chunks_, config_.minimal_log);
   if (!config_.minimal_log) {
-    log_.video_selection.assign(static_cast<std::size_t>(total_chunks_), "");
-    log_.audio_selection.assign(static_cast<std::size_t>(total_chunks_), "");
     log_.reserve_for(total_chunks_, content_duration_s_,
                      config_.record_series ? config_.delta_s : 0.0);
   }
@@ -183,9 +176,7 @@ void StreamingSession::abort_flow(Flow& f) {
   record.bytes = static_cast<std::int64_t>(f.bytes_done + 0.5);
   record.start_t = f.request_t;
   record.end_t = now_;
-  log_.totals.wasted_bytes += record.bytes;
-  ++log_.totals.abandoned_records;
-  if (!config_.minimal_log) log_.abandoned.push_back(record);
+  log_.record_abandoned(record);
   banked_bytes_ += f.bytes_done;
   f.bytes_done = 0.0;
   f.active = false;
@@ -240,49 +231,11 @@ void StreamingSession::complete_flow(Flow& f) {
     buffer(component.type).push(chunk_index, component.chunk->duration_s);
     next_chunk(component.type) = chunk_index + 1;
 
-    // Selection aggregates (SessionTotals): the same walk compute_qoe runs
-    // over the selection vectors, folded in at record time so minimal-log
-    // sessions keep exact bitrate sums and switch accounting.
-    SessionTotals& totals = log_.totals;
-    totals.downloaded_bytes += component.chunk->size_bytes;
-    ++totals.download_records;
-    const double kbps = component.track->avg_kbps;
-    if (component.type == MediaType::kVideo) {
-      if (config_.telemetry != nullptr) {
-        config_.telemetry->video_chunk(now_, kbps);
-      }
-      if (totals.video_chunks > 0 && component.track != last_video_track_) {
-        ++totals.video_switches;
-        totals.switch_cost_kbps += std::abs(kbps - totals.last_video_kbps);
-      }
-      totals.video_kbps_sum += kbps;
-      ++totals.video_chunks;
-      last_video_track_ = component.track;
-      totals.last_video_kbps = kbps;
-    } else {
-      if (totals.audio_chunks > 0 && component.track != last_audio_track_) {
-        ++totals.audio_switches;
-        totals.switch_cost_kbps += std::abs(kbps - totals.last_audio_kbps);
-      }
-      totals.audio_kbps_sum += kbps;
-      ++totals.audio_chunks;
-      last_audio_track_ = component.track;
-      totals.last_audio_kbps = kbps;
+    if (component.type == MediaType::kVideo && config_.telemetry != nullptr) {
+      config_.telemetry->video_chunk(now_, component.track->avg_kbps);
     }
-
-    if (!config_.minimal_log) {
-      DownloadRecord record;
-      record.type = component.type;
-      record.track_id = *component.track_id;
-      record.chunk_index = chunk_index;
-      record.bytes = component.chunk->size_bytes;
-      record.start_t = f.request_t;
-      record.end_t = now_;
-      log_.downloads.push_back(std::move(record));
-      auto& selection = component.type == MediaType::kVideo ? log_.video_selection
-                                                            : log_.audio_selection;
-      selection[static_cast<std::size_t>(chunk_index)] = *component.track_id;
-    }
+    log_.record_download(*component.track, chunk_index, component.chunk->size_bytes,
+                         f.request_t, now_);
   }
 
   const bool was_muxed = f.request.muxed;
@@ -318,9 +271,7 @@ void StreamingSession::perform_seek(const SeekEvent& seek) {
   record.at_t = now_;
   record.from_position_s = playhead_s_;
   record.to_position_s = target_position;
-  // Seeks overwrite earlier selection slots, which minimal-log totals cannot
-  // represent; the constructor rejects minimal_log with seeks.
-  log_.seeks.push_back(record);
+  log_.record_seek(record);
 
   // Cancel in-flight downloads (wasted bytes, accounted like abandonment).
   for (Flow* f : {&audio_flow_, &video_flow_}) {
@@ -418,9 +369,7 @@ void StreamingSession::handle_playback_transitions() {
       everything_downloaded) {
     playing_ = true;
     re_anchor();
-    log_.totals.stall_s += now_ - stall_start_t_;
-    ++log_.totals.stall_events;
-    if (!config_.minimal_log) log_.stalls.push_back({stall_start_t_, now_});
+    log_.record_stall(stall_start_t_, now_);
     DMX_TRACE_SPAN_END(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
                        "stall", now_,
                        obs::TraceArgs().kv("dur_s", now_ - stall_start_t_));
@@ -442,24 +391,9 @@ void StreamingSession::sample_series() {
                     obs::TraceArgs()
                         .kv("audio", audio_buffer_.level_s())
                         .kv("video", video_buffer_.level_s()));
-  // A/V buffer-imbalance integral, folded in sample by sample with the
-  // left-endpoint rule. It is the only source of the §3.4 imbalance metric
-  // (SessionLog::mean_buffer_imbalance_s), so it runs whether or not the
-  // series below are recorded.
-  {
-    SessionTotals& totals = log_.totals;
-    if (totals.have_sample) {
-      const double dt = now_ - totals.last_sample_t;
-      if (dt > 0.0) {
-        totals.imbalance_integral += totals.last_abs_imbalance_s * dt;
-        totals.imbalance_span_s += dt;
-      }
-    }
-    totals.last_sample_t = now_;
-    totals.last_abs_imbalance_s =
-        std::abs(audio_buffer_.level_s() - video_buffer_.level_s());
-    totals.have_sample = true;
-  }
+  // The only source of the §3.4 imbalance metric, so it runs whether or not
+  // the series below are recorded.
+  log_.record_buffer_levels(now_, audio_buffer_.level_s(), video_buffer_.level_s());
   if (!config_.record_series) return;
   log_.audio_buffer_s.add(now_, audio_buffer_.level_s());
   log_.video_buffer_s.add(now_, video_buffer_.level_s());
@@ -671,9 +605,7 @@ void StreamingSession::abort_session() {
   }
   // Close an open stall so the log's stall accounting is complete.
   if (started_ && !playing_) {
-    log_.totals.stall_s += now_ - stall_start_t_;
-    ++log_.totals.stall_events;
-    if (!config_.minimal_log) log_.stalls.push_back({stall_start_t_, now_});
+    log_.record_stall(stall_start_t_, now_);
     DMX_TRACE_SPAN_END(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
                        "stall", now_,
                        obs::TraceArgs().kv("dur_s", now_ - stall_start_t_));

@@ -76,10 +76,10 @@ struct SessionConfig {
   bool record_series = true;
   /// Minimal-log mode (streaming fleets, DESIGN.md §10): suppress the
   /// per-download/stall/selection vectors entirely — the log carries only
-  /// SessionTotals plus scalars, so memory per session is O(1) instead of
-  /// O(chunks). The totals are maintained identically in both modes; only
-  /// compute_qoe's combo_switches needs the vectors. The totals cannot
-  /// represent seeks: the constructor throws std::invalid_argument on both.
+  /// SessionTotals, its seek records and scalars, so memory per session is
+  /// O(1) instead of O(chunks). The totals are folded identically in both
+  /// modes, seeks included; only compute_qoe's two per-slot terms
+  /// (combo_switches, off_manifest_chunks) need the vectors.
   bool minimal_log = false;
   /// Base id for this session's flow tokens on shared links (audio flow =
   /// base, video flow = base + 1). Tokens must be unique per link; a fleet
@@ -90,7 +90,8 @@ struct SessionConfig {
   std::uint32_t trace_track = 0;
   /// Scripted seeks, ascending by at_time_s. A seek cancels in-flight
   /// downloads, flushes both buffers and rebuffers at the target position
-  /// (counted as a stall while playback is paused). Not with minimal_log.
+  /// (counted as a stall while playback is paused). Both log modes record
+  /// them; see compute_qoe for how they count.
   std::vector<SeekEvent> seeks;
   /// Optional arena (must outlive the session) backing the pending-delivery
   /// queue: fleet schedulers pass their per-shard arena so queue growth in
@@ -310,12 +311,6 @@ class StreamingSession {
 
   MediaBuffer audio_buffer_;
   MediaBuffer video_buffer_;
-  /// Last-completed track identity per type, for switch detection. Track
-  /// ids are unique per type and every completion carries a stable manifest
-  /// TrackInfo pointer, so pointer inequality IS id inequality — no string
-  /// compare (or stored string) on the per-chunk path.
-  const TrackInfo* last_video_track_ = nullptr;
-  const TrackInfo* last_audio_track_ = nullptr;
   int next_audio_chunk_ = 0;
   int next_video_chunk_ = 0;
   Flow audio_flow_;

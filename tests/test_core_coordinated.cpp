@@ -87,7 +87,7 @@ TEST(Coordinated, FewSwitchesOnVaryingLink) {
   auto setup = ex::bestpractice_dash(ex::varying_600_trace(), "t");
   CoordinatedPlayer player;
   const SessionLog log = ex::run(setup, player);
-  const QoeReport report = compute_qoe(log, setup.content.ladder());
+  const QoeReport report = compute_qoe(log);
   EXPECT_LE(report.combo_switches, 6);
 }
 
@@ -122,7 +122,7 @@ TEST(Coordinated, HigherBandwidthNeverHurtsQuality) {
     auto setup = ex::bestpractice_dash(BandwidthTrace::constant(kbps), "t");
     CoordinatedPlayer player;
     const SessionLog log = ex::run(setup, player);
-    const QoeReport report = compute_qoe(log, setup.content.ladder());
+    const QoeReport report = compute_qoe(log);
     EXPECT_GE(report.avg_video_kbps, previous_video - 1.0) << kbps;
     previous_video = report.avg_video_kbps;
   }

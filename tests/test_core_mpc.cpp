@@ -105,12 +105,10 @@ TEST(MpcCoordinated, ReachesHigherQualityThanHysteresisOnSteadyLink) {
   CoordinatedConfig mpc_config;
   mpc_config.algorithm = AbrAlgorithm::kMpc;
   CoordinatedPlayer mpc_player(mpc_config);
-  const QoeReport mpc_qoe =
-      compute_qoe(ex::run(setup, mpc_player), setup.content.ladder());
+  const QoeReport mpc_qoe = compute_qoe(ex::run(setup, mpc_player));
 
   CoordinatedPlayer rate_player;
-  const QoeReport rate_qoe =
-      compute_qoe(ex::run(setup, rate_player), setup.content.ladder());
+  const QoeReport rate_qoe = compute_qoe(ex::run(setup, rate_player));
 
   EXPECT_GE(mpc_qoe.avg_video_kbps + mpc_qoe.avg_audio_kbps,
             rate_qoe.avg_video_kbps + rate_qoe.avg_audio_kbps);

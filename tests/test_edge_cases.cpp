@@ -87,8 +87,8 @@ TEST(Session, RecordSeriesOffKeepsLogLean) {
   EXPECT_GT(log.mean_buffer_imbalance_s(), 0.0);
   EXPECT_EQ(log.mean_buffer_imbalance_s(), with_series.mean_buffer_imbalance_s());
 
-  const QoeReport lean_qoe = compute_qoe(log, setup.content.ladder());
-  const QoeReport series_qoe = compute_qoe(with_series, setup.content.ladder());
+  const QoeReport lean_qoe = compute_qoe(log);
+  const QoeReport series_qoe = compute_qoe(with_series);
   EXPECT_EQ(lean_qoe.startup_delay_s, series_qoe.startup_delay_s);
   EXPECT_EQ(lean_qoe.total_stall_s, series_qoe.total_stall_s);
   EXPECT_EQ(lean_qoe.stall_count, series_qoe.stall_count);

@@ -109,7 +109,7 @@ TEST(Fig3x, AudioStaysLowDespiteAmpleBandwidth) {
   ASSERT_TRUE(log.completed);
   for (const std::string& id : log.audio_selection) EXPECT_EQ(id, "A1");
   // Video reaches the high rungs, so the bandwidth was clearly there.
-  const QoeReport report = compute_qoe(log, setup.content.ladder());
+  const QoeReport report = compute_qoe(log);
   EXPECT_GT(report.avg_video_kbps, 1000.0);
 }
 
@@ -178,7 +178,7 @@ TEST(Fig5, CombinationsFluctuate) {
   DashJsPlayerModel player;
   const SessionLog log = ex::run(setup, player);
   ASSERT_TRUE(log.completed);
-  const QoeReport report = compute_qoe(log, setup.content.ladder());
+  const QoeReport report = compute_qoe(log);
   EXPECT_GE(report.combo_switches, 10);
   EXPECT_GE(combos_used(log).size(), 3u);
 }
@@ -232,13 +232,12 @@ TEST(BestPractice, FewerSwitchesThanDashJs) {
   auto dashjs_setup = ex::fig5_dashjs_700();
   DashJsPlayerModel dashjs;
   const SessionLog dashjs_log = ex::run(dashjs_setup, dashjs);
-  const QoeReport dashjs_report = compute_qoe(dashjs_log, dashjs_setup.content.ladder());
+  const QoeReport dashjs_report = compute_qoe(dashjs_log);
 
   auto coordinated_setup = ex::bestpractice_dash(BandwidthTrace::constant(700.0), "bp");
   CoordinatedPlayer coordinated;
   const SessionLog coordinated_log = ex::run(coordinated_setup, coordinated);
-  const QoeReport coordinated_report =
-      compute_qoe(coordinated_log, coordinated_setup.content.ladder());
+  const QoeReport coordinated_report = compute_qoe(coordinated_log);
 
   EXPECT_LT(coordinated_report.combo_switches, dashjs_report.combo_switches / 4);
   EXPECT_EQ(coordinated_report.stall_count, 0);

@@ -87,7 +87,7 @@ TEST(MuxedPlayer, UsesManifestVariantsWhenListed) {
 TEST(MuxedPlayer, NoStallsOnSteadyLink) {
   const SessionLog log = run_muxed(BandwidthTrace::constant(900.0));
   EXPECT_EQ(log.stall_count(), 0u);
-  const QoeReport qoe = compute_qoe(log, make_drama_content().ladder());
+  const QoeReport qoe = compute_qoe(log);
   EXPECT_GT(qoe.avg_video_kbps, 150.0);
 }
 
@@ -97,12 +97,12 @@ TEST(MuxedPlayer, ComparableQoeToDemuxedCoordinated) {
   // storage/caching *without* a client QoE penalty when handled right).
   const BandwidthTrace trace = BandwidthTrace::constant(900.0);
   const SessionLog muxed_log = run_muxed(trace);
-  const QoeReport muxed_qoe = compute_qoe(muxed_log, make_drama_content().ladder());
+  const QoeReport muxed_qoe = compute_qoe(muxed_log);
 
   auto setup = ex::bestpractice_dash(trace, "cmp");
   CoordinatedPlayer coordinated;
   const SessionLog demuxed_log = ex::run(setup, coordinated);
-  const QoeReport demuxed_qoe = compute_qoe(demuxed_log, setup.content.ladder());
+  const QoeReport demuxed_qoe = compute_qoe(demuxed_log);
 
   EXPECT_EQ(muxed_qoe.stall_count, 0);
   EXPECT_EQ(demuxed_qoe.stall_count, 0);

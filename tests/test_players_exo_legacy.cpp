@@ -60,12 +60,10 @@ TEST(ExoLegacy, HighAudioPinWastesBandwidthOnPoorLinks) {
   ExoLegacyConfig config;
   config.fixed_audio_index = 2;  // pin A3
   ExoLegacyPlayerModel legacy(config);
-  const QoeReport legacy_qoe =
-      compute_qoe(ex::run(setup, legacy), setup.content.ladder());
+  const QoeReport legacy_qoe = compute_qoe(ex::run(setup, legacy));
 
   ExoPlayerModel modern;
-  const QoeReport modern_qoe =
-      compute_qoe(ex::run(setup, modern), setup.content.ladder());
+  const QoeReport modern_qoe = compute_qoe(ex::run(setup, modern));
 
   // Legacy burns 384 kbps on audio unconditionally; the joint model spends
   // the link where it helps and ends up with the better overall QoE.

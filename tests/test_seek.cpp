@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 
 #include "core/coordinated_player.h"
 #include "core/muxed_player.h"
@@ -135,39 +134,90 @@ TEST(Seek, SeekToNearEndFinishesQuickly) {
   EXPECT_LT(log.end_time_s, 30.0);
 }
 
-// Seeks overwrite earlier selection slots, which a minimal log's totals
-// cannot represent. The combination is refused up front, in every build
-// type.
-TEST(Seek, MinimalLogSessionRejectsSeeks) {
-  auto setup = ex::bestpractice_dash(BandwidthTrace::constant(1200.0), "seek");
-  setup.session.seeks = {{30.0, 200.0}};
+// A minimal log folds seeks into the same totals a full log does, so the
+// two modes agree on every QoE term but the two per-slot ones.
+TEST(Seek, MinimalLogMatchesFullLogQoe) {
+  auto setup = ex::bestpractice_dash(ex::varying_600_trace(), "seek");
+  setup.session.seeks = {{30.0, 200.0}, {70.0, 40.0}};
+  CoordinatedPlayer full_player;
+  const SessionLog full = ex::run(setup, full_player);
   setup.session.minimal_log = true;
-  CoordinatedPlayer player;
-  EXPECT_THROW(ex::run(setup, player), std::invalid_argument);
+  CoordinatedPlayer minimal_player;
+  const SessionLog minimal = ex::run(setup, minimal_player);
+
+  ASSERT_TRUE(minimal.minimal);
+  EXPECT_TRUE(minimal.downloads.empty());
+  EXPECT_TRUE(minimal.video_selection.empty());
+  EXPECT_EQ(minimal.seeks.size(), 2u);
+  EXPECT_EQ(full.seeks.size(), 2u);
+  EXPECT_EQ(minimal.completed, full.completed);
+  EXPECT_EQ(minimal.end_time_s, full.end_time_s);
+  EXPECT_EQ(minimal.download_count(), full.download_count());
+  EXPECT_EQ(minimal.abandoned_count(), full.abandoned_count());
+  EXPECT_EQ(minimal.total_downloaded_bytes(), full.total_downloaded_bytes());
+  EXPECT_EQ(minimal.wasted_bytes(), full.wasted_bytes());
+
+  const QoeReport f = compute_qoe(full);
+  const QoeReport m = compute_qoe(minimal);
+  EXPECT_GT(f.stall_count, 0);
+  EXPECT_EQ(m.startup_delay_s, f.startup_delay_s);
+  EXPECT_EQ(m.total_stall_s, f.total_stall_s);
+  EXPECT_EQ(m.stall_count, f.stall_count);
+  EXPECT_EQ(m.avg_video_kbps, f.avg_video_kbps);
+  EXPECT_EQ(m.avg_audio_kbps, f.avg_audio_kbps);
+  EXPECT_EQ(m.video_switches, f.video_switches);
+  EXPECT_EQ(m.audio_switches, f.audio_switches);
+  EXPECT_EQ(m.qoe_score, f.qoe_score);
 }
 
-TEST(Seek, StreamingFleetRejectsSeeks) {
+// After a backward seek some chunks are downloaded twice. Each download
+// counts once, so the average stays a mean of ladder rungs; dividing the
+// bitrate sum by the chunk count instead would leave the ladder.
+TEST(Seek, BackwardSeekAverageStaysOnTheLadder) {
+  auto setup = ex::bestpractice_dash(BandwidthTrace::constant(8000.0), "seek");
+  setup.session.seeks = {{200.0, 8.0}};
+  setup.session.minimal_log = true;
+  CoordinatedPlayer player;
+  const SessionLog log = ex::run(setup, player);
+  ASSERT_TRUE(log.completed);
+  ASSERT_GT(log.totals.video_chunks, log.total_chunks);
+
+  const double top_kbps = setup.content.ladder().video().back().avg_kbps;
+  const QoeReport qoe = compute_qoe(log);
+  EXPECT_LE(qoe.avg_video_kbps, top_kbps);
+  EXPECT_GT(log.totals.video_kbps_sum / log.total_chunks, top_kbps);
+}
+
+// Streaming metrics run every session with a minimal log, seeks included.
+TEST(Seek, StreamingFleetCarriesSeeks) {
   const auto setup = ex::plain_dash(BandwidthTrace::constant(2400.0), "seek");
   int players_built = 0;
   fleet::FleetConfig config;
-  config.client_count = 2;
+  config.client_count = 3;
   config.players.push_back({"exoplayer",
                             [&players_built] {
                               ++players_built;
                               return std::make_unique<ExoPlayerModel>();
                             },
                             1.0});
-  config.session.seeks = {{30.0, 200.0}};
-  // Full logs carry seeks.
-  EXPECT_NO_THROW(fleet::run_fleet(setup.content, setup.view, setup.trace, config));
-  EXPECT_EQ(players_built, 2);
-  // Streaming metrics switch every session to a minimal log: the run fails
-  // before it admits a single client.
+  config.session.seeks = {{30.0, 200.0}, {60.0, 40.0}};
+  const fleet::FleetResult full =
+      fleet::run_fleet(setup.content, setup.view, setup.trace, config);
+  EXPECT_EQ(players_built, 3);
+  ASSERT_EQ(full.clients.size(), 3u);
+  for (const fleet::ClientResult& client : full.clients) {
+    EXPECT_EQ(client.log.seeks.size(), 2u);
+  }
+
   config.streaming.client_threshold = 1;
   players_built = 0;
-  EXPECT_THROW(fleet::run_fleet(setup.content, setup.view, setup.trace, config),
-               std::invalid_argument);
-  EXPECT_EQ(players_built, 0);
+  const fleet::FleetResult streamed =
+      fleet::run_fleet(setup.content, setup.view, setup.trace, config);
+  EXPECT_EQ(players_built, 3);
+  ASSERT_TRUE(streamed.streaming.has_value());
+  EXPECT_EQ(streamed.streaming->clients, 3u);
+  EXPECT_EQ(streamed.client_digest, full.client_digest);
+  EXPECT_EQ(streamed.end_time_s, full.end_time_s);
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //
 // Each digest is the 64-bit FNV-1a of experiments::log_fingerprint(log),
 // which covers every download, abandonment, stall, seek and selection and
-// all six series at %.17g.
+// all six series at %.17g. Every session without seeks also checks its
+// accessors and QoE against the walks in qoe_oracle.h.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,6 +25,7 @@
 #include "experiments/sweep.h"
 #include "net/trace_corpus.h"
 #include "players/dashjs.h"
+#include "qoe_oracle.h"
 
 namespace demuxabr {
 namespace {
@@ -136,6 +138,7 @@ TEST(SoloGoldenFingerprint, SessionsMatchRecordedDigests) {
     const SessionLog log = ex::run(setup, *player);
     coverage.add(log);
     EXPECT_EQ(fnv1a(ex::log_fingerprint(log)), golden.digest);
+    expect_matches_walk(log, setup.content.ladder());
   }
 
   {
@@ -158,6 +161,7 @@ TEST(SoloGoldenFingerprint, SessionsMatchRecordedDigests) {
     const SessionLog log = ex::run(setup, player);
     coverage.add(log);
     EXPECT_EQ(fnv1a(ex::log_fingerprint(log)), kCliffDigest);
+    expect_matches_walk(log, setup.content.ladder());
   }
 
   // The battery pins the paths it claims to.

@@ -41,16 +41,14 @@ TEST(SplitPaths, AggregateOnlyPlayerUnderperformsOnAsymmetricPaths) {
   // per-path player extracts the video path's capacity.
   auto setup = narrow_audio_path_setup();
   CoordinatedPlayer aggregate_player;  // aggregate estimation (default)
-  const QoeReport aggregate_qoe =
-      compute_qoe(ex::run(setup, aggregate_player), setup.content.ladder());
+  const QoeReport aggregate_qoe = compute_qoe(ex::run(setup, aggregate_player));
   // Aggregate estimate is far below the 1.68 Mbps sum of the paths.
   EXPECT_LT(aggregate_player.bandwidth_estimate_kbps(), 0.7 * (1500.0 + 180.0));
 
   CoordinatedConfig config;
   config.per_path_estimation = true;
   CoordinatedPlayer per_path_player(config);
-  const QoeReport per_path_qoe =
-      compute_qoe(ex::run(setup, per_path_player), setup.content.ladder());
+  const QoeReport per_path_qoe = compute_qoe(ex::run(setup, per_path_player));
   EXPECT_GT(per_path_qoe.avg_video_kbps, aggregate_qoe.avg_video_kbps);
 }
 
@@ -75,7 +73,7 @@ TEST(SplitPaths, SymmetricPathsBehaveLikeShared) {
   const SessionLog log = ex::run(setup, player);
   ASSERT_TRUE(log.completed);
   EXPECT_EQ(log.stall_count(), 0u);
-  const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+  const QoeReport qoe = compute_qoe(log);
   // Ramps through the staircase (hold time between up-switches), settling
   // at V4+A3: a healthy high-quality region.
   EXPECT_GT(qoe.avg_video_kbps, 550.0);
@@ -105,7 +103,7 @@ TEST(SplitPaths, VideoPathIsTheBottleneck) {
   const SessionLog log = ex::run(setup, player);
   ASSERT_TRUE(log.completed);
   EXPECT_EQ(log.stall_count(), 0u);
-  const QoeReport qoe = compute_qoe(log, setup.content.ladder());
+  const QoeReport qoe = compute_qoe(log);
   EXPECT_LE(qoe.avg_video_kbps, 260.0);  // V1/V2 territory
 }
 
