@@ -884,13 +884,15 @@ int run_cli(const CliOptions& cli) {
       // Machine-greppable line for CI floors and trend tracking.
       std::printf(
           "engine=%s topology=%s storage=%s clients=%d threads=%d "
-          "steps_per_s=%.0f wall_s=%.3f rss_mib=%.1f peak_rss_mib=%.1f "
-          "cdn_hit=%.4f cdn_byte_hit=%.4f cdn_origin_mb=%.1f "
+          "steps_per_s=%.0f steps=%zu heap_pops=%llu wall_s=%.3f rss_mib=%.1f "
+          "peak_rss_mib=%.1f cdn_hit=%.4f cdn_byte_hit=%.4f cdn_origin_mb=%.1f "
           "cdn_evictions=%zu double_removes=%llu\n",
           r.engine.c_str(), r.topology.c_str(), r.storage.c_str(), r.clients,
-          r.threads, r.steps_per_s(), r.wall_s, r.rss_mib, r.peak_rss_mib,
-          r.cdn_hit_ratio, r.cdn_byte_hit_ratio, r.cdn_origin_mb,
-          r.cdn_evictions, static_cast<unsigned long long>(r.double_removes));
+          r.threads, r.steps_per_s(), r.steps,
+          static_cast<unsigned long long>(r.profile.heap_pops), r.wall_s,
+          r.rss_mib, r.peak_rss_mib, r.cdn_hit_ratio, r.cdn_byte_hit_ratio,
+          r.cdn_origin_mb, r.cdn_evictions,
+          static_cast<unsigned long long>(r.double_removes));
       if (!guards_clean(r)) floor_met = false;
       if (cli.min_steps_per_s > 0.0 && r.steps_per_s() < cli.min_steps_per_s) {
         std::fprintf(stderr, "FAIL: %s steps_per_s %.0f below floor %.0f\n",
@@ -940,13 +942,16 @@ int run_cli(const CliOptions& cli) {
       return run_configured(setup, tc, config);
     });
     print_record(r);
-    // Machine-greppable line for CI floors and trend tracking.
+    // Machine-greppable line for CI floors and trend tracking. Idle ticks
+    // run without a heap pop, so heap_pops well below steps shows the
+    // event-heap engine's idle loop engaged (barrier rows print 0).
     std::printf(
         "engine=%s topology=%s clients=%d threads=%d streaming=%d "
-        "steps_per_s=%.0f wall_s=%.3f rss_mib=%.1f peak_rss_mib=%.1f "
-        "double_removes=%llu\n",
+        "steps_per_s=%.0f steps=%zu heap_pops=%llu wall_s=%.3f rss_mib=%.1f "
+        "peak_rss_mib=%.1f double_removes=%llu\n",
         r.engine.c_str(), r.topology.c_str(), r.clients, r.threads,
-        r.streaming ? 1 : 0, r.steps_per_s(), r.wall_s, r.rss_mib,
+        r.streaming ? 1 : 0, r.steps_per_s(), r.steps,
+        static_cast<unsigned long long>(r.profile.heap_pops), r.wall_s, r.rss_mib,
         r.peak_rss_mib, static_cast<unsigned long long>(r.double_removes));
     if (!guards_clean(r)) floor_met = false;
     if (cli.profile) {

@@ -2,7 +2,10 @@
 // kinds of entities keyed by absolute event time:
 //
 //   * sessions — keyed on min(next_local_event_time, planned leave time);
-//     refreshed whenever the session is processed;
+//     refreshed in the registration phase after the session is processed.
+//     A session with nothing in flight first runs its sampling ticks in
+//     place (StreamingSession::run_idle_ticks), so idle ticks never enter
+//     the heap: a session's key is its next event that is not an idle tick;
 //   * shared links — every carrier with a completion registry: one entity
 //     per topology *channel* (spec paths plus the derived cache-hit prefix
 //     channels of cache-aware fleets, Topology::channel_count). Keyed on

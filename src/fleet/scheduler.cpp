@@ -107,15 +107,15 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
   return *slot;
 }
 
-void FleetScheduler::finalize_client(Client& client, double now) {
+void FleetScheduler::finalize_client(Client& client) {
   ClientResult outcome;
   outcome.id = client.plan.id;
   outcome.player = client.plan.player_label;
   outcome.arrival_s = client.plan.arrival_s;
   outcome.video_path = client.video_path;
   outcome.audio_path = client.audio_path;
-  outcome.departed_early =
-      !client.session->log().completed && client.plan.leave_at_s <= now;
+  outcome.departed_early = !client.session->log().completed &&
+                           client.plan.leave_at_s <= client.session->now();
   outcome.log = client.session->finish();
   outcome.qoe = compute_qoe(outcome.log);
   if (telemetry_ != nullptr) {
@@ -235,7 +235,7 @@ double FleetScheduler::run_barrier(const std::vector<ClientPlan>& plans) {
     for (auto it = active.begin(); it != active.end();) {
       if ((*it)->session->done()) {
         departures.erase(static_cast<std::uint32_t>((*it)->plan.id));
-        finalize_client(**it, now);
+        finalize_client(**it);
         it = active.erase(it);
       } else {
         ++it;
@@ -322,6 +322,9 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   };
 
   double now = 0.0;
+  // Latest clock at which a session retired inside run_idle_ticks, ahead of
+  // `now`. The run ends at the later of the two: its last retirement.
+  double inline_end = 0.0;
   std::size_t next_arrival = 0;
   const auto admit_due = [&] {
     obs::PhaseTimer timer(admit_stats);
@@ -331,7 +334,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       if (client.session->done()) {
         // Born at (or past) its cap: retire immediately — the barrier
         // engine's retire scan does the same before ever stepping it.
-        finalize_client(client, now);
+        finalize_client(client);
         continue;
       }
       schedule(client);
@@ -400,7 +403,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       }
       if (session.done()) {
         heap.erase_session(id);
-        finalize_client(client, t);
+        finalize_client(client);
       } else {
         // Rescheduling waits for the registration phase below: a flow whose
         // RTT ends exactly at t would otherwise keep the key pinned at t.
@@ -450,8 +453,9 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
     drain_timer.reset();
 
     // Registration phase at t, in client-id order (the barrier's phase 1):
-    // flows whose RTT ended join their links, and every touched session
-    // gets its next event key.
+    // flows whose RTT ended join their links, every touched session with
+    // nothing in flight runs its idle ticks in place (DESIGN.md §12), and
+    // every session still running gets its next event key.
     std::optional<obs::PhaseTimer> register_timer(std::in_place, register_stats);
     if (touched_unordered) {
       std::sort(touched.begin(), touched.end());
@@ -460,7 +464,18 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
     for (const std::uint32_t id : touched) {
       Client& client = *slots_[id];
       if (!client.session) continue;  // finalized later in the same drain
-      client.session->begin_step();
+      StreamingSession& session = *client.session;
+      session.begin_step();
+      // steps counts session event visits, inline ticks included.
+      result_.steps += session.run_idle_ticks(client.plan.leave_at_s);
+      if (session.done()) {
+        // Retired inside its idle run, at its own clock (content end or the
+        // sim-time cap on a tick): its heap entry, if phase B left one, goes.
+        heap.erase_session(id);
+        inline_end = std::max(inline_end, session.now());
+        finalize_client(client);
+        continue;
+      }
       schedule(client);
     }
     sync_dirty();
@@ -472,7 +487,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   profile.heap_pops = heap.stats().pops;
   profile.link_sync_checks = heap.stats().sync_checks;
   profile.link_sync_refreshes = heap.stats().sync_refreshes;
-  return now;
+  return std::max(now, inline_end);
 }
 
 FleetResult run_fleet(const Content& content, const ManifestView& view,

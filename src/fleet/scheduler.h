@@ -19,7 +19,8 @@
 //    registered completion (lazily re-keyed via the channel's flow-count
 //    epoch). Only the sessions with events at time t are touched; everyone
 //    else is advanced implicitly through the paths' virtual-time service
-//    integrals. O(log N) per event.
+//    integrals. O(log N) per event; a session with nothing in flight runs
+//    its sampling ticks in place instead (DESIGN.md §12).
 //
 // Identity holds because sessions derive all state from anchored values
 // that only change at their own events (sim/session.h), so barrier visits
@@ -87,8 +88,9 @@ class FleetScheduler {
   /// Build and start client `plan`'s session; returns the slot (owned by
   /// slots_, indexed by client id).
   Client& admit(const ClientPlan& plan);
-  /// Collect the client's result and release its session/player.
-  void finalize_client(Client& client, double now);
+  /// Collect the client's result and release its session/player. Reads the
+  /// session's own clock, which can run ahead of the event-heap engine's.
+  void finalize_client(Client& client);
 
   double run_barrier(const std::vector<ClientPlan>& plans);
   double run_event_heap(const std::vector<ClientPlan>& plans);

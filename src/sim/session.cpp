@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -30,6 +31,11 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
       player_(player),
       config_(config),
       pending_deliveries_(ArenaAllocator<PendingDelivery>(config.arena)) {
+  // Every engine moves on by next_tick_ += delta_s; a tick that never
+  // advances would pin the session's event time forever.
+  if (!(std::isfinite(config_.delta_s) && config_.delta_s > 0.0)) {
+    throw std::invalid_argument("StreamingSession: delta_s must be finite and > 0");
+  }
   if (network_.video_link->clock_s() > config_.start_time_s ||
       network_.audio_link->clock_s() > config_.start_time_s) {
     throw std::invalid_argument(
@@ -594,6 +600,18 @@ void StreamingSession::process_events() {
   if (started_ && playhead_s_ + kEps >= content_duration_s_) {
     log_.completed = true;
   }
+}
+
+std::uint64_t StreamingSession::run_idle_ticks(double horizon) {
+  std::uint64_t ticks = 0;
+  while (!done() && !audio_flow_.active && !video_flow_.active &&
+         pending_deliveries_.empty()) {
+    const double t = next_local_event_time();
+    if (t != next_tick_ || !(t < horizon)) break;
+    advance_to(t);
+    ++ticks;
+  }
+  return ticks;
 }
 
 void StreamingSession::abort_session() {

@@ -60,7 +60,8 @@ struct SessionConfig {
   /// After a stall, playback resumes once both buffers recover to this
   /// (ExoPlayer's bufferForPlaybackAfterRebuffer).
   double resume_buffer_s = 5.0;
-  /// Progress-sampling interval (Shaka's delta).
+  /// Progress-sampling interval (Shaka's delta). Must be finite and > 0:
+  /// the session constructor throws std::invalid_argument otherwise.
   double delta_s = 0.125;
   /// Hard wall on simulated time. Reaching it is itself an event: the
   /// session aborts in-flight downloads (releasing shared-link slots),
@@ -108,8 +109,10 @@ class StreamingSession {
  public:
   /// `content` is server-side truth (chunk sizes); `view` is what the player
   /// sees. The session keeps references; all must outlive run(). Throws
-  /// std::invalid_argument when either default carrier's clock is already
-  /// past config.start_time_s: a Network that carried another session.
+  /// std::invalid_argument when config.delta_s is not finite and positive
+  /// (the sampling clock would never advance), or when either default
+  /// carrier's clock is already past config.start_time_s: a Network that
+  /// carried another session.
   StreamingSession(const Content& content, ManifestView view, Network network,
                    PlayerAdapter& player, SessionConfig config = {});
 
@@ -137,6 +140,9 @@ class StreamingSession {
   // barrier iteration acts at the *previous* barrier's time. process_events
   // fires only when one of the session's own events is due, so a session
   // cannot observe whether it was also advanced at foreign barrier times.
+  // After begin_step() it calls run_idle_ticks(), which fires the session's
+  // sampling ticks in place for as long as nothing is in flight, so idle
+  // ticks need no heap round-trip.
 
   /// One-time setup: starts the player, takes the first series sample and
   /// offers the first download slots. Call before any stepping.
@@ -181,6 +187,19 @@ class StreamingSession {
     integrate_to(t);
     process_events();
   }
+
+  /// Fire this session's sampling ticks in place while it is idle: not
+  /// done, neither flow active (in flight or waiting out its RTT), no
+  /// delivery owed to the router, and the next local event is the next tick,
+  /// strictly before `horizon`. Each tick is advance_to(tick), the calls an
+  /// engine visit at that tick makes. Stops after the first tick that
+  /// issues a request or ends the session. Returns the number of ticks run.
+  ///
+  /// Safe ahead of a fleet's clock because an idle session reads no shared
+  /// state: it rides no channel and reaches the router only in begin_step()
+  /// (DESIGN.md §12). The event-heap engine calls it after begin_step() with
+  /// the client's planned departure as `horizon`.
+  std::uint64_t run_idle_ticks(double horizon);
 
   /// Abandon the whole session (fleet churn): cancels in-flight downloads
   /// (releasing shared-link slots), closes an open stall, and marks the

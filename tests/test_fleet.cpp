@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -386,6 +387,133 @@ TEST(CrossEngine, ZeroSessionBudgetRetiresClientsAtArrival) {
     EXPECT_EQ(result.video_link.residual_flows, 0);
   }
   expect_engines_identical(setup, BandwidthTrace::constant(1500.0), config);
+}
+
+/// Fleet that sits idle most of the time: tick-aligned deterministic
+/// arrivals (every 2 s, a multiple of the 0.125 s tick), an ExoPlayer /
+/// dash.js / coordinated mix, and capacity far above the fleet's demand, so
+/// sessions fill their buffers and then wait. The event-heap engine runs
+/// such sessions' ticks inline (StreamingSession::run_idle_ticks); the
+/// cases below put each of the loop's stopping rules on a tick.
+FleetConfig idle_mix_config(int clients, std::uint64_t seed) {
+  FleetConfig config = base_config(clients, seed);
+  config.players.clear();
+  config.players.push_back(exo_share());
+  config.players.push_back(
+      {"dashjs", [] { return std::make_unique<DashJsPlayerModel>(); }, 1.0});
+  config.players.push_back(
+      {"coordinated", [] { return std::make_unique<CoordinatedPlayer>(); }, 1.0});
+  config.arrivals = ArrivalProcess::kDeterministic;
+  config.arrival_interval_s = 2.0;
+  return config;
+}
+
+const BandwidthTrace& ample_capacity() {
+  static const BandwidthTrace trace = BandwidthTrace::constant(20000.0);
+  return trace;
+}
+
+TEST(CrossEngine, IdleTicksWithZeroRtt) {
+  // A request issued inside an idle run joins its link at its own clock:
+  // with no RTT the session's heap key is that clock, so it registers in
+  // that timestamp's registration phase, in client-id order.
+  const ex::ExperimentSetup setup = ex::plain_dash(ample_capacity(), "idle-rtt0");
+  FleetConfig config = idle_mix_config(6, 41);
+  config.rtt_s = 0.0;
+  expect_engines_identical(setup, ample_capacity(), config);
+}
+
+TEST(CrossEngine, IdleTicksStopAtChurnOnATick) {
+  // Every client leaves 40 s after a tick-aligned arrival, so its departure
+  // falls exactly on a tick, the idle run's horizon: that tick and the
+  // departure must fire at the same instant, in the barrier engine's order.
+  const ex::ExperimentSetup setup = ex::plain_dash(ample_capacity(), "idle-churn");
+  FleetConfig config = idle_mix_config(6, 43);
+  config.churn.leave_probability = 1.0;
+  config.churn.min_watch_s = 40.0;
+  config.churn.max_watch_s = 40.0;
+  expect_engines_identical(setup, ample_capacity(), config);
+
+  const FleetResult heap =
+      run_fleet(setup.content, setup.view, ample_capacity(), config);
+  ASSERT_EQ(heap.clients.size(), 6u);
+  for (const ClientResult& client : heap.clients) {
+    EXPECT_TRUE(client.departed_early) << "client " << client.id;
+    EXPECT_EQ(client.log.end_time_s, client.arrival_s + 40.0) << "client " << client.id;
+  }
+}
+
+TEST(CrossEngine, IdleTicksStopAtSimCapOnATick) {
+  // The 100 s budget ends on a tick: an idle session fires the cap inside
+  // its idle run and retires at its own clock, ahead of the engine's.
+  const ex::ExperimentSetup setup = ex::plain_dash(ample_capacity(), "idle-cap");
+  FleetConfig config = idle_mix_config(6, 47);
+  config.session.max_sim_time_s = 100.0;
+  expect_engines_identical(setup, ample_capacity(), config);
+
+  const FleetResult heap =
+      run_fleet(setup.content, setup.view, ample_capacity(), config);
+  ASSERT_EQ(heap.clients.size(), 6u);
+  for (const ClientResult& client : heap.clients) {
+    EXPECT_FALSE(client.log.completed) << "client " << client.id;
+    EXPECT_FALSE(client.departed_early) << "client " << client.id;
+    EXPECT_EQ(client.log.end_time_s, client.arrival_s + 100.0) << "client " << client.id;
+  }
+  EXPECT_EQ(heap.end_time_s, heap.clients.back().arrival_s + 100.0);
+  EXPECT_EQ(heap.video_link.residual_flows, 0);
+}
+
+TEST(CrossEngine, IdleTicksWithSeeksAndTelemetry) {
+  // Seeks on ticks (a forward and a backward one, after every arrival) fire
+  // inside idle runs, and the telemetry samples those runs write ahead of
+  // the engine clock bin the same as the barrier engine's.
+  const ex::ExperimentSetup setup = ex::plain_dash(ample_capacity(), "idle-seeks");
+  FleetConfig config = idle_mix_config(6, 53);
+  config.session.seeks = {{30.0, 200.0}, {70.0, 40.0}};
+  config.telemetry.enabled = true;
+  expect_engines_identical(setup, ample_capacity(), config);
+
+  const FleetResult heap =
+      run_fleet(setup.content, setup.view, ample_capacity(), config);
+  ASSERT_TRUE(heap.timeline.has_value());
+  for (const ClientResult& client : heap.clients) {
+    EXPECT_EQ(client.log.seeks.size(), 2u) << "client " << client.id;
+  }
+}
+
+TEST(Fleet, IdleTicksLeaveTheEventHeap) {
+  // The idle loop must engage: on an ample link most ticks find nothing in
+  // flight, so they run inline and at most half of all session event visits
+  // cost a heap pop (one pop per visit when every tick goes through the heap).
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(100000.0), "idle-pops");
+  const FleetConfig config = idle_mix_config(12, 5);
+  const FleetResult result = run_fleet(setup.content, setup.view,
+                                       BandwidthTrace::constant(100000.0), config);
+  ASSERT_EQ(result.clients.size(), 12u);
+  ASSERT_GT(result.steps, 0u);
+  EXPECT_LE(result.profile.heap_pops, result.steps / 2)
+      << result.profile.heap_pops << " pops for " << result.steps << " steps";
+}
+
+TEST(Fleet, NonPositiveSamplingIntervalIsRejected) {
+  // A sampling tick that never advances would re-key a session at the same
+  // time forever. The session constructor refuses it, so both engines throw
+  // at the first admission instead of hanging.
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(2000.0), "bad-delta");
+  FleetConfig config = base_config(2);
+  config.session.max_sim_time_s = 20.0;
+  for (const Engine engine : {Engine::kBarrier, Engine::kEventHeap}) {
+    for (const double delta : {0.0, -0.125}) {
+      SCOPED_TRACE(delta);
+      config.engine = engine;
+      config.session.delta_s = delta;
+      EXPECT_THROW(run_fleet(setup.content, setup.view,
+                             BandwidthTrace::constant(2000.0), config),
+                   std::invalid_argument);
+    }
+  }
 }
 
 TEST(Population, DeterministicPlansAndOrderedArrivals) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "manifest/builder.h"
@@ -310,6 +311,23 @@ TEST(Session, ReusedNetworkIsRejected) {
   at_clock.max_sim_time_s = 2.0 + at_clock.max_sim_time_s;
   ScriptedPlayer on_time(2, 20.0);
   EXPECT_TRUE(run_session(content, view_of(content), split, on_time, at_clock).completed);
+}
+
+TEST(Session, NonPositiveOrNonFiniteDeltaIsRejected) {
+  // Every engine moves a session on by next_tick_ += delta_s; an interval
+  // that never advances the tick would pin the session's event time.
+  const Content content = small_content();
+  for (const double delta : {0.0, -0.125, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(delta);
+    SessionConfig config;
+    config.delta_s = delta;
+    ScriptedPlayer player(2, 20.0);
+    EXPECT_THROW(run_session(content, view_of(content),
+                             Network::shared(BandwidthTrace::constant(1500.0)), player,
+                             config),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Session, PlaybackTimeEqualsContentPlusStallsPlusStartup) {
