@@ -22,8 +22,11 @@
 // below --min-cdn-hit, or the topology clamped a double remove (the
 // machine-greppable line's double_removes, FleetResult::double_removes).
 // --profile turns on the engine self-profiler and prints its phase table;
-// --trace-out captures the run with a Tracer and writes Chrome trace-event
-// JSON (open in chrome://tracing or Perfetto) to PATH. --disjoint swaps
+// --trace-out traces the first requested engine's run (under --cdn, the
+// demuxed run) into a Tracer of its own, once, and writes it as Chrome
+// trace-event JSON (open in chrome://tracing or Perfetto) to PATH. Sharded
+// runs trace every session on its global client-id track, and the file is
+// the same for every --threads value. --disjoint swaps
 // the shared-core layout for causally independent per-edge chains, which
 // partition into parallel shards (fleet/shard.h) driven by --threads;
 // --streaming drops per-session logs for O(shards + sketch) memory
@@ -54,6 +57,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -349,12 +353,14 @@ FleetRunRecord run_topology_case(const ex::ExperimentSetup& setup, int edges,
                                  int clients_per_edge, fleet::Engine engine,
                                  bool profile = false, int threads = 1,
                                  bool streaming = false, bool disjoint = false,
-                                 bool telemetry = false) {
+                                 bool telemetry = false,
+                                 obs::Tracer* tracer = nullptr) {
   const int clients = edges * clients_per_edge;
   fleet::FleetConfig config = fleet_config(clients, engine);
   config.profile = profile;
   config.threads = threads;
   config.telemetry.enabled = telemetry;
+  config.session.tracer = tracer;
   if (streaming) config.streaming.client_threshold = 0;
   config.topology = disjoint ? disjoint_spec(edges, clients_per_edge)
                              : sharded_spec(edges, clients_per_edge);
@@ -380,10 +386,11 @@ std::vector<fleet::PlayerShare> muxed_population() {
 /// objects, so the §1 storage axis shows up as a cache hit-ratio gap.
 FleetRunRecord run_cdn_case(const ex::ExperimentSetup& setup, int edges,
                             int clients_per_edge, StorageMode storage,
-                            int threads = 1) {
+                            int threads = 1, obs::Tracer* tracer = nullptr) {
   const int clients = edges * clients_per_edge;
   fleet::FleetConfig config = fleet_config(clients, fleet::Engine::kEventHeap);
   config.threads = threads;
+  config.session.tracer = tracer;
   config.cdn.storage = storage;
   if (storage == StorageMode::kMuxed) config.players = muxed_population();
   const auto demuxed_catalog =
@@ -832,6 +839,20 @@ bool guards_clean(const FleetRunRecord& r) {
   return false;
 }
 
+/// Write `tracer` to `path` as Chrome trace-event JSON.
+bool write_trace(const obs::Tracer& tracer, const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "FAIL: cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  obs::ChromeTraceSink sink(out);
+  tracer.drain_to(sink);
+  std::printf("trace: %zu events written to %s (open in chrome://tracing)\n",
+              tracer.event_count(), path.c_str());
+  return true;
+}
+
 int run_cli(const CliOptions& cli) {
   if (cli.clients <= 0) cli_usage_and_exit();
   std::vector<fleet::Engine> engines;
@@ -848,12 +869,12 @@ int run_cli(const CliOptions& cli) {
       ex::plain_dash(BandwidthTrace::constant(1000.0), "fleet-bench");
   TraceCase tc{cli.trace, trace_by_label(cli.trace, cli.clients)};
 
-  // --trace-out / --profile capture one run, not a comparison: the first
-  // requested engine is the one traced and profiled.
-  std::unique_ptr<obs::ScopedTracer> scoped_tracer;
-  if (!cli.trace_out.empty()) {
-    scoped_tracer = std::make_unique<obs::ScopedTracer>(obs::kCatAll);
-  }
+  // --trace-out captures one run, not a comparison: the first requested
+  // engine's run (under --cdn, the first storage mode's) traces into
+  // `tracer`. That row runs once, since a repeat would append a second copy
+  // of the run to the same trace.
+  std::optional<obs::Tracer> tracer;
+  if (!cli.trace_out.empty()) tracer.emplace(obs::kCatAll);
 
   // --topology / --disjoint / --cdn distribute the requested fleet over 10
   // equal shards (block assignment), rounding --clients down to a multiple
@@ -877,8 +898,11 @@ int run_cli(const CliOptions& cli) {
                 cli.threads != 1 ? format(", threads=%d", cli.threads).c_str()
                                  : "");
     for (const StorageMode storage : {StorageMode::kDemuxed, StorageMode::kMuxed}) {
-      const FleetRunRecord r = run_median(cli.repeat, [&] {
-        return run_cdn_case(setup, edges, per_edge, storage, cli.threads);
+      obs::Tracer* const run_tracer = tracer.has_value() ? &*tracer : nullptr;
+      const int repeat = run_tracer != nullptr ? 1 : cli.repeat;
+      const FleetRunRecord r = run_median(repeat, [&] {
+        return run_cdn_case(setup, edges, per_edge, storage, cli.threads,
+                            run_tracer);
       });
       print_record(r);
       // Machine-greppable line for CI floors and trend tracking.
@@ -911,6 +935,10 @@ int run_cli(const CliOptions& cli) {
                      r.cdn_hit_ratio, cli.min_cdn_hit);
         floor_met = false;
       }
+      if (tracer.has_value()) {
+        if (!write_trace(*tracer, cli.trace_out)) return 1;
+        tracer.reset();  // only the first storage mode's run is captured
+      }
     }
     return floor_met ? 0 : 1;
   }
@@ -920,24 +948,24 @@ int run_cli(const CliOptions& cli) {
                            : (cli.topology ? ", sharded 10-edge topology" : ""),
               cli.threads != 1 ? format(", threads=%d", cli.threads).c_str() : "",
               cli.streaming ? ", streaming metrics" : "");
-  // A traced run stays single-shot: the tracer is process-global, so
-  // repeats would interleave their events in one trace file.
-  const int repeat = cli.trace_out.empty() ? cli.repeat : 1;
   // Telemetry exporters capture the first requested engine's run (the
   // timeline is byte-identical across engines, so the choice is cosmetic).
   bool telemetry_pending = !cli.telemetry_out.empty() || !cli.report_out.empty();
   for (const fleet::Engine engine : engines) {
     const bool telemetry = telemetry_pending;
+    obs::Tracer* const run_tracer = tracer.has_value() ? &*tracer : nullptr;
+    const int repeat = run_tracer != nullptr ? 1 : cli.repeat;
     const FleetRunRecord r = run_median(repeat, [&] {
       if (multi_link) {
         return run_topology_case(setup, edges, per_edge, engine, cli.profile,
                                  cli.threads, cli.streaming, cli.disjoint,
-                                 telemetry);
+                                 telemetry, run_tracer);
       }
       fleet::FleetConfig config = fleet_config(cli.clients, engine);
       config.profile = cli.profile;
       config.threads = cli.threads;
       config.telemetry.enabled = telemetry;
+      config.session.tracer = run_tracer;
       if (cli.streaming) config.streaming.client_threshold = 0;
       return run_configured(setup, tc, config);
     });
@@ -970,10 +998,10 @@ int run_cli(const CliOptions& cli) {
     }
     if (telemetry_pending && r.timeline.has_value()) {
       // detect_incidents also emits one engine-lane trace instant per
-      // incident begin/end when a tracer is installed, so the episodes are
+      // incident begin/end into the run's tracer, so the episodes are
       // visible inside the Chrome trace written below.
       const std::vector<obs::Incident> incidents =
-          obs::detect_incidents(*r.timeline);
+          obs::detect_incidents(*r.timeline, {}, run_tracer);
       if (!cli.telemetry_out.empty()) {
         const Status st = write_file(cli.telemetry_out, r.timeline->to_ndjson());
         if (!st.ok()) {
@@ -1002,18 +1030,9 @@ int run_cli(const CliOptions& cli) {
                   cli.report_out.c_str());
       telemetry_pending = false;  // only the first engine's run is exported
     }
-    if (scoped_tracer != nullptr) {
-      std::ofstream out(cli.trace_out);
-      if (!out) {
-        std::fprintf(stderr, "FAIL: cannot open %s for writing\n",
-                     cli.trace_out.c_str());
-        return 1;
-      }
-      obs::ChromeTraceSink sink(out);
-      scoped_tracer->get().drain_to(sink);
-      std::printf("trace: %zu events written to %s (open in chrome://tracing)\n",
-                  scoped_tracer->get().event_count(), cli.trace_out.c_str());
-      scoped_tracer.reset();  // only the first engine's run is captured
+    if (tracer.has_value()) {
+      if (!write_trace(*tracer, cli.trace_out)) return 1;
+      tracer.reset();  // only the first engine's run is captured
     }
   }
   return floor_met ? 0 : 1;

@@ -44,16 +44,13 @@ int main() {
   config.churn.max_watch_s = 120.0;
   config.session.max_sim_time_s = 900.0;
   config.profile = true;  // engine phase wall-clock (purely observational)
-
-  fleet::FleetResult result;
+  // The run's trace: every session, link and the engine emit into it. Trace
+  // macros only pay for rendering on a traced run.
   obs::Tracer tracer(obs::kCatAll);
-  {
-    // Scoped: trace macros only pay for rendering while a tracer is
-    // installed.
-    obs::install_tracer(&tracer);
-    result = fleet::run_fleet(setup.content, setup.view, setup.trace, config);
-    obs::install_tracer(nullptr);
-  }
+  config.session.tracer = &tracer;
+
+  const fleet::FleetResult result =
+      fleet::run_fleet(setup.content, setup.view, setup.trace, config);
 
   std::printf("=== traced fleet run: %d clients, %zu engine steps ===\n",
               config.client_count, result.steps);

@@ -56,6 +56,7 @@ FleetScheduler::FleetScheduler(const Content& content, ManifestView view,
     topology_.set_telemetry(telemetry_.get());
     if (cdn_ != nullptr) cdn_->set_telemetry(telemetry_.get());
   }
+  topology_.set_tracer(config_.session.tracer);
 }
 
 FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
@@ -87,15 +88,16 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
   session_config.max_sim_time_s = plan.arrival_s + config_.session.max_sim_time_s;
   // Completion-registry tokens on the shared links: audio 2*id, video 2*id+1.
   session_config.flow_token_base = 2u * static_cast<std::uint32_t>(plan.id);
-  // One trace track per session, keyed by client id.
-  session_config.trace_track = static_cast<std::uint32_t>(plan.id);
+  // One trace track per session, keyed by its fleet-wide client id.
+  const int id = global_id(static_cast<std::uint32_t>(plan.id));
+  session_config.trace_track = static_cast<std::uint32_t>(id);
   // Pending-delivery queues (cache-aware fleets) draw from the shard arena.
   session_config.arena = &arena_;
   session_config.telemetry = telemetry_.get();
   if (telemetry_ != nullptr) telemetry_->session_started(plan.arrival_s);
-  if (obs::Tracer* tr = obs::tracer()) {
+  if (obs::Tracer* tr = session_config.tracer) {
     tr->name_track(session_config.trace_track,
-                   format("c%d %s", plan.id, plan.player_label.c_str()));
+                   format("c%d %s", id, plan.player_label.c_str()));
   }
 
   client->session = std::make_unique<StreamingSession>(
@@ -147,8 +149,10 @@ FleetResult FleetScheduler::run_plans(const std::vector<ClientPlan>& plans) {
   return result;
 }
 
-FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans) {
+FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans,
+                                       const std::vector<int>* client_ids) {
   assert(!config_.players.empty() && "FleetConfig::players must be non-empty");
+  client_ids_ = client_ids;
   streaming_ = config_.streaming.enabled_for(plans.size());
   if (streaming_) {
     result_.streaming.emplace(config_.streaming.relative_error);
@@ -161,7 +165,7 @@ FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans) {
 
   // Trace tracks: links and the engine live in their own id namespaces.
   topology_.name_trace_tracks();
-  if (obs::Tracer* tr = obs::tracer()) {
+  if (obs::Tracer* tr = config_.session.tracer) {
     tr->name_track(obs::kEngineTrack, config_.engine == Engine::kBarrier
                                           ? "engine barrier"
                                           : "engine event_heap");
@@ -175,6 +179,7 @@ FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans) {
   std::sort(result_.clients.begin(), result_.clients.end(),
             [](const ClientResult& a, const ClientResult& b) { return a.id < b.id; });
   result_.end_time_s = end_time;
+  client_ids_ = nullptr;
   return std::move(result_);
 }
 
@@ -389,11 +394,11 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
     std::optional<obs::PhaseTimer> drain_timer(std::in_place, drain_stats);
 
     const auto process = [&](std::uint32_t id, bool is_link) {
-      DMX_TRACE_INSTANT(obs::kCatEngine, obs::kEngineTrack, obs::kLanePlayback,
-                        "pop", t,
+      DMX_TRACE_INSTANT(config_.session.tracer, obs::kCatEngine,
+                        obs::kEngineTrack, obs::kLanePlayback, "pop", t,
                         obs::TraceArgs()
                             .kv("link", is_link ? 1 : 0)
-                            .kv("client", static_cast<std::int64_t>(id)));
+                            .kv("client", global_id(id)));
       Client& client = *slots_[id];
       StreamingSession& session = *client.session;
       session.integrate_to(t);
@@ -507,18 +512,28 @@ std::vector<FleetReplication> run_replications(const Content& content,
                                                const FleetConfig& config,
                                                const ReplicationOptions& options) {
   const int count = std::max(1, options.replications);
+  // One Tracer per replication, so none has two writers; appended to the
+  // caller's in replication order after the join.
+  obs::Tracer* const tracer = config.session.tracer;
+  std::vector<obs::Tracer> traces;
+  if (tracer != nullptr) {
+    traces.assign(static_cast<std::size_t>(count), obs::Tracer(tracer->categories()));
+  }
   // Deterministic fan-out / ordered-merge (util/parallel.h): results come
   // back in replication order for every thread count.
-  return fan_out_ordered(
+  std::vector<FleetReplication> reps = fan_out_ordered(
       static_cast<std::size_t>(count), options.threads, [&](std::size_t r) {
         FleetReplication rep;
         rep.seed = config.seed + static_cast<std::uint64_t>(r) * options.seed_stride;
         FleetConfig seeded = config;
         seeded.seed = rep.seed;
+        if (tracer != nullptr) seeded.session.tracer = &traces[r];
         rep.result = run_fleet(content, view, bottleneck, seeded);
         rep.metrics = compute_fleet_metrics(rep.result);
         return rep;
       });
+  for (obs::Tracer& trace : traces) tracer->append(std::move(trace));
+  return reps;
 }
 
 }  // namespace demuxabr::fleet

@@ -63,8 +63,12 @@ class FleetScheduler {
 
   /// Run the engine over pre-built plans (arrival-sorted, ids dense in
   /// [0, plans.size()) — the shard runner renumbers) WITHOUT closing the
-  /// link books. Call once; follow with close_links().
-  FleetResult run_engine(const std::vector<ClientPlan>& plans);
+  /// link books. `client_ids` (FleetShard::client_ids, read during the
+  /// call) maps those ids to the fleet-wide ids trace tracks and engine
+  /// pops carry; null = the plan ids are fleet-wide. Call once; follow with
+  /// close_links().
+  FleetResult run_engine(const std::vector<ClientPlan>& plans,
+                         const std::vector<int>* client_ids = nullptr);
 
   /// Advance every link/path integral to `end_time` (idle tails included)
   /// and write the closing stats into `result`. The shard runner passes the
@@ -91,6 +95,11 @@ class FleetScheduler {
   /// Collect the client's result and release its session/player. Reads the
   /// session's own clock, which can run ahead of the event-heap engine's.
   void finalize_client(Client& client);
+
+  /// Fleet-wide id of client `id` (its trace track).
+  [[nodiscard]] int global_id(std::uint32_t id) const {
+    return client_ids_ != nullptr ? (*client_ids_)[id] : static_cast<int>(id);
+  }
 
   double run_barrier(const std::vector<ClientPlan>& plans);
   double run_event_heap(const std::vector<ClientPlan>& plans);
@@ -119,6 +128,7 @@ class FleetScheduler {
   std::vector<std::unique_ptr<Client>> slots_;  ///< by client id
   FleetResult result_;
   bool streaming_ = false;  ///< streaming-metrics mode active for this run
+  const std::vector<int>* client_ids_ = nullptr;  ///< run_engine's id map
 };
 
 /// Convenience one-call runner over `config.topology`, or over
@@ -149,7 +159,9 @@ struct FleetReplication {
 
 /// Run `options.replications` independent fleets (same config, shifted
 /// seeds), fanned across a ThreadPool. Results come back in replication
-/// order and are byte-identical for every thread count.
+/// order and are byte-identical for every thread count. A traced config
+/// (`config.session.tracer`) traces each replication into a Tracer of its
+/// own and appends them in replication order, so the trace is too.
 std::vector<FleetReplication> run_replications(const Content& content,
                                                const ManifestView& view,
                                                const BandwidthTrace& bottleneck,

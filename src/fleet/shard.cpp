@@ -219,22 +219,35 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
     proto.cdn.catalog = make_fleet_catalog(content, proto.cdn.storage);
   }
 
+  // Traced runs: one Tracer per shard, so none has two writers; appended to
+  // the run's in shard-id order after the join.
+  obs::Tracer* const tracer = config.session.tracer;
+  std::vector<obs::Tracer> traces;
+  if (tracer != nullptr) {
+    traces.assign(partition.shards.size(), obs::Tracer(tracer->categories()));
+  }
+
   std::vector<std::unique_ptr<FleetScheduler>> schedulers;
   schedulers.reserve(partition.shards.size());
-  for (const FleetShard& shard : partition.shards) {
+  for (std::size_t s = 0; s < partition.shards.size(); ++s) {
+    const FleetShard& shard = partition.shards[s];
     FleetConfig sub = proto;
     sub.client_count = static_cast<int>(shard.plans.size());
     sub.topology = shard.spec;
+    if (tracer != nullptr) sub.session.tracer = &traces[s];
     schedulers.push_back(
         std::make_unique<FleetScheduler>(content, view, bottleneck, std::move(sub)));
   }
 
   // Phase 1 — engines, concurrently; results keyed by shard id (completion
-  // order never leaks: util/parallel.h).
+  // order never leaks: util/parallel.h). Sessions trace under their global
+  // client ids.
   std::vector<FleetResult> results = fan_out_ordered(
       partition.shards.size(), config.threads, [&](std::size_t s) {
-        return schedulers[s]->run_engine(partition.shards[s].plans);
+        return schedulers[s]->run_engine(partition.shards[s].plans,
+                                         &partition.shards[s].client_ids);
       });
+  for (obs::Tracer& trace : traces) tracer->append(std::move(trace));
 
   // Phase 2 — close every shard's link books at the global end time, so
   // idle tails advance exactly as the whole-topology serial run's finalize.

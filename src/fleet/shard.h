@@ -18,11 +18,6 @@
 // time. The merged fingerprint is therefore byte-identical to the
 // threads=1 whole-topology run for any thread count
 // (tests/test_fleet_shard.cpp pins {1, 2, 8}).
-//
-// Caveat: per-session trace tracks are keyed by shard-local client ids, so
-// obs traces of a sharded run overlay sessions from different shards on the
-// same track (metrics counters are sharded atomics and stay exact). Trace a
-// single shard, or run threads=1, when per-session traces matter.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +66,10 @@ ShardPartition partition_fleet(const TopologySpec& spec,
 /// `config.threads` workers (0 = hardware default) and merge. Byte-
 /// identical to the serial whole-topology run; falls back to it when the
 /// topology is a single component. `bottleneck` is unused (topology runs
-/// ignore it) but keeps the run_fleet signature.
+/// ignore it) but keeps the run_fleet signature. A traced config
+/// (`config.session.tracer`) traces each shard into a Tracer of its own,
+/// sessions on their global client-id tracks, and appends them in shard-id
+/// order: the trace is the same for every thread count.
 FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
                               const BandwidthTrace& bottleneck,
                               const FleetConfig& config);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -406,7 +407,8 @@ void Topology::population_change(std::size_t p, int delta, double now) {
       LinkNode& node = links_[hops[i]];
       node.active_flows += delta;
       node.peak_flows = std::max(node.peak_flows, node.active_flows);
-      DMX_TRACE_COUNTER(obs::kCatLink, node.trace_track, "active_flows", now,
+      DMX_TRACE_COUNTER(tracer_, obs::kCatLink, node.trace_track,
+                        "active_flows", now,
                         obs::TraceArgs().kv("flows", node.active_flows));
     }
   }
@@ -614,10 +616,9 @@ std::vector<PathSummary> Topology::path_stats() const {
 }
 
 void Topology::name_trace_tracks() const {
-  obs::Tracer* const tracer = obs::tracer();
-  if (tracer == nullptr) return;
+  if (tracer_ == nullptr) return;
   for (const LinkNode& node : links_) {
-    tracer->name_track(node.trace_track, "link " + node.name);
+    tracer_->name_track(node.trace_track, "link " + node.name);
   }
 }
 
@@ -645,6 +646,10 @@ Network Network::shared(BandwidthTrace trace, double rtt_s) {
   net.audio_link = net.video_link;
   net.rtt_s = rtt_s;
   return net;
+}
+
+void Network::set_tracer(obs::Tracer* tracer) {
+  if (topology_ != nullptr) topology_->set_tracer(tracer);
 }
 
 Network Network::split(BandwidthTrace video_trace, BandwidthTrace audio_trace,

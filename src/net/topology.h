@@ -53,12 +53,12 @@
 #include <vector>
 
 #include "net/bandwidth_trace.h"
-#include "obs/trace.h"
 #include "util/arena.h"
 #include "util/indexed_min_heap.h"
 
 namespace demuxabr::obs {
 class TimelineShard;  // obs/telemetry.h
+class Tracer;         // obs/trace.h
 }
 
 namespace demuxabr {
@@ -358,7 +358,11 @@ class Topology {
   /// release). Anything but 0 is an engine bug.
   [[nodiscard]] std::uint64_t double_removes() const { return double_removes_; }
 
-  /// Name one obs trace track per link (obs::kLinkTrackBase + index).
+  /// Wire the run's tracer (obs/trace.h): every population change then
+  /// emits each touched link's active_flows counter. Null (default) costs
+  /// one branch per touched link.
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  /// Name one track per link on the wired tracer ("link <name>").
   void name_trace_tracks() const;
 
   // --- Engine dirty-channel tracking (fleet/scheduler.cpp). ---
@@ -449,6 +453,7 @@ class Topology {
   std::vector<std::size_t> video_assignment_;
   std::vector<std::size_t> audio_assignment_;
   obs::TimelineShard* telemetry_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
   std::uint64_t double_removes_ = 0;
   std::vector<LinkNode> links_;
   /// Spec paths [0, spec_path_count_), then derived hit channels. Sized
@@ -519,6 +524,10 @@ struct Network {
   static Network shared(BandwidthTrace trace, double rtt_s = 0.05);
   static Network split(BandwidthTrace video_trace, BandwidthTrace audio_trace,
                        double rtt_s = 0.05);
+
+  /// Trace the links of the topology shared() or split() built; no-op when
+  /// the carriers belong to someone else's topology (a fleet wires its own).
+  void set_tracer(obs::Tracer* tracer);
 
   [[nodiscard]] bool is_shared() const { return video_link == audio_link; }
   [[nodiscard]] Channel& link_for(bool is_video) const {

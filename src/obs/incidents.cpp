@@ -181,7 +181,8 @@ const char* incident_type_name(IncidentType type) {
 }
 
 std::vector<Incident> detect_incidents(const FleetTimeline& timeline,
-                                       const IncidentConfig& config) {
+                                       const IncidentConfig& config,
+                                       Tracer* tracer) {
   std::vector<Incident> incidents;
   scan_series(stall_fraction_series(timeline), config.stall_enter_fraction,
               config.stall_exit_fraction, config.stall_min_bins,
@@ -199,14 +200,14 @@ std::vector<Incident> detect_incidents(const FleetTimeline& timeline,
   }
   for (const Incident& incident : incidents) {
     DMX_TRACE_INSTANT(
-        kCatEngine, kEngineTrack, kLanePlayback, "incident_begin",
+        tracer, kCatEngine, kEngineTrack, kLanePlayback, "incident_begin",
         incident.start_s,
         TraceArgs()
             .kv("type", std::string_view(incident_type_name(incident.type)))
             .kv("entity", std::string_view(incident.entity))
             .kv("peak", incident.peak));
     DMX_TRACE_INSTANT(
-        kCatEngine, kEngineTrack, kLanePlayback, "incident_end",
+        tracer, kCatEngine, kEngineTrack, kLanePlayback, "incident_end",
         incident.end_s,
         TraceArgs()
             .kv("type", std::string_view(incident_type_name(incident.type)))

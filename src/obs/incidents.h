@@ -12,7 +12,7 @@
 // Detection is a pure function of the timeline, so it inherits the
 // timeline's cross-engine / cross-thread determinism for free.
 //
-// Tracer interop: when a Tracer is installed, detect_incidents() emits one
+// Tracer interop: given the run's Tracer, detect_incidents() emits one
 // kCatEngine instant at each incident's begin and end on the engine track,
 // so episodes line up with engine spans in Perfetto.
 //
@@ -27,6 +27,8 @@
 #include "obs/telemetry.h"
 
 namespace demuxabr::obs {
+
+class Tracer;  // obs/trace.h
 
 enum class IncidentType {
   kStallStorm,      ///< > enter-fraction of active sessions stalled
@@ -67,9 +69,11 @@ struct Incident {
 
 /// Scan the timeline for episodes of every incident family, ordered stall
 /// storms → imbalance → link saturation (links in index order), each family
-/// in start-bin order. Emits tracer instants when a tracer is installed.
+/// in start-bin order. Emits begin/end instants into `tracer` when it is
+/// non-null (the run's Tracer, obs/trace.h).
 std::vector<Incident> detect_incidents(const FleetTimeline& timeline,
-                                       const IncidentConfig& config = {});
+                                       const IncidentConfig& config = {},
+                                       Tracer* tracer = nullptr);
 
 /// Self-contained single-file HTML report: fleet/link charts as inline SVG
 /// plus the incident table. No external scripts, styles or fonts.

@@ -1,31 +1,13 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
+#include <iterator>
 
 #include "util/strings.h"
 
 namespace demuxabr::obs {
 namespace {
-
-std::atomic<Tracer*> g_tracer{nullptr};
-}  // namespace
-
-namespace detail {
-std::atomic<unsigned> g_trace_categories{0};
-}  // namespace detail
-
-namespace {
-std::atomic<std::uint64_t> g_next_serial{1};
-
-/// Per-thread shard cache: re-registers (cheaply) whenever the thread first
-/// emits to a tracer with a serial it has not seen.
-struct ThreadShardCache {
-  std::uint64_t serial = 0;
-  void* shard = nullptr;
-};
-thread_local ThreadShardCache t_shard_cache;
 
 const char* kind_name(TraceEvent::Kind kind) {
   switch (kind) {
@@ -123,54 +105,23 @@ TraceArgs&& TraceArgs::kv(const char* k, std::string_view value) && {
 
 // --- Tracer --------------------------------------------------------------
 
-Tracer::Tracer(unsigned categories)
-    : categories_(categories & kCatAll),
-      serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)) {}
-
-Tracer::Shard& Tracer::local_shard() {
-  ThreadShardCache& cache = t_shard_cache;
-  if (cache.serial != serial_ || cache.shard == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shards_.push_back(std::make_unique<Shard>());
-    cache.shard = shards_.back().get();
-    cache.serial = serial_;
-  }
-  return *static_cast<Shard*>(cache.shard);
-}
-
-void Tracer::emit(TraceEvent event) {
-  local_shard().events.push_back(std::move(event));
-}
+Tracer::Tracer(unsigned categories) : categories_(categories & kCatAll) {}
 
 void Tracer::name_track(std::uint32_t track, std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   track_names_.emplace(track, std::move(name));
 }
 
+void Tracer::append(Tracer&& other) {
+  events_.insert(events_.end(), std::make_move_iterator(other.events_.begin()),
+                 std::make_move_iterator(other.events_.end()));
+  other.events_.clear();
+  track_names_.merge(other.track_names_);
+}
+
 void Tracer::drain_to(TraceSink& sink) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [track, name] : track_names_) sink.track_name(track, name);
-  for (const auto& shard : shards_) {
-    for (const TraceEvent& event : shard->events) sink.event(event);
-  }
+  for (const TraceEvent& event : events_) sink.event(event);
   sink.finish();
-}
-
-std::size_t Tracer::event_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard->events.size();
-  return n;
-}
-
-Tracer* tracer() { return g_tracer.load(std::memory_order_acquire); }
-
-void install_tracer(Tracer* t) {
-  // Categories gate the fast path: publish them only while installed, so a
-  // single relaxed load answers "is anything listening for cat?".
-  detail::g_trace_categories.store(t != nullptr ? t->categories() : 0u,
-                                   std::memory_order_release);
-  g_tracer.store(t, std::memory_order_release);
 }
 
 // --- NdjsonSink ----------------------------------------------------------
@@ -198,9 +149,9 @@ void ChromeTraceSink::track_name(std::uint32_t track, const std::string& name) {
 void ChromeTraceSink::event(const TraceEvent& e) { events_.push_back(e); }
 
 void ChromeTraceSink::finish() {
-  // Stable sort keeps same-timestamp events in emission order — each track
-  // is emitted by one thread, so per-track order (and B/E pairing) is
-  // preserved while the global stream becomes time-ordered.
+  // Stable sort keeps same-timestamp events in emission order, so per-track
+  // order (and B/E pairing) is preserved while the global stream becomes
+  // time-ordered.
   std::stable_sort(events_.begin(), events_.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.t_s < b.t_s;

@@ -9,32 +9,32 @@
 // changes, engine event pops — as typed records that render to NDJSON or
 // Chrome `chrome://tracing` JSON with one track per session and per link.
 //
-// Zero-overhead-when-disabled contract: every instrumentation site goes
-// through the DMX_TRACE_* macros below, which compile to a single relaxed
-// atomic load and a predictable branch when no Tracer is installed (the CI
-// perf-smoke steps/s floor guards this path). Argument rendering only runs
-// on the enabled path.
+// A trace belongs to its run: SessionConfig::tracer hands a run its Tracer
+// the way TimelineShard is handed to it, and null (the default) means
+// untraced. Every instrumentation site goes through the DMX_TRACE_* macros
+// below, which take that pointer: the disabled path is one null-pointer
+// branch, and argument rendering only runs on the enabled path. perfbench
+// never traces, so its end-to-end metrics time the disabled path.
 //
-// Threading: emitting is lock-free per thread (each thread appends to its
-// own shard; shard registration takes the Tracer mutex once per thread).
-// Install one Tracer for one logical run at a time — concurrent fleet
-// *replications* would interleave colliding track ids — and drain only
-// after the traced work has quiesced (joined its threads).
+// Threading: a Tracer is a plain buffer with one writer. The shard runner
+// gives each shard its own Tracer and appends them to the run's in shard-id
+// order after the join; run_replications does the same per replication
+// (replications reuse client ids, so replication r's events follow r-1's
+// on the same tracks). Traced output never depends on thread scheduling.
+// Drain after the traced work is done.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace demuxabr::obs {
 
-/// Category bitmask: a Tracer only records the categories it was installed
+/// Category bitmask: a Tracer only records the categories it was built
 /// with, so high-volume streams (buffer samples, engine pops) can be left
 /// out of long captures.
 enum Category : unsigned {
@@ -100,9 +100,9 @@ class TraceArgs {
   std::string out_;
 };
 
-/// Where drained events go. Calls arrive serialized (Tracer::drain_to holds
-/// the tracer lock): track names first, then events in per-shard emission
-/// order, then finish().
+/// Where drained events go. Tracer::drain_to calls it with track names
+/// first, then events in emission order (appended tracers after the
+/// appending one's own), then finish().
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -155,73 +155,40 @@ class CaptureSink : public TraceSink {
   std::vector<TraceEvent> events;
 };
 
+/// The trace of one run: categories, events in emission order and track
+/// names. One writer at a time; parallel runs trace into one Tracer per
+/// shard and append() them after the join.
 class Tracer {
  public:
   explicit Tracer(unsigned categories = kCatAll);
 
-  /// Record one event (emitting thread appends to its own shard).
-  void emit(TraceEvent event);
+  /// True when this tracer keeps events of category `cat`.
+  [[nodiscard]] bool records(Category cat) const {
+    return (categories_ & cat) != 0;
+  }
+
+  /// Record one event.
+  void emit(TraceEvent event) { events_.push_back(std::move(event)); }
 
   /// Attach a human-readable name to a track (session/link). Idempotent.
   void name_track(std::uint32_t track, std::string name);
 
+  /// Move `other`'s events after this tracer's own and add the track names
+  /// this tracer does not have yet.
+  void append(Tracer&& other);
+
   [[nodiscard]] unsigned categories() const { return categories_; }
 
   /// Feed every recorded event (and track names) to `sink`, then
-  /// sink.finish(). Non-destructive; call after the traced work quiesced.
+  /// sink.finish(). Non-destructive.
   void drain_to(TraceSink& sink) const;
 
-  [[nodiscard]] std::size_t event_count() const;
+  [[nodiscard]] std::size_t event_count() const { return events_.size(); }
 
  private:
-  struct Shard {
-    std::vector<TraceEvent> events;
-  };
-
-  Shard& local_shard();
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<TraceEvent> events_;
   std::map<std::uint32_t, std::string> track_names_;
   unsigned categories_;
-  std::uint64_t serial_;  ///< process-unique, keys the thread-local cache
-};
-
-/// Globally installed tracer, or nullptr. install_tracer(nullptr)
-/// uninstalls. Not reference-counted: the caller keeps the Tracer alive
-/// while installed.
-Tracer* tracer();
-void install_tracer(Tracer* tracer);
-
-namespace detail {
-/// Published category mask of the installed tracer (0 when none) — the
-/// macro gate's disabled path is one inline relaxed load.
-extern std::atomic<unsigned> g_trace_categories;
-}  // namespace detail
-
-/// The macro gate: non-null iff a tracer is installed *and* records `cat`.
-/// One relaxed atomic load on the disabled path.
-inline Tracer* tracer_if(Category cat) {
-  if ((detail::g_trace_categories.load(std::memory_order_relaxed) & cat) == 0) {
-    return nullptr;
-  }
-  return tracer();
-}
-
-/// RAII install/uninstall around a traced run.
-class ScopedTracer {
- public:
-  explicit ScopedTracer(unsigned categories = kCatAll) : tracer_(categories) {
-    install_tracer(&tracer_);
-  }
-  ~ScopedTracer() { install_tracer(nullptr); }
-  ScopedTracer(const ScopedTracer&) = delete;
-  ScopedTracer& operator=(const ScopedTracer&) = delete;
-
-  [[nodiscard]] Tracer& get() { return tracer_; }
-
- private:
-  Tracer tracer_;
 };
 
 /// Minimal JSON string escaping for names/args values.
@@ -231,13 +198,14 @@ std::string json_escape(std::string_view text);
 
 // --- Instrumentation macros ---------------------------------------------
 //
-// `args` is a TraceArgs chain (or any std::string expression); it is only
-// evaluated when the tracer is installed and the category enabled.
+// `tracer` is the run's obs::Tracer* (null = untraced). `args` is a
+// TraceArgs chain (or any std::string expression); it is only evaluated
+// when the tracer is non-null and records the category.
 
-#define DMX_TRACE_EVENT_(cat, kind_, track_, lane_, name_, t_, args_)          \
+#define DMX_TRACE_EVENT_(tracer_, cat, kind_, track_, lane_, name_, t_, args_) \
   do {                                                                         \
-    if (::demuxabr::obs::Tracer* dmx_tracer_ =                                 \
-            ::demuxabr::obs::tracer_if(cat)) {                                 \
+    if (::demuxabr::obs::Tracer* const dmx_tracer_ = (tracer_);                \
+        dmx_tracer_ != nullptr && dmx_tracer_->records(cat)) {                 \
       dmx_tracer_->emit(::demuxabr::obs::TraceEvent{                           \
           ::demuxabr::obs::TraceEvent::Kind::kind_,                            \
           static_cast<std::uint8_t>(lane_), (cat), (name_),                    \
@@ -245,11 +213,11 @@ std::string json_escape(std::string_view text);
     }                                                                          \
   } while (0)
 
-#define DMX_TRACE_SPAN_BEGIN(cat, track, lane, name, t, args) \
-  DMX_TRACE_EVENT_(cat, kBegin, track, lane, name, t, args)
-#define DMX_TRACE_SPAN_END(cat, track, lane, name, t, args) \
-  DMX_TRACE_EVENT_(cat, kEnd, track, lane, name, t, args)
-#define DMX_TRACE_INSTANT(cat, track, lane, name, t, args) \
-  DMX_TRACE_EVENT_(cat, kInstant, track, lane, name, t, args)
-#define DMX_TRACE_COUNTER(cat, track, name, t, args) \
-  DMX_TRACE_EVENT_(cat, kCounter, track, 0, name, t, args)
+#define DMX_TRACE_SPAN_BEGIN(tracer, cat, track, lane, name, t, args) \
+  DMX_TRACE_EVENT_(tracer, cat, kBegin, track, lane, name, t, args)
+#define DMX_TRACE_SPAN_END(tracer, cat, track, lane, name, t, args) \
+  DMX_TRACE_EVENT_(tracer, cat, kEnd, track, lane, name, t, args)
+#define DMX_TRACE_INSTANT(tracer, cat, track, lane, name, t, args) \
+  DMX_TRACE_EVENT_(tracer, cat, kInstant, track, lane, name, t, args)
+#define DMX_TRACE_COUNTER(tracer, cat, track, name, t, args) \
+  DMX_TRACE_EVENT_(tracer, cat, kCounter, track, 0, name, t, args)

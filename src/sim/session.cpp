@@ -42,6 +42,9 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
         "StreamingSession: a carrier's clock is past start_time_s (Network reused "
         "after another session?)");
   }
+  // The links of a solo session's own Network trace into its tracer; a
+  // fleet's carriers belong to the scheduler, which wires them itself.
+  network_.set_tracer(config_.tracer);
   // A player must know the timeline before adapting; when the manifest view
   // lacks it (HLS top-level only), model the mandatory fetch of the first
   // media playlist by filling it in here.
@@ -135,16 +138,13 @@ void StreamingSession::start_flow(const DownloadRequest& request) {
       log_.selected_audio_kbps.add(now_, f.audio_track_info->avg_kbps);
     }
   }
-  DMX_TRACE_SPAN_BEGIN(obs::kCatDownload, config_.trace_track,
+  DMX_TRACE_SPAN_BEGIN(config_.tracer, obs::kCatDownload, config_.trace_track,
                        lane_of(request.type), "download", now_,
                        obs::TraceArgs()
                            .kv("track_id", request.track_id)
                            .kv("chunk", request.chunk_index)
                            .kv("bytes", f.total_bytes)
                            .kv("muxed", request.muxed ? 1 : 0));
-  DMX_DEBUG << "t=" << now_ << " request " << media_type_name(request.type) << " "
-            << request.track_id << " chunk " << request.chunk_index << " ("
-            << f.total_bytes << " B)";
 }
 
 std::optional<ProgressSample> StreamingSession::emit_progress(Flow& f, double t1) {
@@ -186,12 +186,9 @@ void StreamingSession::abort_flow(Flow& f) {
   banked_bytes_ += f.bytes_done;
   f.bytes_done = 0.0;
   f.active = false;
-  DMX_TRACE_SPAN_END(obs::kCatDownload, config_.trace_track,
+  DMX_TRACE_SPAN_END(config_.tracer, obs::kCatDownload, config_.trace_track,
                      lane_of(record.type), "download", now_,
                      obs::TraceArgs().kv("bytes", record.bytes).kv("aborted", 1));
-  DMX_DEBUG << "t=" << now_ << " abandon " << media_type_name(record.type) << " "
-            << record.track_id << " chunk " << record.chunk_index << " after "
-            << record.bytes << " B";
 }
 
 void StreamingSession::complete_flow(Flow& f) {
@@ -244,8 +241,7 @@ void StreamingSession::complete_flow(Flow& f) {
                          f.request_t, now_);
   }
 
-  const bool was_muxed = f.request.muxed;
-  DMX_TRACE_SPAN_END(obs::kCatDownload, config_.trace_track,
+  DMX_TRACE_SPAN_END(config_.tracer, obs::kCatDownload, config_.trace_track,
                      lane_of(f.request.type), "download", now_,
                      obs::TraceArgs()
                          .kv("bytes", f.total_bytes)
@@ -262,8 +258,6 @@ void StreamingSession::complete_flow(Flow& f) {
     completion.end_t = now_;
     player_.on_chunk_complete(completion, make_context());
   }
-  DMX_DEBUG << "t=" << now_ << " complete " << (was_muxed ? "muxed " : "")
-            << *components[0].track_id << " chunk " << chunk_index;
 }
 
 void StreamingSession::perform_seek(const SeekEvent& seek) {
@@ -297,17 +291,16 @@ void StreamingSession::perform_seek(const SeekEvent& seek) {
   if (started_ && playing_) {
     playing_ = false;
     stall_start_t_ = now_;
-    DMX_TRACE_SPAN_BEGIN(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
-                         "stall", now_, obs::TraceArgs().kv("cause", "seek"));
+    DMX_TRACE_SPAN_BEGIN(config_.tracer, obs::kCatStall, config_.trace_track,
+                         obs::kLanePlayback, "stall", now_,
+                         obs::TraceArgs().kv("cause", "seek"));
   }
   re_anchor();
-  DMX_TRACE_INSTANT(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
-                    "seek", now_,
+  DMX_TRACE_INSTANT(config_.tracer, obs::kCatStall, config_.trace_track,
+                    obs::kLanePlayback, "seek", now_,
                     obs::TraceArgs()
                         .kv("from_s", record.from_position_s)
                         .kv("to_s", target_position));
-  DMX_DEBUG << "t=" << now_ << " seek " << record.from_position_s << " -> "
-            << target_position;
 }
 
 void StreamingSession::poll_player() {
@@ -319,8 +312,8 @@ void StreamingSession::poll_player() {
     const std::optional<DownloadRequest> request = player_.next_request(ctx);
     if (!request.has_value()) return;
     assert(!flow(request->type).active && "player requested a busy media type");
-    DMX_TRACE_INSTANT(obs::kCatAbr, config_.trace_track, obs::kLaneAbr,
-                      "abr_decision", now_,
+    DMX_TRACE_INSTANT(config_.tracer, obs::kCatAbr, config_.trace_track,
+                      obs::kLaneAbr, "abr_decision", now_,
                       obs::TraceArgs()
                           .kv("type", media_type_name(request->type))
                           .kv("track_id", request->track_id)
@@ -345,10 +338,9 @@ void StreamingSession::handle_playback_transitions() {
       playing_ = true;
       re_anchor();
       log_.startup_delay_s = now_ - config_.start_time_s;
-      DMX_TRACE_INSTANT(obs::kCatBuffer, config_.trace_track, obs::kLanePlayback,
-                        "playback_start", now_,
+      DMX_TRACE_INSTANT(config_.tracer, obs::kCatBuffer, config_.trace_track,
+                        obs::kLanePlayback, "playback_start", now_,
                         obs::TraceArgs().kv("delay_s", log_.startup_delay_s));
-      DMX_DEBUG << "t=" << now_ << " playback start";
     }
     return;
   }
@@ -361,10 +353,9 @@ void StreamingSession::handle_playback_transitions() {
       stall_start_t_ = now_;
       re_anchor();
       DMX_TRACE_SPAN_BEGIN(
-          obs::kCatStall, config_.trace_track, obs::kLanePlayback, "stall", now_,
+          config_.tracer, obs::kCatStall, config_.trace_track, obs::kLanePlayback,
+          "stall", now_,
           obs::TraceArgs().kv("cause", audio_underrun ? "audio" : "video"));
-      DMX_DEBUG << "t=" << now_ << " stall (audio=" << audio_buffer_.level_s()
-                << " video=" << video_buffer_.level_s() << ")";
     }
     return;
   }
@@ -376,11 +367,9 @@ void StreamingSession::handle_playback_transitions() {
     playing_ = true;
     re_anchor();
     log_.record_stall(stall_start_t_, now_);
-    DMX_TRACE_SPAN_END(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
-                       "stall", now_,
+    DMX_TRACE_SPAN_END(config_.tracer, obs::kCatStall, config_.trace_track,
+                       obs::kLanePlayback, "stall", now_,
                        obs::TraceArgs().kv("dur_s", now_ - stall_start_t_));
-    DMX_DEBUG << "t=" << now_ << " resume after "
-              << (now_ - stall_start_t_) << "s stall";
   }
 }
 
@@ -393,7 +382,8 @@ void StreamingSession::sample_series() {
                                       video_buffer_.level_s(),
                                       started_ && !playing_);
   }
-  DMX_TRACE_COUNTER(obs::kCatBuffer, config_.trace_track, "buffer_s", now_,
+  DMX_TRACE_COUNTER(config_.tracer, obs::kCatBuffer, config_.trace_track,
+                    "buffer_s", now_,
                     obs::TraceArgs()
                         .kv("audio", audio_buffer_.level_s())
                         .kv("video", video_buffer_.level_s()));
@@ -624,13 +614,12 @@ void StreamingSession::abort_session() {
   // Close an open stall so the log's stall accounting is complete.
   if (started_ && !playing_) {
     log_.record_stall(stall_start_t_, now_);
-    DMX_TRACE_SPAN_END(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
-                       "stall", now_,
+    DMX_TRACE_SPAN_END(config_.tracer, obs::kCatStall, config_.trace_track,
+                       obs::kLanePlayback, "stall", now_,
                        obs::TraceArgs().kv("dur_s", now_ - stall_start_t_));
     playing_ = true;
   }
   stopped_ = true;
-  DMX_DEBUG << "t=" << now_ << " session abandoned";
 }
 
 SessionLog StreamingSession::finish() {

@@ -87,8 +87,17 @@ struct SessionConfig {
   /// scheduler assigns 2*client_id. Irrelevant for solo sessions.
   std::uint32_t flow_token_base = 0;
   /// Observability track id for this session's trace events. A fleet
-  /// scheduler assigns the client id; solo sessions keep track 0.
+  /// scheduler assigns the fleet-wide client id; solo sessions keep track 0.
   std::uint32_t trace_track = 0;
+  /// The run's event trace (obs/trace.h), owned by the caller and alive
+  /// for the run; null (the default) means untraced, and each trace site
+  /// then costs one null-pointer branch. A solo session also wires it into
+  /// the links of its own Network. A fleet reads it from
+  /// FleetConfig::session and wires it into its topology, engine and
+  /// sessions; the shard runner and run_replications give each shard or
+  /// replication a Tracer of its own and append those in order after the
+  /// join, so no Tracer ever has two writers.
+  obs::Tracer* tracer = nullptr;
   /// Scripted seeks, ascending by at_time_s. A seek cancels in-flight
   /// downloads, flushes both buffers and rebuffers at the target position
   /// (counted as a stall while playback is paused). Both log modes record

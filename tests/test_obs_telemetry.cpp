@@ -12,7 +12,7 @@
 //  3. Hysteresis: each incident family opens at `enter` sustained for
 //     min_bins, closes below `exit`, and reports the peak bin.
 //  4. Exporters: NDJSON/CSV/HTML golden substrings, plus the tracer-interop
-//     instants detect_incidents() emits when a Tracer is installed.
+//     instants detect_incidents() emits into the Tracer it is given.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -410,11 +410,11 @@ TEST(TelemetryReport, EmptyIncidentListSaysSo) {
 
 TEST(DetectIncidents, EmitsTracerInstantsPerIncident) {
   const FleetTimeline timeline = stall_timeline({0, 4, 5, 0});
-  ScopedTracer scoped(kCatEngine);
-  const std::vector<Incident> incidents = detect_incidents(timeline);
+  Tracer tracer(kCatEngine);
+  const std::vector<Incident> incidents = detect_incidents(timeline, {}, &tracer);
   ASSERT_EQ(incidents.size(), 1u);
   CaptureSink sink;
-  scoped.get().drain_to(sink);
+  tracer.drain_to(sink);
   ASSERT_EQ(sink.events.size(), 2u);
   EXPECT_EQ(std::string(sink.events[0].name), "incident_begin");
   EXPECT_EQ(std::string(sink.events[1].name), "incident_end");

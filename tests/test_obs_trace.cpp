@@ -1,10 +1,13 @@
-// Tracer contract tests: macro gating, category masks, thread-shard
-// emission, NDJSON structure — plus the acceptance test for the Chrome
-// trace-event export: a fleet run under a ScopedTracer must produce JSON
-// that parses, nests its B/E spans LIFO per (pid, tid), keeps per-track
+// Tracer contract tests: the per-run trace handle, category masks,
+// append order, NDJSON structure — plus the acceptance test for the Chrome
+// trace-event export: a fleet run with a Tracer must produce JSON that
+// parses, nests its B/E spans LIFO per (pid, tid), keeps per-track
 // timestamps monotonic, and carries process_name metadata. Tracing must
 // also be purely observational: the fleet fingerprint is identical with
-// and without a tracer installed.
+// and without a tracer. Sharded fleets and replications trace into one
+// Tracer per shard (replication) and append them in order, so their
+// traces are byte-identical at every thread count and every session keeps
+// its own global client-id track.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +16,8 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
-#include <future>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,8 +25,10 @@
 #include "experiments/scenarios.h"
 #include "fleet/metrics.h"
 #include "fleet/scheduler.h"
+#include "net/topology.h"
+#include "players/dashjs.h"
 #include "players/exoplayer.h"
-#include "util/thread_pool.h"
+#include "util/strings.h"
 
 namespace demuxabr::obs {
 namespace {
@@ -199,18 +204,25 @@ class JsonParser {
 
 // --- Tracer primitives ----------------------------------------------------
 
+std::string ndjson_of(const Tracer& tracer) {
+  std::ostringstream out;
+  NdjsonSink sink(out);
+  tracer.drain_to(sink);
+  return out.str();
+}
+
 TEST(Tracer, MacroRoundTripsThroughCaptureSink) {
-  ScopedTracer scoped;
-  DMX_TRACE_SPAN_BEGIN(kCatDownload, 3, kLaneVideo, "download", 1.5,
+  Tracer tracer;
+  DMX_TRACE_SPAN_BEGIN(&tracer, kCatDownload, 3, kLaneVideo, "download", 1.5,
                        TraceArgs().kv("chunk", 7).kv("kbps", 1200.5));
-  DMX_TRACE_SPAN_END(kCatDownload, 3, kLaneVideo, "download", 2.5,
+  DMX_TRACE_SPAN_END(&tracer, kCatDownload, 3, kLaneVideo, "download", 2.5,
                      TraceArgs().kv("bytes", std::int64_t{4096}));
-  DMX_TRACE_INSTANT(kCatAbr, 3, kLaneAbr, "abr_decision", 2.5,
+  DMX_TRACE_INSTANT(&tracer, kCatAbr, 3, kLaneAbr, "abr_decision", 2.5,
                     TraceArgs().kv("track_id", "v-1200"));
-  scoped.get().name_track(3, "client 3");
+  tracer.name_track(3, "client 3");
 
   CaptureSink sink;
-  scoped.get().drain_to(sink);
+  tracer.drain_to(sink);
   ASSERT_EQ(sink.events.size(), 3u);
   EXPECT_EQ(sink.events[0].kind, TraceEvent::Kind::kBegin);
   EXPECT_EQ(sink.events[0].track, 3u);
@@ -226,69 +238,78 @@ TEST(Tracer, MacroRoundTripsThroughCaptureSink) {
 }
 
 TEST(Tracer, NoTracerMeansNoEmission) {
-  ASSERT_EQ(tracer(), nullptr);
-  // Must be a no-op (and not crash) with nothing installed.
-  DMX_TRACE_INSTANT(kCatDownload, 0, kLanePlayback, "noop", 0.0, TraceArgs());
-  EXPECT_EQ(tracer_if(kCatDownload), nullptr);
+  // A null tracer is a no-op site that never renders its arguments. The
+  // pointer is volatile so the site tests it at run time, as it does a
+  // SessionConfig::tracer.
+  int rendered = 0;
+  Tracer* volatile none = nullptr;
+  DMX_TRACE_INSTANT(none, kCatDownload, 0, kLanePlayback, "noop", 0.0,
+                    (++rendered, TraceArgs()));
+  EXPECT_EQ(rendered, 0);
+
+  // A session with a null tracer emits nothing: running one between two
+  // traced runs of the same setup leaves neither trace any different.
+  ex::ExperimentSetup setup = ex::split_path_dash(
+      BandwidthTrace::constant(1200.0), BandwidthTrace::constant(200.0), "untraced");
+  const auto traced_run = [&] {
+    Tracer tracer;
+    setup.session.tracer = &tracer;
+    ExoPlayerModel player;
+    ex::run(setup, player);
+    return ndjson_of(tracer);
+  };
+  const std::string before = traced_run();
+  EXPECT_FALSE(before.empty());
+  setup.session.tracer = nullptr;
+  ExoPlayerModel player;
+  const SessionLog untraced = ex::run(setup, player);
+  EXPECT_GT(untraced.end_time_s, 0.0);
+  EXPECT_EQ(traced_run(), before);
 }
 
 TEST(Tracer, CategoryMaskFiltersAtTheMacro) {
-  ScopedTracer scoped(kCatDownload | kCatStall);
-  DMX_TRACE_INSTANT(kCatDownload, 0, kLanePlayback, "kept", 1.0, TraceArgs());
-  DMX_TRACE_INSTANT(kCatBuffer, 0, kLanePlayback, "filtered", 1.0, TraceArgs());
-  DMX_TRACE_INSTANT(kCatEngine, 0, kLanePlayback, "filtered", 1.0, TraceArgs());
-  DMX_TRACE_INSTANT(kCatStall, 0, kLanePlayback, "kept", 2.0, TraceArgs());
-  EXPECT_EQ(scoped.get().event_count(), 2u);
-  EXPECT_EQ(tracer_if(kCatBuffer), nullptr);
-  EXPECT_NE(tracer_if(kCatStall), nullptr);
+  Tracer tracer(kCatDownload | kCatStall);
+  DMX_TRACE_INSTANT(&tracer, kCatDownload, 0, kLanePlayback, "kept", 1.0, TraceArgs());
+  DMX_TRACE_INSTANT(&tracer, kCatBuffer, 0, kLanePlayback, "filtered", 1.0, TraceArgs());
+  DMX_TRACE_INSTANT(&tracer, kCatEngine, 0, kLanePlayback, "filtered", 1.0, TraceArgs());
+  DMX_TRACE_INSTANT(&tracer, kCatStall, 0, kLanePlayback, "kept", 2.0, TraceArgs());
+  EXPECT_EQ(tracer.event_count(), 2u);
+  EXPECT_FALSE(tracer.records(kCatBuffer));
+  EXPECT_TRUE(tracer.records(kCatStall));
 }
 
-TEST(Tracer, ThreadShardsCollectEveryEmission) {
-  ScopedTracer scoped;
-  constexpr int kThreads = 6;
-  constexpr int kPerThread = 2000;
-  {
-    ThreadPool pool(kThreads);
-    std::vector<std::future<void>> futures;
-    for (int w = 0; w < kThreads; ++w) {
-      futures.push_back(pool.submit([w] {
-        for (int i = 0; i < kPerThread; ++i) {
-          DMX_TRACE_INSTANT(kCatEngine, static_cast<std::uint32_t>(w),
-                            kLanePlayback, "tick", static_cast<double>(i),
-                            TraceArgs());
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
-  }
-  EXPECT_EQ(scoped.get().event_count(),
-            static_cast<std::size_t>(kThreads * kPerThread));
+TEST(Tracer, AppendKeepsEmissionOrderAndFirstName) {
+  Tracer run;
+  run.name_track(kEngineTrack, "engine event_heap");
+  DMX_TRACE_INSTANT(&run, kCatEngine, kEngineTrack, kLanePlayback, "a", 2.0,
+                    TraceArgs());
+  Tracer shard;
+  shard.name_track(kEngineTrack, "engine shard");
+  shard.name_track(7, "c7 exoplayer");
+  DMX_TRACE_INSTANT(&shard, kCatEngine, 7, kLanePlayback, "b", 1.0, TraceArgs());
+  DMX_TRACE_INSTANT(&shard, kCatEngine, 7, kLanePlayback, "c", 0.5, TraceArgs());
 
-  // Per-track (= per emitting thread) order is preserved by the drain.
+  run.append(std::move(shard));
   CaptureSink sink;
-  scoped.get().drain_to(sink);
-  std::map<std::uint32_t, double> last_t;
-  for (const TraceEvent& e : sink.events) {
-    const auto it = last_t.find(e.track);
-    if (it != last_t.end()) {
-      EXPECT_GE(e.t_s, it->second);
-    }
-    last_t[e.track] = e.t_s;
-  }
+  run.drain_to(sink);
+  ASSERT_EQ(sink.events.size(), 3u);
+  EXPECT_EQ(std::string(sink.events[0].name), "a");
+  EXPECT_EQ(std::string(sink.events[1].name), "b");
+  EXPECT_EQ(std::string(sink.events[2].name), "c");
+  EXPECT_EQ(sink.names.at(kEngineTrack), "engine event_heap");
+  EXPECT_EQ(sink.names.at(7), "c7 exoplayer");
 }
 
 TEST(Tracer, NdjsonEmitsOneObjectPerLine) {
-  ScopedTracer scoped;
-  scoped.get().name_track(0, "solo");
-  DMX_TRACE_SPAN_BEGIN(kCatDownload, 0, kLaneAudio, "download", 0.25,
+  Tracer tracer;
+  tracer.name_track(0, "solo");
+  DMX_TRACE_SPAN_BEGIN(&tracer, kCatDownload, 0, kLaneAudio, "download", 0.25,
                        TraceArgs().kv("chunk", 0));
-  DMX_TRACE_SPAN_END(kCatDownload, 0, kLaneAudio, "download", 0.75, TraceArgs());
+  DMX_TRACE_SPAN_END(&tracer, kCatDownload, 0, kLaneAudio, "download", 0.75,
+                     TraceArgs());
 
-  std::ostringstream out;
-  NdjsonSink sink(out);
-  scoped.get().drain_to(sink);
-
-  std::istringstream lines(out.str());
+  const std::string text = ndjson_of(tracer);
+  std::istringstream lines(text);
   std::string line;
   int count = 0;
   while (std::getline(lines, line)) {
@@ -299,21 +320,22 @@ TEST(Tracer, NdjsonEmitsOneObjectPerLine) {
     EXPECT_EQ(value.type, JsonValue::Type::kObject);
   }
   EXPECT_EQ(count, 3);  // 1 meta line + 2 events
-  EXPECT_NE(out.str().find("\"meta\":\"track_name\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"kind\":\"begin\""), std::string::npos);
+  EXPECT_NE(text.find("\"meta\":\"track_name\""), std::string::npos);
+  EXPECT_NE(text.find("\"kind\":\"begin\""), std::string::npos);
 }
 
 TEST(Tracer, SplitNetworkCountsEachLinkOnItsOwnTrack) {
   // §4.1 split paths: video and audio ride separate links, so a traced
   // session shows two active_flows counters, each on its own link track
   // and never above the one flow its media type can have in flight.
-  const ex::ExperimentSetup setup = ex::split_path_dash(
+  ex::ExperimentSetup setup = ex::split_path_dash(
       BandwidthTrace::constant(1200.0), BandwidthTrace::constant(200.0), "split-trace");
-  ScopedTracer scoped(kCatLink);
+  Tracer tracer(kCatLink);
+  setup.session.tracer = &tracer;
   ExoPlayerModel player;
   ex::run(setup, player);
   CaptureSink sink;
-  scoped.get().drain_to(sink);
+  tracer.drain_to(sink);
 
   std::map<std::uint32_t, long long> peak_flows;  // per track
   for (const TraceEvent& e : sink.events) {
@@ -356,14 +378,15 @@ TEST(ChromeTrace, FleetTraceParsesNestsAndStaysMonotonic) {
 
   std::string json;
   {
-    ScopedTracer scoped;
+    Tracer tracer;
+    FleetConfig config = trace_fleet_config();
+    config.session.tracer = &tracer;
     const fleet::FleetResult result =
-        fleet::run_fleet(setup.content, setup.view, bottleneck,
-                         trace_fleet_config());
+        fleet::run_fleet(setup.content, setup.view, bottleneck, config);
     EXPECT_FALSE(result.clients.empty());
     std::ostringstream out;
     ChromeTraceSink sink(out);
-    scoped.get().drain_to(sink);
+    tracer.drain_to(sink);
     json = out.str();
   }
 
@@ -448,15 +471,138 @@ TEST(ChromeTrace, TracingIsPurelyObservational) {
 
   const fleet::FleetResult untraced =
       fleet::run_fleet(setup.content, setup.view, bottleneck, config);
-  std::string traced_fingerprint;
-  {
-    ScopedTracer scoped;
-    const fleet::FleetResult traced =
-        fleet::run_fleet(setup.content, setup.view, bottleneck, config);
-    EXPECT_GT(scoped.get().event_count(), 0u);
-    traced_fingerprint = fleet::fleet_fingerprint(traced);
+  Tracer tracer;
+  FleetConfig traced_config = config;
+  traced_config.session.tracer = &tracer;
+  const fleet::FleetResult traced =
+      fleet::run_fleet(setup.content, setup.view, bottleneck, traced_config);
+  EXPECT_GT(tracer.event_count(), 0u);
+  EXPECT_EQ(fleet::fleet_fingerprint(untraced), fleet::fleet_fingerprint(traced));
+}
+
+// --- Per-run traces of parallel work ---------------------------------------
+
+/// Four causally independent edge→core chains with clients round-robin
+/// over them, so every shard holds fleet-wide ids {s, s+4, s+8, ...}.
+FleetConfig four_chain_config() {
+  FleetConfig config;
+  config.client_count = 20;
+  config.seed = 23;
+  config.arrivals = fleet::ArrivalProcess::kPoisson;
+  config.arrival_rate_per_s = 0.5;
+  config.churn.leave_probability = 0.3;
+  config.churn.min_watch_s = 20.0;
+  config.churn.max_watch_s = 90.0;
+  config.players.push_back(
+      {"exoplayer", [] { return std::make_unique<ExoPlayerModel>(); }, 0.6});
+  config.players.push_back(
+      {"dashjs", [] { return std::make_unique<DashJsPlayerModel>(); }, 0.4});
+  config.session.max_sim_time_s = 600.0;
+  TopologySpec spec;
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t edge = spec.add_link(
+        format("edge-%d", i), BandwidthTrace::constant(1800.0 + 300.0 * i));
+    const std::size_t core =
+        spec.add_link(format("core-%d", i), BandwidthTrace::constant(3600.0));
+    spec.add_path(format("chain-%d", i), {edge, core});
   }
-  EXPECT_EQ(fleet::fleet_fingerprint(untraced), traced_fingerprint);
+  config.topology = std::move(spec);
+  return config;
+}
+
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(Tracer, ShardedFleetTraceIsDeterministicWithATrackPerClient) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(ex::varying_600_trace(), "sharded-trace");
+  const BandwidthTrace unused = BandwidthTrace::constant(1000.0);
+  const FleetConfig base = four_chain_config();
+
+  const auto traced = [&](int threads) {
+    Tracer tracer;
+    FleetConfig config = base;
+    config.threads = threads;
+    config.session.tracer = &tracer;
+    fleet::run_fleet(setup.content, setup.view, unused, config);
+    return tracer;
+  };
+
+  const Tracer first = traced(2);
+  const std::string expected = ndjson_of(first);
+  for (const int threads : {2, 2, 8}) {
+    EXPECT_EQ(ndjson_of(traced(threads)), expected) << "threads=" << threads;
+  }
+
+  // One named track per client, under its fleet-wide id, and every session
+  // event and engine pop on one of them.
+  CaptureSink sink;
+  first.drain_to(sink);
+  std::set<std::uint32_t> session_tracks;
+  for (const auto& [track, name] : sink.names) {
+    if (track >= kLinkTrackBase) continue;
+    session_tracks.insert(track);
+    EXPECT_EQ(name.rfind(format("c%u ", track), 0), 0u) << name;
+  }
+  EXPECT_EQ(session_tracks.size(), static_cast<std::size_t>(base.client_count));
+  std::set<std::uint32_t> tracks_with_events;
+  for (const TraceEvent& e : sink.events) {
+    if (e.track < kLinkTrackBase) tracks_with_events.insert(e.track);
+    if (std::string(e.name) == "pop") {
+      const long long client = std::stoll(e.args.substr(e.args.rfind(':') + 1));
+      EXPECT_EQ(session_tracks.count(static_cast<std::uint32_t>(client)), 1u)
+          << e.args;
+    }
+  }
+  EXPECT_EQ(tracks_with_events, session_tracks);
+
+  // The shards together emit exactly the serial whole-topology run's
+  // events and names, grouped by shard instead of interleaved in time.
+  EXPECT_EQ(sorted_lines(expected), sorted_lines(ndjson_of(traced(1))));
+}
+
+TEST(Tracer, ReplicationTraceIsIdenticalAtAnyThreadCount) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(900.0), "replication-trace");
+  const BandwidthTrace bottleneck = BandwidthTrace::constant(4000.0);
+  fleet::ReplicationOptions options;
+  options.replications = 3;
+
+  const auto traced = [&](int threads) {
+    Tracer tracer;
+    FleetConfig config = trace_fleet_config();
+    config.session.tracer = &tracer;
+    options.threads = threads;
+    fleet::run_replications(setup.content, setup.view, bottleneck, config,
+                            options);
+    return tracer;
+  };
+
+  const Tracer serial = traced(1);
+  const std::string expected = ndjson_of(serial);
+  for (const int threads : {4, 8}) {
+    EXPECT_EQ(ndjson_of(traced(threads)), expected) << "threads=" << threads;
+  }
+
+  // Replication r's events follow replication r-1's: the trace is each
+  // replication's own run, traced alone, back to back.
+  Tracer back_to_back;
+  for (int r = 0; r < options.replications; ++r) {
+    Tracer alone;
+    FleetConfig config = trace_fleet_config();
+    config.seed += static_cast<std::uint64_t>(r) * options.seed_stride;
+    config.session.tracer = &alone;
+    fleet::run_fleet(setup.content, setup.view, bottleneck, config);
+    EXPECT_GT(alone.event_count(), 0u);
+    back_to_back.append(std::move(alone));
+  }
+  EXPECT_EQ(ndjson_of(back_to_back), expected);
 }
 
 }  // namespace
