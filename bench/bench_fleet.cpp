@@ -556,7 +556,7 @@ void emit_report_once() {
     records.push_back(r);
   }
   // Parallel disjoint-shard rows: 10 causally independent chains whose
-  // engines run concurrently on the ThreadPool. Fingerprints are
+  // engines run concurrently on fan_out_ordered's workers. Fingerprints are
   // byte-identical across thread counts (tests/test_fleet_shard.cpp), so
   // the threads column measures speed and overhead, never drift.
   std::printf("=== fleet: disjoint 10-chain topology, parallel shards ===\n");
@@ -704,7 +704,7 @@ BENCHMARK(BM_Fleet_SharedBottleneck)
     ->Args({1, 1})->Args({2, 1})->Args({10, 1})->Args({10, 0})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Replication fan-out: the ThreadPool path (independent seeds).
+/// Replication fan-out: fan_out_ordered's worker path (independent seeds).
 void BM_Fleet_Replications(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const ex::ExperimentSetup setup =

@@ -15,8 +15,8 @@
 
 #include "experiments/sweep.h"
 #include "util/csv.h"
+#include "util/parallel.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -34,7 +34,7 @@ void emit_report_once() {
   const std::vector<ex::SweepJob> jobs = ex::comparison_matrix();
   std::vector<ex::SweepSummary> summaries;
   std::vector<std::string> notes;
-  const unsigned hardware = ThreadPool::default_thread_count();
+  const unsigned hardware = hardware_threads();
   std::printf(
       "=== sweep: §4 comparison matrix (%zu jobs), serial vs threads "
       "(host: %u hardware thread%s) ===\n",
@@ -97,23 +97,20 @@ BENCHMARK(BM_Sweep_ComparisonMatrix)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Pool overhead floor: submit trivial tasks and wait for the results.
-void BM_Sweep_PoolSubmitDrain(benchmark::State& state) {
-  const auto tasks = static_cast<std::size_t>(state.range(0));
+/// Fan-out overhead floor: trivial jobs through fan_out_ordered at 4
+/// workers (thread start, index claiming, join and the ordered merge).
+void BM_Sweep_FanOutOverhead(benchmark::State& state) {
+  const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    ThreadPool pool(4);
-    std::vector<std::future<std::size_t>> futures;
-    futures.reserve(tasks);
-    for (std::size_t i = 0; i < tasks; ++i) {
-      futures.push_back(pool.submit([i] { return i; }));
-    }
+    const std::vector<std::size_t> results =
+        fan_out_ordered(jobs, 4, [](std::size_t i) { return i; });
     std::size_t total = 0;
-    for (auto& future : futures) total += future.get();
+    for (const std::size_t r : results) total += r;
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tasks));
+                          static_cast<std::int64_t>(jobs));
 }
-BENCHMARK(BM_Sweep_PoolSubmitDrain)->Arg(64)->Arg(1024);
+BENCHMARK(BM_Sweep_FanOutOverhead)->Arg(64)->Arg(1024)->UseRealTime();
 
 }  // namespace

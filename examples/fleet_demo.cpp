@@ -2,7 +2,7 @@
 // bottleneck. Shows the fleet API end to end — population planning (Poisson
 // arrivals, weighted player mix, churn), the shared-link scheduler, per-client
 // outcomes, aggregate metrics, and the determinism fingerprint — then runs a
-// small seed-replication fan-out on the thread pool and the same population
+// small seed-replication fan-out on worker threads and the same population
 // over a sharded client → edge → core topology (per-link stats, per-edge
 // fairness, bottleneck attribution).
 #include <cstdio>
@@ -85,11 +85,11 @@ int main() {
       std::hash<std::string>{}(fleet::fleet_fingerprint(result));
   std::printf("\nfingerprint: %016zx (same seed => same value, any machine)\n", fp);
 
-  // Seed replications fan out across the thread pool; order and content of
+  // Seed replications fan out across worker threads; order and content of
   // the results are independent of the thread count.
   fleet::ReplicationOptions options;
   options.replications = 3;
-  options.threads = 0;  // default pool size
+  options.threads = 0;  // one worker per hardware thread
   std::printf("\n=== %d seed replications ===\n", options.replications);
   for (const fleet::FleetReplication& rep : fleet::run_replications(
            setup.content, setup.view, setup.trace, config, options)) {

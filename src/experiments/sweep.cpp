@@ -12,7 +12,6 @@
 #include "players/shaka.h"
 #include "util/parallel.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace demuxabr::experiments {
 namespace {
@@ -45,8 +44,7 @@ SweepJobResult run_one(const SweepJob& job, bool with_qoe) {
 SweepRunner::SweepRunner(SweepOptions options) : options_(options) {}
 
 int SweepRunner::resolved_threads() const {
-  return options_.threads > 0 ? options_.threads
-                              : static_cast<int>(ThreadPool::default_thread_count());
+  return options_.threads > 0 ? options_.threads : static_cast<int>(hardware_threads());
 }
 
 SweepResult SweepRunner::run(const std::vector<SweepJob>& jobs) const {
@@ -243,7 +241,7 @@ std::string sweep_report_json(const std::string& matrix_name,
   out << "{\n"
       << "  \"bench\": \"sweep\",\n"
       << "  \"matrix\": \"" << matrix_name << "\",\n"
-      << "  \"hardware_threads\": " << ThreadPool::default_thread_count() << ",\n";
+      << "  \"hardware_threads\": " << hardware_threads() << ",\n";
   const SweepSummary* serial = nullptr;
   for (const SweepSummary& s : summaries) {
     if (s.threads == 1) serial = &s;

@@ -1,4 +1,5 @@
-// SweepRunner: fan independent experiment sessions out across a ThreadPool.
+// SweepRunner: fan independent experiment sessions out across worker threads
+// (fan_out_ordered, util/parallel.h).
 //
 // A sweep is a list of jobs, each pairing an (immutable, shareable)
 // ExperimentSetup with a factory that builds a fresh PlayerAdapter per run.
@@ -7,8 +8,8 @@
 // run by experiments::run(), and all per-session state lives in the player
 // and session objects the job creates — so results are byte-identical no
 // matter how many threads execute the sweep. Results always come back in job
-// order; `threads = 1` bypasses the pool entirely and is bit-identical to
-// the historical serial loop.
+// order; `threads = 1` starts no thread and is bit-identical to the
+// historical serial loop.
 //
 // Determinism contract (DESIGN.md "Parallel sweeps"): equal job lists give
 // equal per-job SessionLogs for every thread count, verified by comparing
@@ -63,8 +64,8 @@ struct SweepResult {
 };
 
 struct SweepOptions {
-  /// 0 = ThreadPool::default_thread_count(); 1 = serial on the calling
-  /// thread (no pool), bit-identical to the historical loop.
+  /// 0 = hardware_threads(); 1 = serial on the calling thread (no worker
+  /// thread), bit-identical to the historical loop.
   int threads = 0;
   /// Compute the QoeReport per job (uses setup.content ladder + allowed set).
   bool with_qoe = true;

@@ -21,7 +21,7 @@
 namespace demuxabr::fleet {
 
 /// Builds a fresh player per client; must not capture mutable shared state
-/// (replications run concurrently on a ThreadPool).
+/// (replications and shards run concurrently on worker threads).
 using PlayerFactory = std::function<std::unique_ptr<PlayerAdapter>()>;
 
 /// One entry of the player mix: clients draw a player proportionally to
@@ -78,7 +78,7 @@ struct FleetConfig {
   /// Worker threads for parallel shard execution (fleet/shard.h): a
   /// multi-component topology is partitioned into causally independent
   /// shards that run concurrently and merge deterministically. 1 = today's
-  /// fully serial path; 0 = ThreadPool::default_thread_count(). Results are
+  /// fully serial path; 0 = hardware_threads(). Results are
   /// byte-identical for every value (tests/test_fleet_shard.cpp).
   int threads = 1;
 

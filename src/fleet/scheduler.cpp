@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -12,11 +13,18 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/indexed_min_heap.h"
-#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/strings.h"
 
 namespace demuxabr::fleet {
+namespace {
+
+/// Out of line so the throw stays off the drain loop's hot path.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] void throw_drain_wedged(double t) {
+  throw std::logic_error(format("event-heap engine wedged at t=%g", t));
+}
+
+}  // namespace
 
 FleetScheduler::FleetScheduler(const Content& content, ManifestView view,
                                BandwidthTrace bottleneck, FleetConfig config)
@@ -434,11 +442,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
     // population change), and the (key, id) pop order must decide what
     // fires next exactly as the per-event-sync loop did.
     while (!heap.empty() && heap.top().t <= t) {
-      if (++guard > 10000000) {
-        DMX_ERROR << "event-heap engine wedged at t=" << t << " — aborting drain";
-        assert(false && "event drain did not converge");
-        break;
-      }
+      if (++guard > 10000000) throw_drain_wedged(t);
       const EventHeap::Event event = heap.top();
       // Only link entries can remain: phase A drained every due session and
       // session keys cannot move during the drain.

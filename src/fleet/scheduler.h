@@ -25,7 +25,7 @@
 // Identity holds because sessions derive all state from anchored values
 // that only change at their own events (sim/session.h), so barrier visits
 // at foreign event times are numerically invisible. Single-threaded and
-// deterministic; replications fan out across a ThreadPool.
+// deterministic; replications fan out across worker threads.
 #pragma once
 
 #include <cstdint>
@@ -140,11 +140,11 @@ class FleetScheduler {
 FleetResult run_fleet(const Content& content, const ManifestView& view,
                       const BandwidthTrace& bottleneck, const FleetConfig& config);
 
-// --- Independent replications (seed sweep) on the ThreadPool. ---
+// --- Independent replications (seed sweep) on worker threads. ---
 
 struct ReplicationOptions {
   int replications = 1;
-  /// 0 = ThreadPool::default_thread_count(); 1 = serial on the calling
+  /// 0 = hardware_threads(); 1 = serial on the calling
   /// thread. Any thread count yields identical per-replication results.
   int threads = 0;
   /// Replication r runs with seed = config.seed + r * seed_stride.
@@ -158,7 +158,7 @@ struct FleetReplication {
 };
 
 /// Run `options.replications` independent fleets (same config, shifted
-/// seeds), fanned across a ThreadPool. Results come back in replication
+/// seeds), fanned out by fan_out_ordered. Results come back in replication
 /// order and are byte-identical for every thread count. A traced config
 /// (`config.session.tracer`) traces each replication into a Tracer of its
 /// own and appends them in replication order, so the trace is too.

@@ -4,10 +4,10 @@
 // completion time on another. partition_fleet() finds the components (union-
 // find over links, with each client's video and audio paths coupled into
 // the same component, since one session spans both), and run_fleet_sharded()
-// runs one event-heap engine per component concurrently on the work-
-// stealing ThreadPool, merging results deterministically in shard-id order
-// (util/parallel.h fan_out_ordered — the run_replications recipe applied
-// *within* one fleet).
+// runs one event-heap engine per component concurrently on
+// fan_out_ordered's workers (util/parallel.h), merging results
+// deterministically in shard-id order — the run_replications recipe applied
+// *within* one fleet.
 //
 // Determinism argument: each shard simulates exactly the event sequence the
 // whole-topology serial engine would execute restricted to that component.

@@ -8,7 +8,6 @@
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace demuxabr {
@@ -376,8 +375,6 @@ void Topology::population_change(std::size_t p, int delta, double now) {
   if (delta < 0 && path.active_flows_ <= 0) {
     ++double_removes_;
     assert(false && "Channel::remove_flow on an idle path (double remove)");
-    DMX_ERROR << "Channel::remove_flow on an idle path (double remove?) — "
-                 "flow accounting is corrupt; clamping at zero";
     return;
   }
   // Advance every affected entity — exactly the paths whose rate this
@@ -649,7 +646,9 @@ Network Network::shared(BandwidthTrace trace, double rtt_s) {
 }
 
 void Network::set_tracer(obs::Tracer* tracer) {
-  if (topology_ != nullptr) topology_->set_tracer(tracer);
+  if (topology_ == nullptr) return;
+  topology_->set_tracer(tracer);
+  topology_->name_trace_tracks();
 }
 
 Network Network::split(BandwidthTrace video_trace, BandwidthTrace audio_trace,

@@ -525,8 +525,9 @@ struct Network {
   static Network split(BandwidthTrace video_trace, BandwidthTrace audio_trace,
                        double rtt_s = 0.05);
 
-  /// Trace the links of the topology shared() or split() built; no-op when
-  /// the carriers belong to someone else's topology (a fleet wires its own).
+  /// Trace and name the links of the topology shared() or split() built;
+  /// no-op when the carriers belong to someone else's topology (a fleet
+  /// wires its own).
   void set_tracer(obs::Tracer* tracer);
 
   [[nodiscard]] bool is_shared() const { return video_link == audio_link; }

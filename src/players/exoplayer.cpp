@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "players/exo_combinations.h"
-#include "util/logging.h"
 
 namespace demuxabr {
 

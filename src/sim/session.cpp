@@ -9,7 +9,6 @@
 
 #include "obs/trace.h"
 #include "sim/flow_router.h"
-#include "util/logging.h"
 
 namespace demuxabr {
 namespace {
@@ -512,7 +511,6 @@ void StreamingSession::process_events() {
   // at the cap. Anything else nominally due at the cap is dropped — in every
   // engine, since the cap is an exact event-time candidate in both.
   if (now_ >= config_.max_sim_time_s && !log_.completed && !stopped_) {
-    hit_cap_ = true;
     abort_session();
     return;
   }
@@ -624,15 +622,15 @@ void StreamingSession::abort_session() {
 
 SessionLog StreamingSession::finish() {
   log_.end_time_s = now_;
-  if (!log_.completed && hit_cap_) {
-    DMX_WARN << "session hit the sim-time cap at t=" << now_ << " (playhead "
-             << playhead_s_ << "/" << content_duration_s_ << ")";
-  }
   return std::move(log_);
 }
 
 SessionLog StreamingSession::run() {
   start();
+  // A solo session owns its track; a fleet names its clients' tracks itself.
+  if (config_.tracer != nullptr) {
+    config_.tracer->name_track(config_.trace_track, "session " + log_.player_name);
+  }
   while (!done()) {
     begin_step();
     advance_to(next_event_time());

@@ -126,7 +126,8 @@ class StreamingSession {
                    PlayerAdapter& player, SessionConfig config = {});
 
   /// Run to completion (or the sim-time cap) and return the log.
-  /// Implemented as a loop over the stepping API below.
+  /// Implemented as a loop over the stepping API below. A traced run names
+  /// config.trace_track "session <player name>".
   SessionLog run();
 
   // --- Incremental stepping API (DESIGN.md "Fleet simulation") ---
@@ -319,7 +320,6 @@ class StreamingSession {
   double now_ = 0.0;
   double next_tick_ = 0.0;  ///< next progress-sampling boundary
   bool stopped_ = false;    ///< abort_session() called (churn or cap)
-  bool hit_cap_ = false;    ///< stopped_ because of max_sim_time_s
   double last_series_sample_t_ = 0.0;
   double banked_bytes_ = 0.0;  ///< bytes of completed/aborted flows
   double lifetime_bytes_at_last_sample_ = 0.0;

@@ -8,9 +8,9 @@
 //  2. Determinism: fleet fingerprints are byte-identical between threads=1
 //     (the serial whole-topology path) and sharded runs at threads {2, 8,
 //     0=hardware}, in both full-log and streaming-metrics mode. These runs
-//     execute shard engines concurrently on the ThreadPool, so the fleet
-//     binary doubles as the TSan coverage of the shard runner (CI runs
-//     ctest -LE fleet_large under -fsanitize=thread).
+//     execute shard engines concurrently on fan_out_ordered's workers, so
+//     the fleet binary doubles as the TSan coverage of the shard runner (CI
+//     runs ctest -LE fleet_large under -fsanitize=thread).
 //  3. Streaming-vs-full equivalence: identical seeds, one run retaining
 //     every log and one aggregating O(1)-per-client — exact fields (counts,
 //     digest, fairness, means) agree to float noise, percentiles agree

@@ -35,7 +35,6 @@
 #include "net/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -535,16 +534,13 @@ TEST(TopologyRegression, DoubleRemoveIsCountedAndClamped) {
   path.remove_flow(1.0);
   EXPECT_EQ(topo.double_removes(), 0u);
 #ifdef NDEBUG
-  // Release: count it, clamp at zero on the path and every hop, and log an
-  // error rather than corrupting processor sharing for the other flows.
-  CaptureLogSink capture;
-  ScopedLogSink sink_guard(&capture);
+  // Release: count it and clamp at zero on the path and every hop rather
+  // than corrupting processor sharing for the other flows.
   path.remove_flow(2.0);
   EXPECT_EQ(topo.double_removes(), 1u);
   EXPECT_EQ(path.active_flows(), 0);
   EXPECT_EQ(topo.link_active_flows(edge), 0);
   EXPECT_EQ(topo.link_active_flows(core), 0);
-  EXPECT_TRUE(capture.contains("double remove"));
   // The path stays functional after the clamp: accounting is not corrupt.
   const double v0 = path.add_flow(3.0);
   EXPECT_DOUBLE_EQ(path.service_at(4.0) - v0, 1000.0);

@@ -351,6 +351,30 @@ TEST(Tracer, SplitNetworkCountsEachLinkOnItsOwnTrack) {
   for (const auto& [track, peak] : peak_flows) EXPECT_EQ(peak, 1) << track;
 }
 
+TEST(Tracer, SoloSessionNamesItsTrackAndLinks) {
+  // A traced solo session names its own track after the player and each
+  // link of its Network, so no event lands on an anonymous track.
+  ex::ExperimentSetup setup = ex::split_path_dash(
+      BandwidthTrace::constant(1200.0), BandwidthTrace::constant(200.0), "split-names");
+  Tracer tracer;
+  setup.session.tracer = &tracer;
+  ExoPlayerModel player;
+  ex::run(setup, player);
+  CaptureSink sink;
+  tracer.drain_to(sink);
+
+  const std::map<std::uint32_t, std::string> expected = {
+      {0u, "session exoplayer-dash"},
+      {kLinkTrackBase, "link video"},
+      {kLinkTrackBase + 1, "link audio"}};
+  EXPECT_EQ(sink.names, expected);
+  ASSERT_FALSE(sink.events.empty());
+  const auto unnamed = std::count_if(
+      sink.events.begin(), sink.events.end(),
+      [&sink](const TraceEvent& e) { return sink.names.count(e.track) == 0; });
+  EXPECT_EQ(unnamed, 0) << "events on unnamed tracks";
+}
+
 // --- Chrome trace acceptance ---------------------------------------------
 
 using FleetConfig = fleet::FleetConfig;

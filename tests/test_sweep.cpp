@@ -1,15 +1,11 @@
-// ThreadPool unit tests (ordering, exception propagation, graceful shutdown
-// with queued work) and the SweepRunner determinism contract: the same job
-// matrix must yield byte-identical SessionLogs at 1, 2, and 8 threads, in
-// job order, matching a plain serial loop.
+// The SweepRunner determinism contract: the same job matrix must yield
+// byte-identical SessionLogs at 1, 2, and 8 threads, in job order, matching
+// a plain serial loop.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/coordinated_player.h"
@@ -19,91 +15,11 @@
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 #include "players/shaka.h"
-#include "util/thread_pool.h"
 
 namespace demuxabr {
 namespace {
 
 namespace ex = demuxabr::experiments;
-
-// --- ThreadPool ---
-
-TEST(ThreadPool, ResultsComeBackThroughFuturesInSubmissionOrder) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPool, SingleThreadExecutesInSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::mutex mutex;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([i, &order, &mutex] {
-      std::lock_guard<std::mutex> lock(mutex);
-      order.push_back(i);
-    }));
-  }
-  for (auto& future : futures) future.get();
-  ASSERT_EQ(order.size(), 32u);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
-  ThreadPool pool(2);
-  std::future<int> boom =
-      pool.submit([]() -> int { throw std::runtime_error("task failed"); });
-  std::future<int> fine = pool.submit([] { return 7; });
-  EXPECT_THROW(boom.get(), std::runtime_error);
-  EXPECT_EQ(fine.get(), 7);  // a thrown task must not poison the pool
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedWork) {
-  std::atomic<int> executed{0};
-  std::vector<std::future<void>> futures;
-  ThreadPool pool(2);
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([&executed] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      executed.fetch_add(1);
-    }));
-  }
-  pool.shutdown();  // must run everything already queued, then join
-  EXPECT_EQ(executed.load(), 64);
-  for (auto& future : futures) future.get();  // none dropped, none broken
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] { return 1; }), std::runtime_error);
-}
-
-TEST(ThreadPool, DefaultThreadCountIsPositive) {
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
-  ThreadPool pool;  // default-sized pool must construct and run work
-  EXPECT_GE(pool.thread_count(), 1u);
-  EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
-}
-
-TEST(ThreadPool, ManyMoreThreadsThanCoresStillCompletes) {
-  ThreadPool pool(8);
-  std::atomic<int> executed{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&executed] { executed.fetch_add(1); }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(executed.load(), 200);
-}
 
 // --- SweepRunner ---
 

@@ -1,13 +1,16 @@
 // fan_out_ordered (util/parallel.h): the deterministic fan-out / ordered-
-// merge helper behind run_replications and the fleet shard runner. Results
-// must come back indexed by submission order regardless of completion order
-// or thread count, and threads <= 1 must degenerate to the plain serial
-// loop bit for bit.
+// merge helper behind run_replications, SweepRunner and the fleet shard
+// runner. Results must come back indexed by submission order regardless of
+// completion order or thread count, threads <= 1 must degenerate to the
+// plain serial loop bit for bit, and a failing job must surface the same
+// exception at every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,6 +42,7 @@ TEST(FanOutOrdered, SerialParallelAndDefaultThreadCountAgree) {
   const std::vector<double> defaulted = fan_out_ordered(16, 0, job);
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, defaulted);
+  EXPECT_GE(hardware_threads(), 1u);
 }
 
 TEST(FanOutOrdered, DegenerateCounts) {
@@ -61,6 +65,26 @@ TEST(FanOutOrdered, JobsRunConcurrentlyWhenAsked) {
   const std::vector<int> results = fan_out_ordered(4, 4, job);
   ASSERT_EQ(results.size(), 4u);
   for (const int r : results) EXPECT_EQ(r, 1);
+}
+
+TEST(FanOutOrdered, LowestFailingIndexWinsAndEveryJobRuns) {
+  // Jobs 3 and 9 throw. Every thread count reports job 3; the serial loop
+  // stops there, the workers finish the batch before rethrowing.
+  for (const int threads : {1, 2, 8}) {
+    std::atomic<int> ran{0};
+    const auto job = [&ran](std::size_t i) {
+      ran.fetch_add(1);
+      if (i == 3 || i == 9) throw std::runtime_error("job " + std::to_string(i));
+      return static_cast<int>(i);
+    };
+    try {
+      (void)fan_out_ordered(12, threads, job);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "job 3") << "threads=" << threads;
+    }
+    EXPECT_EQ(ran.load(), threads == 1 ? 4 : 12) << "threads=" << threads;
+  }
 }
 
 }  // namespace
