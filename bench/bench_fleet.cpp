@@ -55,6 +55,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -1042,7 +1043,16 @@ int run_cli(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   const CliOptions cli = parse_cli(argc, argv);
-  if (cli.cli_mode) return run_cli(cli);
+  if (cli.cli_mode) {
+    // A guard that fails closed (a wedged event-heap drain) throws; report
+    // it like the CLI's own gates: one FAIL line, exit 1.
+    try {
+      return run_cli(cli);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "FAIL: %s\n", e.what());
+      return 1;
+    }
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -79,6 +79,11 @@ class CoordinatedPlayer : public PlayerAdapter {
   std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override;
   void on_progress(const ProgressSample& sample) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
+  /// Both prefetch modes stop fetching a type at buffer_target_s.
+  [[nodiscard]] double idle_floor_s(MediaType type) const override {
+    (void)type;
+    return prefetcher_.config().buffer_target_s;
+  }
 
   [[nodiscard]] const std::vector<ComboView>& allowed() const;
   [[nodiscard]] std::size_t current_combination_index() const;

@@ -8,6 +8,7 @@
 // implicitly compared against.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,6 +37,11 @@ class MuxedPlayer : public PlayerAdapter {
   std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override;
   void on_progress(const ProgressSample& sample) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
+  /// Gates on video only: buffer_target_s for video, none for audio.
+  [[nodiscard]] double idle_floor_s(MediaType type) const override {
+    return type == MediaType::kVideo ? config_.buffer_target_s
+                                     : -std::numeric_limits<double>::infinity();
+  }
 
   [[nodiscard]] const std::vector<ComboView>& variants() const;
 

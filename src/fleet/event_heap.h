@@ -5,7 +5,10 @@
 //     refreshed in the registration phase after the session is processed.
 //     A session with nothing in flight first runs its sampling ticks in
 //     place (StreamingSession::run_idle_ticks), so idle ticks never enter
-//     the heap: a session's key is its next event that is not an idle tick;
+//     the heap: a session's key is its next event that is not an idle tick.
+//     A session whose in-flight ticks feed its player nothing
+//     (StreamingSession::ticks_can_run_late) is keyed on its next non-tick
+//     event instead, and runs the skipped ticks at its next visit;
 //   * shared links — every carrier with a completion registry: one entity
 //     per topology *channel* (spec paths plus the derived cache-hit prefix
 //     channels of cache-aware fleets, Topology::channel_count). Keyed on

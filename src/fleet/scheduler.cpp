@@ -327,11 +327,16 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
     topology_.clear_dirty();
   };
   // A session is keyed on its own (link-independent) events plus its
-  // planned departure; flow completions surface through the link keys.
+  // planned departure; flow completions surface through the link keys. A
+  // session whose ticks can run late is keyed past them: its next visit
+  // runs them first (DESIGN.md §12).
   const auto schedule = [&](Client& client) {
-    const double t = std::min(client.session->next_local_event_time(),
-                              client.plan.leave_at_s);
-    heap.schedule_session(static_cast<std::uint32_t>(client.plan.id), t);
+    const StreamingSession& session = *client.session;
+    const double local = session.ticks_can_run_late()
+                             ? session.next_nontick_event_time()
+                             : session.next_local_event_time();
+    heap.schedule_session(static_cast<std::uint32_t>(client.plan.id),
+                          std::min(local, client.plan.leave_at_s));
   };
 
   double now = 0.0;
@@ -409,8 +414,12 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
                             .kv("client", global_id(id)));
       Client& client = *slots_[id];
       StreamingSession& session = *client.session;
-      session.integrate_to(t);
-      session.process_events();
+      // Ticks owed from a late key (none otherwise) count as steps.
+      result_.steps += session.run_late_ticks(t);
+      if (!session.done()) {
+        session.integrate_to(t);
+        session.process_events();
+      }
       if (!session.done() && client.plan.leave_at_s <= t) {
         session.abort_session();
       }

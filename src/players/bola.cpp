@@ -53,11 +53,4 @@ std::size_t Bola::choose(double buffer_s) const {
   return best;
 }
 
-bool Bola::prefers_waiting(double buffer_s) const {
-  for (std::size_t i = 0; i < bitrates_kbps_.size(); ++i) {
-    if (score(i, buffer_s) > 0.0) return false;
-  }
-  return true;
-}
-
 }  // namespace demuxabr

@@ -21,10 +21,6 @@ class Bola {
   /// its target (dash.js splits the two concerns the same way).
   [[nodiscard]] std::size_t choose(double buffer_s) const;
 
-  /// True when BOLA would rather wait than download (objective <= 0 for
-  /// every track — buffer beyond the pivot).
-  [[nodiscard]] bool prefers_waiting(double buffer_s) const;
-
   [[nodiscard]] double buffer_target_s() const { return buffer_target_s_; }
   [[nodiscard]] double gp() const { return gp_; }
   [[nodiscard]] double vp() const { return vp_; }

@@ -58,6 +58,15 @@ std::size_t DashJsPlayerModel::adapt(Pipeline& p, double buffer_s) {
   return p.current;
 }
 
+double DashJsPlayerModel::fetch_target_s(const Pipeline& p) const {
+  return p.current + 1 == p.track_ids.size() ? config_.top_quality_buffer_s
+                                             : config_.stable_buffer_s;
+}
+
+double DashJsPlayerModel::idle_floor_s(MediaType type) const {
+  return fetch_target_s(pipeline(type));
+}
+
 std::optional<DownloadRequest> DashJsPlayerModel::next_request(const PlayerContext& ctx) {
   // Two independent fetch pipelines; no cross-type synchronization at all
   // (the §3.4/§3.5 finding). Each type fetches while its own buffer is below
@@ -73,10 +82,7 @@ std::optional<DownloadRequest> DashJsPlayerModel::next_request(const PlayerConte
   for (MediaType type : {MediaType::kAudio, MediaType::kVideo}) {
     if (ctx.downloading(type)) continue;
     if (ctx.next_chunk(type) >= ctx.total_chunks) continue;
-    const Pipeline& p = pipeline(type);
-    const bool at_top = p.current + 1 == p.track_ids.size();
-    const double target = at_top ? config_.top_quality_buffer_s : config_.stable_buffer_s;
-    if (ctx.buffer_s(type) >= target) continue;
+    if (ctx.buffer_s(type) >= fetch_target_s(pipeline(type))) continue;
     candidates[candidate_count++] = {type, ctx.buffer_s(type)};
   }
   if (candidate_count == 0) return std::nullopt;

@@ -52,6 +52,8 @@ class DashJsPlayerModel : public PlayerAdapter {
                          const PlayerContext& ctx) override;
   /// Reports the video-pipeline estimate (each type has its own).
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
+  /// Each pipeline's own fetch target (fetch_target_s).
+  [[nodiscard]] double idle_floor_s(MediaType type) const override;
   [[nodiscard]] double estimate_kbps(MediaType type) const;
 
   /// Current ABR state of one pipeline (for tests).
@@ -83,6 +85,10 @@ class DashJsPlayerModel : public PlayerAdapter {
   [[nodiscard]] const Pipeline& pipeline(MediaType type) const {
     return type == MediaType::kAudio ? audio_ : video_;
   }
+
+  /// The buffer level at which `p` stops fetching: top_quality_buffer_s at
+  /// the top rung, stable_buffer_s below it.
+  [[nodiscard]] double fetch_target_s(const Pipeline& p) const;
 
   /// Run the DYNAMIC rule for one pipeline; updates state and returns the
   /// chosen track index.

@@ -42,6 +42,13 @@ class ExoLegacyPlayerModel : public PlayerAdapter {
   void on_chunk_complete(const ChunkCompletion& completion,
                          const PlayerContext& ctx) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
+  /// Both types stop fetching at max_buffer_s.
+  [[nodiscard]] double idle_floor_s(MediaType type) const override {
+    (void)type;
+    return config_.max_buffer_s;
+  }
+  /// The bandwidth meter reads finished transfers only.
+  [[nodiscard]] bool observes_progress() const override { return false; }
 
   [[nodiscard]] const std::string& fixed_audio_id() const { return audio_id_; }
   [[nodiscard]] std::size_t current_video_index() const { return current_; }

@@ -47,6 +47,13 @@ class ExoPlayerModel : public PlayerAdapter {
   void on_chunk_complete(const ChunkCompletion& completion,
                          const PlayerContext& ctx) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
+  /// Both types stop fetching at max_buffer_s.
+  [[nodiscard]] double idle_floor_s(MediaType type) const override {
+    (void)type;
+    return config_.max_buffer_s;
+  }
+  /// The bandwidth meter reads finished transfers only.
+  [[nodiscard]] bool observes_progress() const override { return false; }
 
   /// The combination ladder the model adapts over (for tests/inspection).
   [[nodiscard]] const std::vector<ComboView>& combinations() const { return combos_; }

@@ -42,6 +42,11 @@ class ShakaPlayerModel : public PlayerAdapter {
   std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override;
   void on_progress(const ProgressSample& sample) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
+  /// Both pipelines fill to the bufferingGoal.
+  [[nodiscard]] double idle_floor_s(MediaType type) const override {
+    (void)type;
+    return config_.buffering_goal_s;
+  }
 
   [[nodiscard]] const std::vector<ComboView>& combinations() const { return combos_; }
   /// The rate-based choice at a given estimate (exposed for the §3.3

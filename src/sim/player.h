@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -132,6 +133,23 @@ class PlayerAdapter {
 
   /// Current bandwidth estimate for logging; 0 when the model has none.
   [[nodiscard]] virtual double bandwidth_estimate_kbps() const { return 0.0; }
+
+  /// The buffer level at which `type` stops fetching. Contract: while
+  /// neither type downloads, next_request returns nullopt and changes
+  /// nothing, as long as every type with chunks left has a buffer at or
+  /// above its floor. The answer holds until the next call into the player.
+  /// A fleet session skips the poll of any idle tick the floors cover
+  /// (DESIGN.md §12). The default, +inf, promises nothing: every tick polls.
+  [[nodiscard]] virtual double idle_floor_s(MediaType type) const {
+    (void)type;
+    return std::numeric_limits<double>::infinity();
+  }
+
+  /// False only for a player that overrides neither on_progress nor
+  /// should_abandon: progress samples feed it nothing, so a fleet engine
+  /// may run its in-flight ticks late, without the samples (DESIGN.md §12).
+  /// The default, true, keeps every tick on time.
+  [[nodiscard]] virtual bool observes_progress() const { return true; }
 };
 
 }  // namespace demuxabr

@@ -408,6 +408,7 @@ void StreamingSession::sample_series() {
 void StreamingSession::start() {
   player_.start(view_);
   log_.player_name = player_.name();  // after start: names can be protocol-dependent
+  player_observes_progress_ = player_.observes_progress();
   next_tick_ = config_.start_time_s + config_.delta_s;
   sample_series();
   poll_player();
@@ -463,7 +464,11 @@ double StreamingSession::next_event_time() const {
 }
 
 double StreamingSession::next_local_event_time() const {
-  double t = next_tick_;
+  return std::min(next_tick_, next_nontick_event_time());
+}
+
+double StreamingSession::next_nontick_event_time() const {
+  double t = config_.max_sim_time_s;
   for (const Flow* f : {&audio_flow_, &video_flow_}) {
     if (f->active && !f->on_link) t = std::min(t, f->data_start_t);
   }
@@ -479,8 +484,14 @@ double StreamingSession::next_local_event_time() const {
   if (next_seek_ < config_.seeks.size()) {
     t = std::min(t, config_.seeks[next_seek_].at_time_s);
   }
-  t = std::min(t, config_.max_sim_time_s);
   return t;
+}
+
+bool StreamingSession::ticks_can_run_late() const {
+  if (config_.record_series || player_observes_progress_) return false;
+  if (active_flow_count() < player_.max_concurrent_downloads()) return false;
+  return (!audio_flow_.active || audio_flow_.on_link) &&
+         (!video_flow_.active || video_flow_.on_link);
 }
 
 void StreamingSession::integrate_to(double t) {
@@ -496,6 +507,10 @@ void StreamingSession::integrate_to(double t) {
           std::clamp(served, 0.0, static_cast<double>(f->total_bytes));
     }
   }
+  integrate_playback_to(t);
+}
+
+void StreamingSession::integrate_playback_to(double t) {
   if (playing_) {
     playhead_s_ = playhead_anchor_ + (t - anchor_t_);
     const double consumed = playhead_s_ - playhead_flush_base_;
@@ -584,19 +599,72 @@ void StreamingSession::process_events() {
 
   handle_playback_transitions();
   poll_player();
+  check_content_end();
+}
 
+void StreamingSession::check_content_end() {
   if (started_ && playhead_s_ + kEps >= content_duration_s_) {
     log_.completed = true;
   }
+}
+
+bool StreamingSession::tick_is_quiet(double audio_floor_s, double video_floor_s) const {
+  const auto settled = [this](const MediaBuffer& buf, int next_chunk, double floor_s) {
+    return next_chunk >= total_chunks_ || (!buf.empty() && buf.level_s() >= floor_s);
+  };
+  return settled(audio_buffer_, next_audio_chunk_, audio_floor_s) &&
+         settled(video_buffer_, next_video_chunk_, video_floor_s) &&
+         playhead_s_ + kEps < content_duration_s_;
 }
 
 std::uint64_t StreamingSession::run_idle_ticks(double horizon) {
   std::uint64_t ticks = 0;
   while (!done() && !audio_flow_.active && !video_flow_.active &&
          pending_deliveries_.empty()) {
+    if (playing_) {
+      // Quiet stretch. A tick strictly before every other local event
+      // fires no seek, cap, deadline or content end, and with the buffers
+      // at their floors the poll returns nothing and changes nothing
+      // (PlayerAdapter::idle_floor_s); the tick only samples. The floors
+      // hold until the next call into the player: process_events().
+      const double audio_floor = player_.idle_floor_s(MediaType::kAudio);
+      const double video_floor = player_.idle_floor_s(MediaType::kVideo);
+      const double limit = std::min(next_nontick_event_time(), horizon);
+      bool polled = false;
+      while (next_tick_ < limit) {
+        integrate_to(next_tick_);
+        ++ticks;
+        if (!tick_is_quiet(audio_floor, video_floor)) {
+          process_events();
+          polled = true;
+          break;
+        }
+        sample_series();
+        next_tick_ += config_.delta_s;
+      }
+      if (polled) continue;
+    }
     const double t = next_local_event_time();
     if (t != next_tick_ || !(t < horizon)) break;
     advance_to(t);
+    ++ticks;
+  }
+  return ticks;
+}
+
+std::uint64_t StreamingSession::run_late_ticks(double t) {
+  std::uint64_t ticks = 0;
+  while (next_tick_ < t && !done()) {
+    assert(ticks_can_run_late());
+    // process_events() at this tick, minus what it cannot do here: the
+    // progress samples feed a player that ignores them, the poll finds
+    // every slot busy, and no completion, seek, deadline or cap is due
+    // before the session's key.
+    integrate_playback_to(next_tick_);
+    sample_series();
+    next_tick_ += config_.delta_s;
+    handle_playback_transitions();
+    check_content_end();
     ++ticks;
   }
   return ticks;

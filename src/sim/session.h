@@ -152,7 +152,16 @@ class StreamingSession {
   // cannot observe whether it was also advanced at foreign barrier times.
   // After begin_step() it calls run_idle_ticks(), which fires the session's
   // sampling ticks in place for as long as nothing is in flight, so idle
-  // ticks need no heap round-trip.
+  // ticks need no heap round-trip; a playing session's ticks that owe the
+  // player no poll (its idle floors, PlayerAdapter::idle_floor_s) only
+  // sample. A session whose ticks_can_run_late() is keyed on
+  // next_nontick_event_time() instead, and each visit first calls
+  // run_late_ticks(t) for the ticks it skipped:
+  //
+  //   run_late_ticks(t); integrate_to(t); process_events();  // the visit
+  //   begin_step(); run_idle_ticks(leave);                   // registration
+  //   key = ticks_can_run_late() ? next_nontick_event_time()
+  //                              : next_local_event_time();
 
   /// One-time setup: starts the player, takes the first series sample and
   /// offers the first download slots. Call before any stepping.
@@ -179,7 +188,30 @@ class StreamingSession {
   /// the event-heap engine keys sessions on this and lets each shared link
   /// announce its own earliest completion (Channel::earliest_completion_time),
   /// so no per-session key ever goes stale when a link's population moves.
+  /// It is min(next sampling tick, next_nontick_event_time()).
   [[nodiscard]] double next_local_event_time() const;
+
+  /// The session's local events other than the sampling tick: RTT
+  /// expiries, underrun deadlines, content end, the next scripted seek and
+  /// the sim-time cap.
+  [[nodiscard]] double next_nontick_event_time() const;
+
+  /// True when the ticks until the next visit may run late: no series are
+  /// recorded, the player does not observe progress, every download slot
+  /// is busy and every active flow rides its channel. Such a tick reads no
+  /// channel and makes no player call (the poll finds no free slot), so
+  /// the event-heap engine keys the session on next_nontick_event_time()
+  /// and its next visit runs them (run_late_ticks). The conditions hold
+  /// until that visit: only the session's own events change them.
+  [[nodiscard]] bool ticks_can_run_late() const;
+
+  /// Run every sampling tick strictly before `t`, playback only: each one
+  /// advances the playhead and buffers, samples, runs the playback
+  /// transitions and the content-end check, and skips the progress samples
+  /// and the poll. Call at a visit of a session keyed while
+  /// ticks_can_run_late(), before integrate_to(t). Stops early if a tick
+  /// ends the session. Returns the number of ticks run.
+  std::uint64_t run_late_ticks(double t);
 
   /// Advance flows/buffers/playhead/clock to `t` (<= next_event_time())
   /// without firing events. Pure assignment of anchored values: advancing
@@ -204,6 +236,14 @@ class StreamingSession {
   /// strictly before `horizon`. Each tick is advance_to(tick), the calls an
   /// engine visit at that tick makes. Stops after the first tick that
   /// issues a request or ends the session. Returns the number of ticks run.
+  ///
+  /// A playing session runs a quiet stretch first: it reads the player's
+  /// idle floors once, and each tick strictly before
+  /// min(next_nontick_event_time(), horizon) at which every type with
+  /// chunks left holds a non-empty buffer at or above its floor, and the
+  /// playhead is more than kEps short of content end, only samples. Such a
+  /// tick's poll would return nothing, and nothing else is due. The first
+  /// other tick runs process_events() and ends the stretch.
   ///
   /// Safe ahead of a fleet's clock because an idle session reads no shared
   /// state: it rides no channel and reaches the router only in begin_step()
@@ -303,6 +343,14 @@ class StreamingSession {
   /// Emit the pending progress sample up to t1; returns it when non-empty.
   std::optional<ProgressSample> emit_progress(Flow& f, double t1);
   void handle_playback_transitions();
+  /// Mark the session completed once the playhead reaches content end.
+  void check_content_end();
+  /// The playback half of integrate_to: playhead, buffers and clock.
+  void integrate_playback_to(double t);
+  /// A tick of the quiet stretch in run_idle_ticks: every type with chunks
+  /// left holds a non-empty buffer at or above its idle floor, and content
+  /// end is more than kEps away.
+  [[nodiscard]] bool tick_is_quiet(double audio_floor_s, double video_floor_s) const;
   void sample_series();
   [[nodiscard]] bool all_chunks_downloaded() const;
 
@@ -319,6 +367,8 @@ class StreamingSession {
 
   double now_ = 0.0;
   double next_tick_ = 0.0;  ///< next progress-sampling boundary
+  /// PlayerAdapter::observes_progress(), read once at start().
+  bool player_observes_progress_ = true;
   bool stopped_ = false;    ///< abort_session() called (churn or cap)
   double last_series_sample_t_ = 0.0;
   double banked_bytes_ = 0.0;  ///< bytes of completed/aborted flows

@@ -5,11 +5,17 @@
 // population model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
@@ -88,6 +94,116 @@ TEST(SessionStepping, StartTimeOffsetsClockButNotStartupDelay) {
   EXPECT_NEAR(log.startup_delay_s, base.startup_delay_s, 1e-6);
   ASSERT_FALSE(log.downloads.empty());
   EXPECT_GE(log.downloads.front().start_t, 100.0);
+}
+
+/// One session in the event-heap engine's call order on its own network:
+/// registration (begin_step, run_idle_ticks, then the key: the next
+/// non-tick event while ticks_can_run_late(), else the next local event,
+/// and the links' earliest completion), then a visit at the key
+/// (run_late_ticks, integrate_to, process_events).
+SessionLog run_in_engine_order(StreamingSession& session, const Network& network) {
+  session.start();
+  while (!session.done()) {
+    session.begin_step();
+    session.run_idle_ticks(std::numeric_limits<double>::infinity());
+    if (session.done()) break;
+    const double local = session.ticks_can_run_late() ? session.next_nontick_event_time()
+                                                      : session.next_local_event_time();
+    const double t = std::min({local, network.video_link->earliest_completion_time(),
+                               network.audio_link->earliest_completion_time()});
+    if (!(t > session.now())) {
+      ADD_FAILURE() << "key " << t << " does not advance past " << session.now();
+      break;
+    }
+    session.run_late_ticks(t);
+    if (session.done()) break;
+    session.integrate_to(t);
+    session.process_events();
+  }
+  return session.finish();
+}
+
+SessionLog run_solo(const ex::ExperimentSetup& setup, PlayerAdapter& player) {
+  const Network network = Network::shared(setup.trace, setup.rtt_s);
+  StreamingSession session(setup.content, setup.view, network, player, setup.session);
+  return session.run();
+}
+
+SessionLog run_solo_in_engine_order(const ex::ExperimentSetup& setup, PlayerAdapter& player) {
+  const Network network = Network::shared(setup.trace, setup.rtt_s);
+  StreamingSession session(setup.content, setup.view, network, player, setup.session);
+  return run_in_engine_order(session, network);
+}
+
+TEST(SessionStepping, EngineOrderMatchesRunForEveryComparisonPlayer) {
+  // Quiet idle stretches (every player answers idle floors) and late
+  // in-flight ticks (the ExoPlayer models, without series) must leave the
+  // log exactly as run() writes it: to content end, and through seeks and
+  // a cap that land between ticks.
+  const BandwidthTrace trace = BandwidthTrace::constant(4000.0);
+  const auto& players = ex::comparison_players();
+  for (std::size_t i = 0; i < players.size(); ++i) {
+    for (const bool series : {true, false}) {
+      for (const bool cut_short : {false, true}) {
+        SCOPED_TRACE(players[i].label + (series ? " series" : " no series") +
+                     (cut_short ? " seeks+cap" : " to the end"));
+        ex::ExperimentSetup setup = ex::comparison_setup(i, trace, "engine-order");
+        setup.session.record_series = series;
+        if (cut_short) {
+          setup.session.seeks = {{60.0, 150.0}, {100.06, 20.0}};
+          setup.session.max_sim_time_s = 200.03;
+        }
+        const std::unique_ptr<PlayerAdapter> solo = players[i].factory();
+        const std::unique_ptr<PlayerAdapter> stepped = players[i].factory();
+        const SessionLog expected = run_solo(setup, *solo);
+        const SessionLog log = run_solo_in_engine_order(setup, *stepped);
+        EXPECT_EQ(log.completed, !cut_short);
+        EXPECT_EQ(ex::log_fingerprint(expected), ex::log_fingerprint(log));
+      }
+    }
+  }
+}
+
+TEST(SessionStepping, QuietStretchEndsWithinKEpsOfContentEnd) {
+  // Content end lands 0.5 ns after a tick, inside the kEps the completion
+  // check allows: that tick completes the session, so it is not quiet.
+  ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(5000.0), "keps-end");
+  setup.session.record_series = false;
+  ExoPlayerModel first;
+  const SessionLog base = run_solo(setup, first);
+  ASSERT_TRUE(base.completed);
+  ASSERT_TRUE(base.stalls.empty());
+  const double anchor = base.startup_delay_s;  // the session starts at 0
+  const double duration = setup.content.duration_s();
+  const double tick = std::ceil((anchor + duration) / 0.125) * 0.125;
+
+  // Same chunks and sizes, each chunk lengthened so content end is the
+  // tick plus 0.5 ns (chunk sizes, so download times, do not move).
+  const int chunks = setup.content.num_chunks();
+  const double chunk_s = (tick - anchor + 5e-10) / chunks;
+  std::map<std::string, std::vector<ChunkInfo>> stretched;
+  for (const MediaType type : {MediaType::kAudio, MediaType::kVideo}) {
+    for (const TrackInfo& track : setup.content.ladder().tracks(type)) {
+      std::vector<ChunkInfo> list = setup.content.chunks(track.id);
+      for (ChunkInfo& chunk : list) chunk.duration_s = chunk_s;
+      stretched[track.id] = std::move(list);
+    }
+  }
+  setup.content = Content(setup.content.ladder(), chunk_s, std::move(stretched));
+  ASSERT_GT(setup.content.duration_s() - (tick - anchor), 0.0);
+  ASSERT_LT(setup.content.duration_s() - (tick - anchor), 1e-9);
+
+  ExoPlayerModel solo;
+  const SessionLog expected = run_solo(setup, solo);
+  ASSERT_TRUE(expected.stalls.empty());
+  ASSERT_EQ(expected.startup_delay_s, anchor);
+  EXPECT_TRUE(expected.completed);
+  EXPECT_EQ(expected.end_time_s, tick);
+  ExoPlayerModel stepped;
+  const SessionLog log = run_solo_in_engine_order(setup, stepped);
+  EXPECT_EQ(log.end_time_s, tick);
+  EXPECT_EQ(ex::log_fingerprint(expected), ex::log_fingerprint(log));
 }
 
 TEST(Fleet, SingleClientMatchesSoloSession) {
@@ -494,6 +610,190 @@ TEST(Fleet, IdleTicksLeaveTheEventHeap) {
   ASSERT_GT(result.steps, 0u);
   EXPECT_LE(result.profile.heap_pops, result.steps / 2)
       << result.profile.heap_pops << " pops for " << result.steps << " steps";
+}
+
+/// Forwards the classic PlayerAdapter calls and counts polls into `polls`.
+/// With `forward_queries` false it answers neither idle_floor_s nor
+/// observes_progress, like a decorator written before the engine asked
+/// them: the event-heap engine then polls and keys every tick as it did
+/// before it skipped any.
+class CountingPlayer final : public PlayerAdapter {
+ public:
+  CountingPlayer(std::unique_ptr<PlayerAdapter> inner, bool forward_queries,
+                 std::uint64_t& polls)
+      : inner_(std::move(inner)), forward_queries_(forward_queries), polls_(polls) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void start(const ManifestView& view) override { inner_->start(view); }
+  [[nodiscard]] int max_concurrent_downloads() const override {
+    return inner_->max_concurrent_downloads();
+  }
+  std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override {
+    ++polls_;
+    return inner_->next_request(ctx);
+  }
+  void on_progress(const ProgressSample& sample) override { inner_->on_progress(sample); }
+  bool should_abandon(const ProgressSample& sample, const PlayerContext& ctx) override {
+    return inner_->should_abandon(sample, ctx);
+  }
+  void on_chunk_complete(const ChunkCompletion& completion,
+                         const PlayerContext& ctx) override {
+    inner_->on_chunk_complete(completion, ctx);
+  }
+  [[nodiscard]] double bandwidth_estimate_kbps() const override {
+    return inner_->bandwidth_estimate_kbps();
+  }
+  [[nodiscard]] double idle_floor_s(MediaType type) const override {
+    return forward_queries_ ? inner_->idle_floor_s(type) : PlayerAdapter::idle_floor_s(type);
+  }
+  [[nodiscard]] bool observes_progress() const override {
+    return forward_queries_ ? inner_->observes_progress()
+                            : PlayerAdapter::observes_progress();
+  }
+
+ private:
+  std::unique_ptr<PlayerAdapter> inner_;
+  bool forward_queries_;
+  std::uint64_t& polls_;
+};
+
+/// dash.js with abandonment off reads nothing from a progress sample, so
+/// this wrapper forwards neither progress hook and answers false. The
+/// progress-blind comparison models fetch one chunk at a time; this one
+/// keeps two slots, so it has ticks with a flow in flight and a slot free.
+class ProgressBlindDashJs final : public PlayerAdapter {
+ public:
+  ProgressBlindDashJs() : inner_(config()) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void start(const ManifestView& view) override { inner_.start(view); }
+  [[nodiscard]] int max_concurrent_downloads() const override {
+    return inner_.max_concurrent_downloads();
+  }
+  std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override {
+    return inner_.next_request(ctx);
+  }
+  void on_chunk_complete(const ChunkCompletion& completion,
+                         const PlayerContext& ctx) override {
+    inner_.on_chunk_complete(completion, ctx);
+  }
+  [[nodiscard]] double bandwidth_estimate_kbps() const override {
+    return inner_.bandwidth_estimate_kbps();
+  }
+  [[nodiscard]] double idle_floor_s(MediaType type) const override {
+    return inner_.idle_floor_s(type);
+  }
+  [[nodiscard]] bool observes_progress() const override { return false; }
+
+ private:
+  static DashJsConfig config() {
+    DashJsConfig config;
+    config.enable_abandonment = false;
+    return config;
+  }
+  DashJsPlayerModel inner_;
+};
+
+struct CountedRun {
+  FleetResult result;
+  std::uint64_t polls = 0;
+};
+
+CountedRun run_counted(const ex::ExperimentSetup& setup, const BandwidthTrace& bottleneck,
+                       FleetConfig config, bool forward_queries) {
+  std::uint64_t polls = 0;
+  for (PlayerShare& share : config.players) {
+    share.factory = [inner = share.factory, forward_queries, &polls] {
+      return std::make_unique<CountingPlayer>(inner(), forward_queries, polls);
+    };
+  }
+  config.engine = Engine::kEventHeap;
+  FleetResult result = run_fleet(setup.content, setup.view, bottleneck, config);
+  return {std::move(result), polls};
+}
+
+/// The forwarding-decorator oracle. Players that answer both queries let
+/// the event-heap engine skip polls (quiet idle ticks) and heap round-trips
+/// (late in-flight ticks); the same fleet behind a decorator that answers
+/// neither runs every tick as before. Both runs, and the barrier engine's,
+/// must agree byte for byte and step for step, with fewer pops and polls.
+void expect_skipped_ticks_invisible(const ex::ExperimentSetup& setup,
+                                    const BandwidthTrace& bottleneck,
+                                    const FleetConfig& config) {
+  const CountedRun classic = run_counted(setup, bottleneck, config, false);
+  const CountedRun skipping = run_counted(setup, bottleneck, config, true);
+  FleetConfig barrier_config = config;
+  barrier_config.engine = Engine::kBarrier;
+  const FleetResult barrier =
+      run_fleet(setup.content, setup.view, bottleneck, barrier_config);
+
+  ASSERT_EQ(classic.result.clients.size(), skipping.result.clients.size());
+  for (std::size_t i = 0; i < classic.result.clients.size(); ++i) {
+    EXPECT_EQ(ex::log_fingerprint(classic.result.clients[i].log),
+              ex::log_fingerprint(skipping.result.clients[i].log))
+        << "client " << classic.result.clients[i].id;
+  }
+  EXPECT_EQ(fleet_fingerprint(classic.result), fleet_fingerprint(skipping.result));
+  EXPECT_EQ(fleet_fingerprint(barrier), fleet_fingerprint(skipping.result));
+  EXPECT_EQ(classic.result.steps, skipping.result.steps);
+  EXPECT_LT(skipping.result.profile.heap_pops, classic.result.profile.heap_pops);
+  EXPECT_LT(skipping.polls, classic.polls);
+}
+
+/// idle_mix_config plus the two-slot progress-blind dash.js.
+FleetConfig skipping_mix_config(int clients, std::uint64_t seed) {
+  FleetConfig config = idle_mix_config(clients, seed);
+  config.players.push_back(
+      {"dashjs-blind", [] { return std::make_unique<ProgressBlindDashJs>(); }, 1.0});
+  return config;
+}
+
+TEST(SkippedTicks, InvisibleWithChurnAndTheCapOnATick) {
+  // Tick-aligned arrivals: half the clients leave 40 s in, on a tick, and
+  // the 100 s budget ends on a tick.
+  const BandwidthTrace bottleneck = BandwidthTrace::constant(5000.0);
+  const ex::ExperimentSetup setup = ex::plain_dash(bottleneck, "skip-churn");
+  FleetConfig config = skipping_mix_config(12, 61);
+  config.churn.leave_probability = 0.5;
+  config.churn.min_watch_s = 40.0;
+  config.churn.max_watch_s = 40.0;
+  config.session.max_sim_time_s = 100.0;
+  expect_skipped_ticks_invisible(setup, bottleneck, config);
+}
+
+TEST(SkippedTicks, InvisibleWithSeeksAndTelemetry) {
+  // Seeks on a tick and between ticks, and a budget that ends between
+  // ticks: each must cut an idle stretch short at its own instant.
+  const BandwidthTrace bottleneck = BandwidthTrace::constant(5000.0);
+  const ex::ExperimentSetup setup = ex::plain_dash(bottleneck, "skip-seeks");
+  FleetConfig config = skipping_mix_config(12, 67);
+  config.session.seeks = {{30.0, 200.0}, {50.06, 12.0}, {70.0, 40.0}};
+  config.session.max_sim_time_s = 110.03;
+  config.telemetry.enabled = true;
+  expect_skipped_ticks_invisible(setup, bottleneck, config);
+}
+
+TEST(SkippedTicks, InvisibleWithZeroRttSplitAudioAndACachedChain) {
+  const BandwidthTrace video = BandwidthTrace::constant(5000.0);
+  const ex::ExperimentSetup setup = ex::plain_dash(video, "skip-topology");
+  FleetConfig config = skipping_mix_config(12, 71);
+  config.rtt_s = 0.0;
+  config.session.max_sim_time_s = 150.0;
+  {
+    SCOPED_TRACE("split audio");
+    config.topology = split_audio_spec(video, BandwidthTrace::constant(2000.0));
+    expect_skipped_ticks_invisible(setup, video, config);
+  }
+  {
+    SCOPED_TRACE("cached chain");
+    TopologySpec spec;
+    const std::size_t access = spec.add_link("access", BandwidthTrace::constant(5000.0));
+    const std::size_t core = spec.add_link("core", BandwidthTrace::constant(3000.0));
+    spec.add_path("chain", {access, core});
+    spec.links[access].cache = CacheSpec{0, -1};
+    config.topology = spec;
+    expect_skipped_ticks_invisible(setup, video, config);
+  }
 }
 
 TEST(Fleet, NonPositiveSamplingIntervalIsRejected) {

@@ -54,13 +54,6 @@ TEST(Bola, ChoiceIsMonotoneInBuffer) {
   }
 }
 
-TEST(Bola, PrefersWaitingBeyondPivot) {
-  Bola bola(kVideoLadder, 12.0);
-  EXPECT_FALSE(bola.prefers_waiting(5.0));
-  // Far beyond the target every score is negative.
-  EXPECT_TRUE(bola.prefers_waiting(200.0));
-}
-
 TEST(Bola, SingleTrackAlwaysChoosesIt) {
   Bola bola({500.0}, 12.0);
   EXPECT_EQ(bola.choose(0.0), 0u);
