@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/csv.h"
 #include "util/rng.h"
@@ -13,8 +14,22 @@ namespace demuxabr {
 
 BandwidthTrace::BandwidthTrace(std::vector<Segment> segments, double period_s)
     : segments_(std::move(segments)), period_s_(period_s) {
-  assert(!segments_.empty());
-  assert(segments_.front().start_s == 0.0);
+  if (segments_.empty()) throw std::invalid_argument("BandwidthTrace: no segments");
+  if (segments_.front().start_s != 0.0) {
+    throw std::invalid_argument("BandwidthTrace: the first segment must start at 0");
+  }
+  for (std::size_t i = 1; i < segments_.size(); ++i) {
+    if (!(segments_[i].start_s > segments_[i - 1].start_s &&
+          std::isfinite(segments_[i].start_s))) {
+      throw std::invalid_argument(
+          "BandwidthTrace: segment starts must be finite and strictly increasing");
+    }
+  }
+  if (period_s_ != 0.0 &&
+      !(std::isfinite(period_s_) && period_s_ > segments_.back().start_s)) {
+    throw std::invalid_argument(
+        "BandwidthTrace: a period must be finite and exceed the last segment start");
+  }
 }
 
 BandwidthTrace BandwidthTrace::constant(double kbps) {
@@ -28,7 +43,11 @@ BandwidthTrace BandwidthTrace::constant(double kbps) {
 BandwidthTrace BandwidthTrace::square_wave(double low_kbps, double high_kbps,
                                            double low_duration_s, double high_duration_s,
                                            bool start_high) {
-  assert(low_duration_s > 0.0 && high_duration_s > 0.0);
+  // Checked here as well as in the constructor: durations summing to 0
+  // would build an aperiodic trace the constructor cannot tell apart.
+  if (!(low_duration_s > 0.0 && high_duration_s > 0.0)) {
+    throw std::invalid_argument("BandwidthTrace::square_wave: durations must be positive");
+  }
   std::vector<Segment> segments;
   if (start_high) {
     segments.push_back({0.0, high_kbps});
@@ -41,11 +60,14 @@ BandwidthTrace BandwidthTrace::square_wave(double low_kbps, double high_kbps,
 }
 
 BandwidthTrace BandwidthTrace::steps(const std::vector<Step>& steps, bool repeat) {
-  assert(!steps.empty());
   std::vector<Segment> segments;
   double t = 0.0;
   for (const Step& step : steps) {
-    assert(step.duration_s > 0.0);
+    // As in square_wave: a repeating pattern whose durations sum to 0
+    // would pass the constructor as an aperiodic trace.
+    if (!(step.duration_s > 0.0)) {
+      throw std::invalid_argument("BandwidthTrace::steps: durations must be positive");
+    }
     segments.push_back({t, step.kbps});
     t += step.duration_s;
   }
@@ -118,6 +140,9 @@ Result<BandwidthTrace> BandwidthTrace::from_csv(const std::string& csv_text,
     const auto t = parse_double(row[0]);
     const auto kbps = parse_double(row[1]);
     if (!t.has_value() || !kbps.has_value()) return Error{"trace csv has non-numeric cell"};
+    if (!std::isfinite(*t) || !std::isfinite(*kbps)) {
+      return Error{"trace csv has a non-finite cell"};
+    }
     if (*kbps <= 0.0) return Error{"trace csv has non-positive rate"};
     if (!segments.empty() && *t <= segments.back().start_s) {
       return Error{"trace csv times must be strictly increasing"};
@@ -132,30 +157,7 @@ Result<BandwidthTrace> BandwidthTrace::from_csv(const std::string& csv_text,
   return BandwidthTrace(std::move(segments), period_s);
 }
 
-double BandwidthTrace::rate_kbps_slow(double t) const {
-  assert(!segments_.empty());
-  if (t < 0.0) t = 0.0;
-  double local = t;
-  if (period_s_ > 0.0) {
-    double base = std::floor(t / period_s_) * period_s_;
-    while (base + period_s_ <= t) base += period_s_;
-    local = t - base;
-  }
-  // Mirror next_change_after's merge slack: a query landing within eps
-  // below a boundary belongs to the segment that starts at that boundary.
-  // Without this, a walker that stepped to `base + s.start_s` (whose local
-  // reduction rounds just under s.start_s) would hold the previous
-  // segment's rate across the entire next segment, and walkers with
-  // different boundary sets would integrate different rate functions.
-  const double eps = 1e-12 + t * 4e-16;
-  if (period_s_ > 0.0 && local + eps >= period_s_) return segments_.front().kbps;
-  // Last segment whose start <= local (+ slack).
-  auto it = std::upper_bound(segments_.begin(), segments_.end(), local + eps,
-                             [](double x, const Segment& s) { return x < s.start_s; });
-  return std::prev(it)->kbps;
-}
-
-double BandwidthTrace::next_change_after_slow(double t) const {
+BandwidthTrace::Lookup BandwidthTrace::lookup_slow(double t) const {
   if (t < 0.0) t = 0.0;
   double base = 0.0;
   double local = t;
@@ -164,22 +166,38 @@ double BandwidthTrace::next_change_after_slow(double t) const {
     // floor(t/period)*period can land a full period below t when t sits
     // exactly on a wrap boundary in floating point (t/period rounds just
     // under the integer). Renormalize so base + period > t strictly —
-    // otherwise we'd return t itself and every lazy-integration walk that
-    // steps boundary-to-boundary would stall there, silently truncating
-    // service/utilization integrals.
+    // otherwise the next change would be t itself and every lazy-integration
+    // walk that steps boundary-to-boundary would stall there, silently
+    // truncating service/utilization integrals.
     while (base + period_s_ <= t) base += period_s_;
     local = t - base;
   }
-  // The merge slack needs a relative term: once t is large enough that
-  // ulp(t) approaches 1e-12, a boundary passing the absolute test can still
-  // round back to exactly t in `base + s.start_s`, stalling callers the
-  // same way the wrap case above would.
+  // Merge slack: a query landing within eps below a boundary belongs to the
+  // segment that starts at that boundary. Without it, a walker that stepped
+  // to `base + s.start_s` (whose local reduction rounds just under
+  // s.start_s) would hold the previous segment's rate across the entire
+  // next segment, and walkers with different boundary sets would integrate
+  // different rate functions. The relative term matters once ulp(t)
+  // approaches 1e-12: a boundary passing an absolute test could still round
+  // back to exactly t in `base + s.start_s`, stalling callers like the wrap
+  // case above.
   const double eps = 1e-12 + t * 4e-16;
-  for (const Segment& s : segments_) {
-    if (s.start_s > local + eps) return base + s.start_s;
+  // The first segment starting after local + eps; the one before it holds
+  // the rate (segment 0 starts at 0 < local + eps, so there always is one).
+  const auto next = std::upper_bound(
+      segments_.begin(), segments_.end(), local + eps,
+      [](double x, const Segment& s) { return x < s.start_s; });
+  Lookup result;
+  result.kbps = period_s_ > 0.0 && local + eps >= period_s_ ? segments_.front().kbps
+                                                            : std::prev(next)->kbps;
+  if (next != segments_.end()) {
+    result.next_change_s = base + next->start_s;
+  } else if (period_s_ > 0.0) {
+    result.next_change_s = base + period_s_;  // wraps to segment 0
+  } else {
+    result.next_change_s = std::numeric_limits<double>::infinity();
   }
-  if (period_s_ > 0.0) return base + period_s_;  // wraps to segment 0
-  return std::numeric_limits<double>::infinity();
+  return result;
 }
 
 double BandwidthTrace::average_kbps(double t0, double t1) const {
@@ -188,8 +206,9 @@ double BandwidthTrace::average_kbps(double t0, double t1) const {
   double t = t0;
   // Walk breakpoints; bounded iterations for safety.
   for (int guard = 0; guard < 1000000 && t < t1; ++guard) {
-    const double next = std::min(t1, next_change_after(t));
-    area += rate_kbps(t) * (next - t);
+    const Lookup here = lookup(t);
+    const double next = std::min(t1, here.next_change_s);
+    area += here.kbps * (next - t);
     t = next;
   }
   return area / (t1 - t0);

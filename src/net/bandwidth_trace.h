@@ -20,19 +20,23 @@ class BandwidthTrace {
     double kbps = 0.0;     ///< rate during the segment
   };
 
+  /// An empty trace, to be assigned. Every query on it is undefined;
+  /// TopologySpec::validate() rejects a link that carries one.
   BandwidthTrace() = default;
 
   /// Fixed rate forever.
   static BandwidthTrace constant(double kbps);
 
   /// Alternating low/high square wave, repeating forever.
-  /// `start_high` selects the first phase.
+  /// `start_high` selects the first phase. Throws std::invalid_argument
+  /// unless both durations are positive.
   static BandwidthTrace square_wave(double low_kbps, double high_kbps,
                                     double low_duration_s, double high_duration_s,
                                     bool start_high = false);
 
   /// Explicit steps (duration, rate). When `repeat`, the pattern loops;
-  /// otherwise the last rate holds forever.
+  /// otherwise the last rate holds forever. Throws std::invalid_argument
+  /// when `steps` is empty or a duration is not positive.
   struct Step {
     double duration_s;
     double kbps;
@@ -68,23 +72,34 @@ class BandwidthTrace {
   static Result<BandwidthTrace> from_csv(const std::string& csv_text,
                                          double period_s = 0.0);
 
-  /// Rate at absolute time t (wraps when periodic). The single-segment
-  /// aperiodic case (constant traces — the bulk of fleet-bench hot loops)
-  /// resolves inline to the one rate every query returns anyway; anything
-  /// else takes the full boundary-slack lookup.
-  [[nodiscard]] double rate_kbps(double t) const {
-    if (segments_.size() == 1 && period_s_ == 0.0) return segments_.front().kbps;
-    return rate_kbps_slow(t);
+  /// What one search of the trace answers about absolute time t: the rate
+  /// in force at t and the next time the rate changes.
+  struct Lookup {
+    double kbps = 0.0;
+    /// The next absolute time > t at which the rate changes; +infinity
+    /// when it never changes again.
+    double next_change_s = 0.0;
+  };
+
+  /// The rate at t and the next change after t from one binary search of
+  /// the segment starts (wraps when periodic). A query within the merge
+  /// slack (1e-12 + t * 4e-16) below a boundary belongs to the segment
+  /// that starts there. The single-segment aperiodic case (constant
+  /// traces: the bulk of fleet hot loops) resolves inline.
+  [[nodiscard]] Lookup lookup(double t) const {
+    if (segments_.size() == 1 && period_s_ == 0.0) {
+      return {segments_.front().kbps, std::numeric_limits<double>::infinity()};
+    }
+    return lookup_slow(t);
   }
 
-  /// The next absolute time > t at which the rate changes;
-  /// +infinity when the rate never changes again. Same inline fast path as
-  /// rate_kbps: a constant trace never changes again.
+  /// Rate at absolute time t: lookup(t).kbps.
+  [[nodiscard]] double rate_kbps(double t) const { return lookup(t).kbps; }
+
+  /// The next absolute time > t at which the rate changes; +infinity when
+  /// the rate never changes again: lookup(t).next_change_s.
   [[nodiscard]] double next_change_after(double t) const {
-    if (segments_.size() == 1 && period_s_ == 0.0) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return next_change_after_slow(t);
+    return lookup(t).next_change_s;
   }
 
   /// Mean rate over [t0, t1].
@@ -97,10 +112,12 @@ class BandwidthTrace {
   [[nodiscard]] std::string to_csv() const;
 
  private:
+  /// Throws std::invalid_argument unless the starts rise strictly from 0
+  /// and the period is 0 or a finite value past the last start: what the
+  /// binary search and the periodic reduction in lookup() rely on.
   BandwidthTrace(std::vector<Segment> segments, double period_s);
 
-  [[nodiscard]] double rate_kbps_slow(double t) const;
-  [[nodiscard]] double next_change_after_slow(double t) const;
+  [[nodiscard]] Lookup lookup_slow(double t) const;
 
   std::vector<Segment> segments_;  ///< ascending start times, first at 0
   double period_s_ = 0.0;

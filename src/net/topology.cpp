@@ -80,6 +80,9 @@ std::string TopologySpec::validate() const {
   if (paths.empty()) return "topology has no paths";
   for (std::size_t l = 0; l < links.size(); ++l) {
     if (links[l].name.empty()) return format("link %zu is unnamed", l);
+    if (links[l].trace.segments().empty()) {
+      return format("link %zu has an empty bandwidth trace", l);
+    }
     if (links[l].cache.has_value() && links[l].cache->capacity_bytes < 0) {
       return format("link %zu has a negative cache capacity", l);
     }
@@ -145,28 +148,26 @@ double Channel::service_at(double t) const {
   double v = service_kbit_;
   double at = clock_s_;
   while (at < t) {
+    // One trace lookup per hop per segment gives both the segment's end and
+    // the binding hop: the smallest fair share, ties keeping the earliest
+    // hop.
     double boundary = std::numeric_limits<double>::infinity();
+    std::size_t b = 0;
+    double rate = 0.0;
+    double best = 0.0;
     for (std::size_t i = 0; i < hop_count; ++i) {
-      boundary = std::min(boundary, links[hops[i]].trace.next_change_after(at));
+      const BandwidthTrace::Lookup hop = links[hops[i]].trace.lookup(at);
+      boundary = std::min(boundary, hop.next_change_s);
+      const double share = hop.kbps * inv[i];
+      if (i == 0 || share < best) {
+        best = share;
+        rate = hop.kbps;
+        b = i;
+      }
     }
     const double seg_end = std::min(boundary, t);
     const double dt = seg_end - at;
     if (dt <= 0.0) break;
-    // Binding hop: smallest fair share; ties keep the earliest hop. Its
-    // rate is kept from the scan, so a one-hop path reads the trace once
-    // per segment.
-    std::size_t b = 0;
-    double rate = links[hops[0]].trace.rate_kbps(at);
-    double best = rate * inv[0];
-    for (std::size_t i = 1; i < hop_count; ++i) {
-      const double hop_rate = links[hops[i]].trace.rate_kbps(at);
-      const double share = hop_rate * inv[i];
-      if (share < best) {
-        best = share;
-        rate = hop_rate;
-        b = i;
-      }
-    }
     v += rate * dt * inv[b];
     at = seg_end;
   }
@@ -190,13 +191,12 @@ double Channel::time_when_service_reaches(double v_target) const {
   // pathological all-zero tail (treated as "never").
   for (int guard = 0; guard < 1000000; ++guard) {
     double boundary = std::numeric_limits<double>::infinity();
+    double per_flow_kbps = 0.0;
     for (std::size_t i = 0; i < hop_count; ++i) {
-      boundary = std::min(boundary, links[hops[i]].trace.next_change_after(at));
-    }
-    double per_flow_kbps = links[hops[0]].trace.rate_kbps(at) * inv[0];
-    for (std::size_t i = 1; i < hop_count; ++i) {
-      const double share = links[hops[i]].trace.rate_kbps(at) * inv[i];
-      if (share < per_flow_kbps) per_flow_kbps = share;
+      const BandwidthTrace::Lookup hop = links[hops[i]].trace.lookup(at);
+      boundary = std::min(boundary, hop.next_change_s);
+      const double share = hop.kbps * inv[i];
+      if (i == 0 || share < per_flow_kbps) per_flow_kbps = share;
     }
     if (per_flow_kbps > 0.0) {
       const double t_hit = at + (v_target - v) / per_flow_kbps;
@@ -444,25 +444,24 @@ void Topology::advance_path(std::size_t p, double now) {
   }
   double at = path.clock_s_;
   while (at < now) {
+    // One lookup per hop per segment, as in Channel::service_at.
     double boundary = std::numeric_limits<double>::infinity();
+    std::size_t b = 0;
+    double rate = 0.0;
+    double best = 0.0;
     for (std::size_t i = 0; i < hop_count; ++i) {
-      boundary = std::min(boundary, links_[hops[i]].trace.next_change_after(at));
+      const BandwidthTrace::Lookup hop = links_[hops[i]].trace.lookup(at);
+      boundary = std::min(boundary, hop.next_change_s);
+      const double share = hop.kbps * inv[i];
+      if (i == 0 || share < best) {
+        best = share;
+        rate = hop.kbps;
+        b = i;
+      }
     }
     const double seg_end = std::min(boundary, now);
     const double dt = seg_end - at;
     if (dt <= 0.0) break;  // defensive: a trace must advance time
-    std::size_t b = 0;
-    double rate = links_[hops[0]].trace.rate_kbps(at);
-    double best = rate * inv[0];
-    for (std::size_t i = 1; i < hop_count; ++i) {
-      const double hop_rate = links_[hops[i]].trace.rate_kbps(at);
-      const double share = hop_rate * inv[i];
-      if (share < best) {
-        best = share;
-        rate = hop_rate;
-        b = i;
-      }
-    }
     const double offered = rate * dt;
     path.service_kbit_ += offered * inv[b];
     binding[b] += dt;
@@ -482,11 +481,11 @@ void Topology::advance_link(std::size_t l, double now) {
     // saturates the pipe, so delivered == offered while busy — the plain
     // single-link accounting, expression for expression.
     while (at < now) {
-      const double boundary = node.trace.next_change_after(at);
-      const double seg_end = std::min(boundary, now);
+      const BandwidthTrace::Lookup here = node.trace.lookup(at);
+      const double seg_end = std::min(here.next_change_s, now);
       const double dt = seg_end - at;
       if (dt <= 0.0) break;
-      const double kbps = node.trace.rate_kbps(at);
+      const double kbps = here.kbps;
       const double offered = kbps * dt;
       node.offered_kbit += offered;
       node.flow_seconds += static_cast<double>(node.active_flows) * dt;

@@ -167,9 +167,9 @@ struct TopologySpec {
                                                    std::size_t clients_per_path);
 
   /// Empty string when well-formed; otherwise a description of the first
-  /// problem (no links, empty/out-of-range/duplicate hops, bad assignment,
-  /// a negative edge cache capacity, a path traversing more than one
-  /// cached link).
+  /// problem (no links, a link whose trace has no segments,
+  /// empty/out-of-range/duplicate hops, bad assignment, a negative edge
+  /// cache capacity, a path traversing more than one cached link).
   [[nodiscard]] std::string validate() const;
 };
 
@@ -214,9 +214,11 @@ class Channel final {
   /// Highest concurrent flow count ever observed on this channel.
   [[nodiscard]] int peak_flows() const { return peak_flows_; }
 
-  /// Bumped on every population change of the affected set; the fleet event
-  /// engine uses it to detect that completion predictions keyed on this
-  /// channel went stale.
+  /// Bumped on every population change of the affected set, and the only
+  /// thing besides finalize() that moves clock_s(), the service integral or
+  /// a hop population: the fleet event engine and each session flow use it
+  /// to detect that completion predictions keyed on this channel went
+  /// stale.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Time up to which V is advanced: the last population change of the
@@ -344,7 +346,8 @@ class Topology {
   [[nodiscard]] bool split_audio() const { return !audio_assignment_.empty(); }
 
   /// Advance every path's and link's integrals to `t` (idle tails
-  /// included). Call once at the end of a run, before stats.
+  /// included). Call once at the end of a run, after the last session,
+  /// before stats: it moves channel clocks without an epoch bump.
   void finalize(double t);
 
   /// Per-link closing stats, link-declaration order. binding_s aggregates
@@ -436,7 +439,11 @@ class Topology {
   /// books to `now` with the OLD populations, then mutates counts and
   /// bumps every affected path's epoch — preserving the invariant that a
   /// path's clock moves iff its epoch does, which is what keeps cached
-  /// event-heap keys exact (never stale by a partitioning difference).
+  /// completion predictions exact (the event-heap keys of
+  /// EventHeap::sync_link and each session flow's predicted completion
+  /// time) — never stale by a partitioning difference. finalize() is the
+  /// one exception: it moves clocks without a bump, and runs once, after
+  /// every session riding the topology has finished.
   void population_change(std::size_t p, int delta, double now);
 
   void advance_path(std::size_t p, double now);

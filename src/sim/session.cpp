@@ -439,6 +439,7 @@ void StreamingSession::begin_step() {
       f->v_target_kbit =
           f->v_start_kbit + static_cast<double>(f->total_bytes) * 0.008;
       channel->register_completion(f->token, f->v_target_kbit);
+      f->done_epoch = kNoEpoch;
       f->on_link = true;
     }
   }
@@ -452,12 +453,20 @@ void StreamingSession::flush_deliveries() {
   pending_deliveries_.clear();
 }
 
+double StreamingSession::completion_time(const Flow& f) const {
+  const Channel& channel = link_of(f);
+  if (f.done_epoch != channel.epoch()) {
+    f.done_t = channel.time_when_service_reaches(f.v_target_kbit);
+    f.done_epoch = channel.epoch();
+  }
+  assert(f.done_t == channel.time_when_service_reaches(f.v_target_kbit));
+  return f.done_t;
+}
+
 double StreamingSession::next_event_time() const {
   double t = next_local_event_time();
   for (const Flow* f : {&audio_flow_, &video_flow_}) {
-    if (f->active && f->on_link) {
-      t = std::min(t, link_of(*f).time_when_service_reaches(f->v_target_kbit));
-    }
+    if (f->active && f->on_link) t = std::min(t, completion_time(*f));
   }
   if (!(t > now_)) t = now_ + 1e-6;  // forward progress guard
   return t;
@@ -544,8 +553,7 @@ void StreamingSession::process_events() {
   {
     int i = 0;
     for (const Flow* f : {&audio_flow_, &video_flow_}) {
-      if (f->active && f->on_link &&
-          link_of(*f).time_when_service_reaches(f->v_target_kbit) <= now_) {
+      if (f->active && f->on_link && completion_time(*f) <= now_) {
         flow_due[i] = true;
         completion_due = true;
       }

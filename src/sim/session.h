@@ -162,6 +162,11 @@ class StreamingSession {
   //   begin_step(); run_idle_ticks(leave);                   // registration
   //   key = ticks_can_run_late() ? next_nontick_event_time()
   //                              : next_local_event_time();
+  //
+  // Completion times come from each flow's cache, reset at registration
+  // and refreshed when its channel's epoch moves (DESIGN.md §7). The cache
+  // changes no result: a channel's prediction inputs move only with its
+  // epoch, so a cached read equals a fresh walk (Debug builds assert it).
 
   /// One-time setup: starts the player, takes the first series sample and
   /// offers the first download slots. Call before any stepping.
@@ -181,7 +186,9 @@ class StreamingSession {
   /// sampling tick, RTT expiry, flow completion, buffer underrun, content
   /// end, scripted seek or the sim-time cap. Pure. Every candidate is an
   /// anchored absolute time, so repeated calls between events return the
-  /// same float in any engine.
+  /// same float in any engine. A flow's completion time is walked over
+  /// its channel's trace segments once per channel epoch and cached with
+  /// the flow; this call and process_events() read the cache.
   [[nodiscard]] double next_event_time() const;
 
   /// next_event_time() without the link-dependent completion candidates:
@@ -263,6 +270,8 @@ class StreamingSession {
   [[nodiscard]] const SessionLog& log() const { return log_; }
 
  private:
+  static constexpr std::uint64_t kNoEpoch = std::numeric_limits<std::uint64_t>::max();
+
   struct Flow {
     bool active = false;
     DownloadRequest request;
@@ -282,6 +291,13 @@ class StreamingSession {
     std::uint32_t token = 0;        ///< completion-registry id on the link
     double v_start_kbit = 0.0;      ///< link service integral at registration
     double v_target_kbit = 0.0;     ///< service integral at completion
+    /// Predicted completion time, channel->time_when_service_reaches(
+    /// v_target_kbit), and the Channel::epoch() it was computed at
+    /// (kNoEpoch: not computed since registration). Exact while the epoch
+    /// holds: a channel's clock, integral and hop populations move only
+    /// with its epoch (Topology::population_change).
+    mutable double done_t = 0.0;
+    mutable std::uint64_t done_epoch = kNoEpoch;
     /// Ladder/chunk lookups resolved once at request time so the completion
     /// path never re-searches the ladder or the chunk map (hot path).
     const TrackInfo* track_info = nullptr;
@@ -309,6 +325,9 @@ class StreamingSession {
     if (f.channel != nullptr) return *f.channel;
     return network_.link_for(f.request.type == MediaType::kVideo);
   }
+  /// When an on-link flow completes: its cached prediction, recomputed
+  /// only when its channel's epoch moved since the last read.
+  [[nodiscard]] double completion_time(const Flow& f) const;
 
   /// Anchored deadline at which `buf` would run dry if playback continues
   /// uninterrupted. Only meaningful while playing.

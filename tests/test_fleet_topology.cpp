@@ -31,6 +31,7 @@
 #include "fleet/event_heap.h"
 #include "fleet/metrics.h"
 #include "fleet/scheduler.h"
+#include "fleet/shard.h"
 #include "link_oracle.h"
 #include "net/topology.h"
 #include "players/dashjs.h"
@@ -597,6 +598,19 @@ TEST(TopologySpecValidate, RejectsMalformedSpecs) {
   TopologySpec negative_edge = TopologySpec::single(BandwidthTrace::constant(1.0));
   negative_edge.links[0].cache = CacheSpec{-5, -1};
   expect_run_fleet_rejects(negative_edge);
+
+  // A default-constructed trace has no segments: the first walk over it
+  // would search an empty vector.
+  TopologySpec empty_trace = TopologySpec::sharded(
+      2, BandwidthTrace::constant(1.0), BandwidthTrace::constant(1.0),
+      BandwidthTrace::constant(1.0));
+  empty_trace.links[3].trace = BandwidthTrace();
+  EXPECT_EQ(empty_trace.validate(), "link 3 has an empty bandwidth trace");
+  expect_run_fleet_rejects(empty_trace);
+  EXPECT_THROW(Topology{empty_trace}, std::invalid_argument);
+  EXPECT_THROW(partition_fleet(empty_trace, plan_population(base_config(3))),
+               std::invalid_argument);
+  EXPECT_THROW(Network::shared(BandwidthTrace()), std::invalid_argument);
 
   EXPECT_EQ(TopologySpec::single(BandwidthTrace::constant(1.0)).validate(), "");
   EXPECT_EQ(TopologySpec::sharded(3, BandwidthTrace::constant(1.0),
