@@ -5,7 +5,7 @@
 // across the board.
 //
 // The full grid runs through experiments::SweepRunner (the matrix and the
-// player list live in experiments/sweep.*, shared with bench_sweep and
+// player list live in experiments/sweep.*, shared with
 // examples/player_comparison); the per-cell benchmarks below time single
 // sessions.
 #include <benchmark/benchmark.h>

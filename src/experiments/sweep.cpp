@@ -234,40 +234,4 @@ std::string log_fingerprint(const SessionLog& log) {
   return out.str();
 }
 
-std::string sweep_report_json(const std::string& matrix_name,
-                              const std::vector<SweepSummary>& summaries,
-                              const std::vector<std::string>& notes) {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"bench\": \"sweep\",\n"
-      << "  \"matrix\": \"" << matrix_name << "\",\n"
-      << "  \"hardware_threads\": " << hardware_threads() << ",\n";
-  const SweepSummary* serial = nullptr;
-  for (const SweepSummary& s : summaries) {
-    if (s.threads == 1) serial = &s;
-  }
-  out << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < summaries.size(); ++i) {
-    const SweepSummary& s = summaries[i];
-    const double speedup =
-        (serial != nullptr && s.wall_s > 0.0) ? serial->wall_s / s.wall_s : 0.0;
-    out << format(
-        "    {\"threads\": %d, \"jobs\": %zu, \"wall_s\": %.6f, "
-        "\"sessions_per_s\": %.3f, \"simulated_s\": %.3f, "
-        "\"simulated_per_wall\": %.1f, \"speedup_vs_serial\": %.3f}%s\n",
-        s.threads, s.job_count, s.wall_s, s.sessions_per_s, s.simulated_s,
-        s.simulated_per_wall, speedup, i + 1 < summaries.size() ? "," : "");
-  }
-  out << "  ]";
-  if (!notes.empty()) {
-    out << ",\n  \"notes\": [\n";
-    for (std::size_t i = 0; i < notes.size(); ++i) {
-      out << "    \"" << notes[i] << "\"" << (i + 1 < notes.size() ? ",\n" : "\n");
-    }
-    out << "  ]";
-  }
-  out << "\n}\n";
-  return out.str();
-}
-
 }  // namespace demuxabr::experiments

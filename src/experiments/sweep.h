@@ -85,8 +85,8 @@ class SweepRunner {
   SweepOptions options_;
 };
 
-// --- The §4 comparison matrix (shared by bench_best_practices, bench_sweep
-// --- and examples/player_comparison). ---
+// --- The §4 comparison matrix (shared by bench_best_practices,
+// --- examples/player_comparison and perfbench's corpus-sweep). ---
 
 struct ComparisonPlayer {
   std::string label;
@@ -112,20 +112,11 @@ std::vector<SweepJob> comparison_matrix();
 /// Rows for render_comparison_table(), in sweep order.
 std::vector<ComparisonRow> comparison_rows(const SweepResult& result);
 
-// --- Determinism + perf reporting helpers. ---
+// --- Determinism helper. ---
 
 /// Byte-exact serialization of everything a SessionLog records (downloads,
 /// abandonments, stalls, seeks, selections, every time series, metadata).
 /// Two logs are byte-identical iff their fingerprints compare equal.
 std::string log_fingerprint(const SessionLog& log);
-
-/// Machine-readable perf record (BENCH_sweep.json): one entry per thread
-/// configuration plus serial-relative speedups. `hardware_threads` in the
-/// output is the host's real std::thread::hardware_concurrency(); `notes`
-/// records configurations that were skipped (e.g. multi-thread rows on a
-/// single-core host) so absent rows are never mistaken for missing data.
-std::string sweep_report_json(const std::string& matrix_name,
-                              const std::vector<SweepSummary>& summaries,
-                              const std::vector<std::string>& notes = {});
 
 }  // namespace demuxabr::experiments

@@ -12,9 +12,9 @@
 //   * shared links — every carrier with a completion registry: one entity
 //     per topology *channel* (spec paths plus the derived cache-hit prefix
 //     channels of cache-aware fleets, Topology::channel_count). Keyed on
-//     the carrier's earliest registered flow completion, refreshed
-//     *lazily*: the key is recomputed only when the link's flow-count epoch
-//     moved since the last sync. A completion
+//     the carrier's earliest registered flow completion, re-keyed by
+//     sync_link for exactly the channels Topology::dirty_channels() lists:
+//     those whose epoch moved since the engine's last sync. A completion
 //     target is a virtual-service integral value, invariant under
 //     population and capacity changes, so one O(log F) registry lookup per
 //     link replaces re-keying every riding session when a flow joins or
@@ -25,12 +25,9 @@
 // barrier engine's phase order.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "net/topology.h"
-#include "util/arena.h"
 #include "util/indexed_min_heap.h"
 
 namespace demuxabr::fleet {
@@ -38,11 +35,8 @@ namespace demuxabr::fleet {
 class EventHeap {
  public:
   /// Entity id layout: sessions occupy [0, session_count), link `i` maps to
-  /// session_count + i. `arena` (optional, must outlive the heap) backs the
-  /// heap's storage — the scheduler passes its per-shard arena so engine
-  /// bookkeeping never touches the global heap after construction.
-  EventHeap(std::uint32_t session_count, std::uint32_t link_count,
-            MonotonicArena* arena = nullptr);
+  /// session_count + i.
+  EventHeap(std::uint32_t session_count, std::uint32_t link_count);
 
   struct Event {
     bool is_link = false;
@@ -55,10 +49,9 @@ class EventHeap {
   /// Drop a retired session.
   void erase_session(std::uint32_t id) { heap_.erase(id); }
 
-  /// Refresh link `link_index`'s key iff its epoch moved since the last
-  /// sync (or unconditionally with `force`). A link with no registered
-  /// completions leaves the heap.
-  void sync_link(std::uint32_t link_index, const Channel& link, bool force = false);
+  /// Re-key link `link_index` on its earliest registered completion. A
+  /// link with no registered completions leaves the heap.
+  void sync_link(std::uint32_t link_index, const Channel& link);
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] Event top() const {
@@ -75,22 +68,17 @@ class EventHeap {
   }
 
   /// Structural work counters (plain integer increments, always collected):
-  /// pops, plus sync_link calls vs. the subset that actually re-keyed — the
-  /// epoch-lazy optimisation's hit rate.
+  /// pops and sync_link calls.
   struct Stats {
     std::uint64_t pops = 0;
     std::uint64_t sync_checks = 0;
-    std::uint64_t sync_refreshes = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  BasicIndexedMinHeap<ArenaAllocator<HeapEntry>> heap_;
+  IndexedMinHeap heap_;
   Stats stats_;
   std::uint32_t link_base_;
-  /// Last-synced Channel::epoch() per link entity; starts at a sentinel no
-  /// real epoch takes so the first sync always refreshes.
-  std::vector<std::uint64_t, ArenaAllocator<std::uint64_t>> link_epochs_;
 };
 
 }  // namespace demuxabr::fleet

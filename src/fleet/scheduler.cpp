@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -33,8 +34,7 @@ FleetScheduler::FleetScheduler(const Content& content, ManifestView view,
       config_(std::move(config)),
       topology_(config_.topology.has_value()
                     ? *config_.topology
-                    : TopologySpec::single(std::move(bottleneck)),
-                &arena_) {
+                    : TopologySpec::single(std::move(bottleneck))) {
   if (topology_.has_caches()) {
     // Cache-aware run: one shard-local cache plane routing every session's
     // flows. The shard runner pre-builds the catalog and shares it
@@ -99,8 +99,6 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
   // One trace track per session, keyed by its fleet-wide client id.
   const int id = global_id(static_cast<std::uint32_t>(plan.id));
   session_config.trace_track = static_cast<std::uint32_t>(id);
-  // Pending-delivery queues (cache-aware fleets) draw from the shard arena.
-  session_config.arena = &arena_;
   session_config.telemetry = telemetry_.get();
   if (telemetry_ != nullptr) telemetry_->session_started(plan.arrival_s);
   if (obs::Tracer* tr = session_config.tracer) {
@@ -303,7 +301,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   }
 
   EventHeap heap(static_cast<std::uint32_t>(plans.size()),
-                 static_cast<std::uint32_t>(links.size()), &arena_);
+                 static_cast<std::uint32_t>(links.size()));
 
   // Self-profiling (obs/profile.h): phase wall-clock only when requested —
   // a null PhaseStats* makes PhaseTimer clock-free — heap counters always.
@@ -361,12 +359,10 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
 
   // Reusable drain scratch: sessions processed at this timestamp, plus the
   // batch of session entries popped in phase A. Steady-state drain work
-  // allocates nothing — both vectors reach their high-water capacity early,
-  // and even that growth comes from the shard arena, not the heap.
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> touched{
-      ArenaAllocator<std::uint32_t>(&arena_)};
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> batch{
-      ArenaAllocator<std::uint32_t>(&arena_)};
+  // allocates nothing — both vectors reach their high-water capacity early
+  // (tests/test_fleet_alloc.cpp).
+  std::vector<std::uint32_t> touched;
+  std::vector<std::uint32_t> batch;
   admit_due();
   while (true) {
     const double t_event =
@@ -461,7 +457,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       // the link epoch, so sync_dirty() below re-keys or clears the entry.
       Channel& link = *links[event.index];
       if (!link.has_completions()) {
-        heap.sync_link(static_cast<std::uint32_t>(event.index), link, true);
+        heap.sync_link(static_cast<std::uint32_t>(event.index), link);
         continue;
       }
       process(link.earliest_completion_token() / 2u, true);
@@ -504,7 +500,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   }
   profile.heap_pops = heap.stats().pops;
   profile.link_sync_checks = heap.stats().sync_checks;
-  profile.link_sync_refreshes = heap.stats().sync_refreshes;
+  profile.link_sync_refreshes = profile.link_sync_checks;
   return std::max(now, inline_end);
 }
 

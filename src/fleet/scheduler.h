@@ -16,8 +16,8 @@
 //
 //  * kEventHeap (default): an indexed min-heap keys each session on its own
 //    next *local* event time and each path channel on its earliest
-//    registered completion (lazily re-keyed via the channel's flow-count
-//    epoch). Only the sessions with events at time t are touched; everyone
+//    registered completion (re-keyed when the channel's flow-count epoch
+//    moves). Only the sessions with events at time t are touched; everyone
 //    else is advanced implicitly through the paths' virtual-time service
 //    integrals. O(log N) per event; a session with nothing in flight runs
 //    its sampling ticks in place instead (DESIGN.md §12).
@@ -40,7 +40,6 @@
 #include "net/bandwidth_trace.h"
 #include "net/topology.h"
 #include "sim/session.h"
-#include "util/arena.h"
 
 namespace demuxabr::fleet {
 
@@ -107,13 +106,6 @@ class FleetScheduler {
   const Content& content_;
   ManifestView view_;
   FleetConfig config_;
-  /// Per-shard monotonic arena (DESIGN.md §12) backing run-lifetime engine
-  /// state: every channel's completion registry, the event heap, drain
-  /// scratch, and session pending-delivery queues. Declared before the
-  /// topology that allocates from it so it outlives it (members destroy in
-  /// reverse order). Single-threaded: each shard runs its own scheduler,
-  /// hence its own arena.
-  MonotonicArena arena_;
   /// Owns every channel the sessions hold raw pointers into; declared
   /// before slots_ so the sessions are destroyed first.
   Topology topology_;

@@ -18,6 +18,15 @@ BandwidthTrace::BandwidthTrace(std::vector<Segment> segments, double period_s)
   if (segments_.front().start_s != 0.0) {
     throw std::invalid_argument("BandwidthTrace: the first segment must start at 0");
   }
+  // Zero stays legal: a provisioned-but-dark pipe (a topology link no flow
+  // ever rides) has capacity 0 and closes its books via the 0/0
+  // utilization guard. A negative rate would run the service integral
+  // backwards, and a non-finite one would poison it.
+  for (const Segment& segment : segments_) {
+    if (!(std::isfinite(segment.kbps) && segment.kbps >= 0.0)) {
+      throw std::invalid_argument("BandwidthTrace: rates must be finite and >= 0");
+    }
+  }
   for (std::size_t i = 1; i < segments_.size(); ++i) {
     if (!(segments_[i].start_s > segments_[i - 1].start_s &&
           std::isfinite(segments_[i].start_s))) {
@@ -33,10 +42,6 @@ BandwidthTrace::BandwidthTrace(std::vector<Segment> segments, double period_s)
 }
 
 BandwidthTrace BandwidthTrace::constant(double kbps) {
-  // Zero is allowed: a provisioned-but-dark pipe (a topology link no flow
-  // ever rides) has capacity 0 and closes its books via the 0/0
-  // utilization guard. Negative capacity is always a caller bug.
-  assert(kbps >= 0.0);
   return BandwidthTrace({{0.0, kbps}}, 0.0);
 }
 
@@ -78,7 +83,13 @@ BandwidthTrace BandwidthTrace::random_walk(double min_kbps, double max_kbps,
                                            double step_interval_s, double total_duration_s,
                                            double volatility_kbps, std::uint64_t seed) {
   assert(min_kbps > 0.0 && max_kbps >= min_kbps);
-  assert(step_interval_s > 0.0 && total_duration_s >= step_interval_s);
+  // The segment loop below steps by the interval: a non-positive one would
+  // append segments forever.
+  if (!(step_interval_s > 0.0)) {
+    throw std::invalid_argument(
+        "BandwidthTrace::random_walk: step_interval_s must be positive");
+  }
+  assert(total_duration_s >= step_interval_s);
   Rng rng(seed);
   std::vector<Segment> segments;
   double rate = (min_kbps + max_kbps) / 2.0;

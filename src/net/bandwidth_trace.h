@@ -24,6 +24,9 @@ class BandwidthTrace {
   /// TopologySpec::validate() rejects a link that carries one.
   BandwidthTrace() = default;
 
+  // Every builder throws std::invalid_argument on a rate that is negative
+  // or not finite; a rate of 0 models a dark link.
+
   /// Fixed rate forever.
   static BandwidthTrace constant(double kbps);
 
@@ -45,7 +48,8 @@ class BandwidthTrace {
 
   /// Bounded random walk: rate changes every `step_interval_s` by a normal
   /// perturbation with `volatility_kbps` stddev, clamped to [min, max].
-  /// Generates `total_duration_s` worth of segments then repeats.
+  /// Generates `total_duration_s` worth of segments then repeats. Throws
+  /// std::invalid_argument unless `step_interval_s` is positive.
   static BandwidthTrace random_walk(double min_kbps, double max_kbps,
                                     double step_interval_s, double total_duration_s,
                                     double volatility_kbps, std::uint64_t seed);
@@ -112,9 +116,10 @@ class BandwidthTrace {
   [[nodiscard]] std::string to_csv() const;
 
  private:
-  /// Throws std::invalid_argument unless the starts rise strictly from 0
-  /// and the period is 0 or a finite value past the last start: what the
-  /// binary search and the periodic reduction in lookup() rely on.
+  /// Throws std::invalid_argument unless the starts rise strictly from 0,
+  /// the period is 0 or a finite value past the last start (what the
+  /// binary search and the periodic reduction in lookup() rely on), and
+  /// every rate is finite and >= 0.
   BandwidthTrace(std::vector<Segment> segments, double period_s);
 
   [[nodiscard]] Lookup lookup_slow(double t) const;

@@ -213,7 +213,7 @@ double Channel::time_when_service_reaches(double v_target) const {
 
 // --- Topology ---
 
-Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
+Topology::Topology(TopologySpec spec) {
   const std::string problem = spec.validate();
   if (!problem.empty()) throw std::invalid_argument(problem);
   video_assignment_ = std::move(spec.video_assignment);
@@ -340,10 +340,6 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
     channel.topo_ = this;
     channel.index_ = static_cast<std::uint32_t>(p);
     channel.name_ = std::move(channel_names[p]);
-    // Completion-registry storage from the shard arena (when given): drain-
-    // loop registry growth bumps a pointer instead of calling malloc.
-    channel.completions_ = BasicIndexedMinHeap<ArenaAllocator<HeapEntry>>(
-        ArenaAllocator<HeapEntry>(arena));
     paths_.push_back(std::move(channel));
   }
   cache_routes_.resize(spec_path_count_);
@@ -410,9 +406,8 @@ void Topology::population_change(std::size_t p, int delta, double now) {
     }
   }
   // Every affected path's completion predictions went stale (its rate, or
-  // its binding constraint, may have moved): bump their epochs so the
-  // event-heap engine lazily re-keys them, and record them on the dirty
-  // list the engine syncs per drain phase.
+  // its binding constraint, may have moved): bump their epochs and record
+  // them on the dirty list the event-heap engine re-keys per drain phase.
   {
     const std::uint32_t* const aff = aff_paths_csr_.data() + aff_paths_offsets_[p];
     const std::size_t count = aff_paths_offsets_[p + 1] - aff_paths_offsets_[p];

@@ -27,8 +27,9 @@
 // is a pure function of that state: the fleet engines stay bit-identical
 // and the event-heap engine O(log N + affected-topology-size) per event.
 // Completion targets are values of V_P — invariant under population and
-// capacity changes — keyed per path; a binding-constraint move re-keys them
-// lazily through the path's epoch bump (fleet/event_heap.h).
+// capacity changes — keyed per path; a binding-constraint move bumps the
+// path's epoch and puts it on the dirty list the event-heap engine re-keys
+// (fleet/event_heap.h).
 //
 // Hot-path layout (DESIGN.md §12): every per-path hop list, per-link rider
 // set, and affected set is flattened at construction into contiguous
@@ -53,7 +54,6 @@
 #include <vector>
 
 #include "net/bandwidth_trace.h"
-#include "util/arena.h"
 #include "util/indexed_min_heap.h"
 
 namespace demuxabr::obs {
@@ -282,9 +282,8 @@ class Channel final {
   double service_kbit_ = 0.0;  ///< V_P(clock_s_): per-flow min-share integral
 
   std::string name_;
-  /// v_target [kbit] per in-flight flow token; backed by the owning
-  /// Topology's arena when one was supplied.
-  BasicIndexedMinHeap<ArenaAllocator<HeapEntry>> completions_;
+  /// v_target [kbit] per in-flight flow token.
+  IndexedMinHeap completions_;
 };
 
 /// Cache-routing handle of one spec path (fleet/cdn_fleet.h): the cached
@@ -305,10 +304,8 @@ struct PathCacheRoute {
 class Topology {
  public:
   /// Throws std::invalid_argument carrying validate()'s message when `spec`
-  /// is malformed. `arena` (optional, must outlive the topology) backs
-  /// every channel's completion registry — FleetScheduler passes its
-  /// per-shard arena so drain-loop registry growth never hits the heap.
-  explicit Topology(TopologySpec spec, MonotonicArena* arena = nullptr);
+  /// is malformed.
+  explicit Topology(TopologySpec spec);
 
   // Channels point back at their topology and sessions hold raw pointers
   // into it, so it is neither copied nor moved.

@@ -9,10 +9,17 @@
 
 #include "obs/trace.h"
 #include "sim/flow_router.h"
+#include "util/strings.h"
 
 namespace demuxabr {
 namespace {
 constexpr double kEps = 1e-9;
+
+/// Out of line so the throw stays off the stepping hot path.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] void throw_clock_stuck(double now) {
+  throw std::logic_error(
+      format("StreamingSession: no event after the session clock at t=%.17g", now));
+}
 
 /// Trace lane for a download flow: concurrent audio+video flows must not
 /// share a lane or Chrome's B/E nesting breaks.
@@ -28,12 +35,19 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
       view_(std::move(view)),
       network_(std::move(network)),
       player_(player),
-      config_(config),
-      pending_deliveries_(ArenaAllocator<PendingDelivery>(config.arena)) {
+      config_(config) {
   // Every engine moves on by next_tick_ += delta_s; a tick that never
   // advances would pin the session's event time forever.
   if (!(std::isfinite(config_.delta_s) && config_.delta_s > 0.0)) {
     throw std::invalid_argument("StreamingSession: delta_s must be finite and > 0");
+  }
+  // Nor may it fall below the clock's resolution: at 1e16 s a step of
+  // 0.125 s rounds back to the same time. The clock never runs past
+  // max_sim_time_s, where the spacing of doubles is widest.
+  const double cap = config_.max_sim_time_s;
+  if (config_.delta_s < std::nextafter(cap, std::numeric_limits<double>::infinity()) - cap) {
+    throw std::invalid_argument(
+        "StreamingSession: delta_s is below the clock's resolution at max_sim_time_s");
   }
   if (network_.video_link->clock_s() > config_.start_time_s ||
       network_.audio_link->clock_s() > config_.start_time_s) {
@@ -468,7 +482,7 @@ double StreamingSession::next_event_time() const {
   for (const Flow* f : {&audio_flow_, &video_flow_}) {
     if (f->active && f->on_link) t = std::min(t, completion_time(*f));
   }
-  if (!(t > now_)) t = now_ + 1e-6;  // forward progress guard
+  if (!(t > now_)) throw_clock_stuck(now_);
   return t;
 }
 

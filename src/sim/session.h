@@ -42,7 +42,6 @@
 #include "sim/buffer.h"
 #include "sim/metrics.h"
 #include "sim/player.h"
-#include "util/arena.h"
 
 namespace demuxabr {
 
@@ -60,8 +59,9 @@ struct SessionConfig {
   /// After a stall, playback resumes once both buffers recover to this
   /// (ExoPlayer's bufferForPlaybackAfterRebuffer).
   double resume_buffer_s = 5.0;
-  /// Progress-sampling interval (Shaka's delta). Must be finite and > 0:
-  /// the session constructor throws std::invalid_argument otherwise.
+  /// Progress-sampling interval (Shaka's delta). Must be finite, > 0 and
+  /// no smaller than the spacing of doubles at max_sim_time_s: the session
+  /// constructor throws std::invalid_argument otherwise.
   double delta_s = 0.125;
   /// Hard wall on simulated time. Reaching it is itself an event: the
   /// session aborts in-flight downloads (releasing shared-link slots),
@@ -103,10 +103,6 @@ struct SessionConfig {
   /// (counted as a stall while playback is paused). Both log modes record
   /// them; see compute_qoe for how they count.
   std::vector<SeekEvent> seeks;
-  /// Optional arena (must outlive the session) backing the pending-delivery
-  /// queue: fleet schedulers pass their per-shard arena so queue growth in
-  /// the drain loop never calls malloc. Null (solo sessions) = heap.
-  MonotonicArena* arena = nullptr;
   /// Time-binned fleet telemetry sink (obs/telemetry.h), owned by the fleet
   /// scheduler; the session reports buffer samples and completed video
   /// chunks into it. Null (the default) costs one predictable branch per
@@ -119,7 +115,8 @@ class StreamingSession {
   /// `content` is server-side truth (chunk sizes); `view` is what the player
   /// sees. The session keeps references; all must outlive run(). Throws
   /// std::invalid_argument when config.delta_s is not finite and positive
-  /// (the sampling clock would never advance), or when either default
+  /// or is below the clock's resolution at config.max_sim_time_s (the
+  /// sampling clock would never advance), or when either default
   /// carrier's clock is already past config.start_time_s: a Network that
   /// carried another session.
   StreamingSession(const Content& content, ManifestView view, Network network,
@@ -188,7 +185,10 @@ class StreamingSession {
   /// anchored absolute time, so repeated calls between events return the
   /// same float in any engine. A flow's completion time is walked over
   /// its channel's trace segments once per channel epoch and cached with
-  /// the flow; this call and process_events() read the cache.
+  /// the flow; this call and process_events() read the cache. Throws
+  /// std::logic_error, naming the clock, when no candidate lies past
+  /// now(), as when an event offset is below the clock's resolution: the
+  /// session fails instead of spinning or running on a rounded clock.
   [[nodiscard]] double next_event_time() const;
 
   /// next_event_time() without the link-dependent completion candidates:
@@ -425,10 +425,9 @@ class StreamingSession {
     std::uint64_t ticket = 0;
   };
   /// At most two entries ever (one in-flight flow per media type between
-  /// consecutive begin_steps); arena-backed in fleets, so even its one-off
-  /// growth is a pointer bump. Lazily grown: cache-less fleets never queue
-  /// a delivery, so the arena pays nothing per churned client there.
-  std::vector<PendingDelivery, ArenaAllocator<PendingDelivery>> pending_deliveries_;
+  /// consecutive begin_steps). Lazily grown: cache-less fleets never queue
+  /// a delivery, so it costs nothing per churned client there.
+  std::vector<PendingDelivery> pending_deliveries_;
 
   SessionLog log_;
 };

@@ -13,7 +13,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace demuxabr {
@@ -24,20 +23,9 @@ struct HeapEntry {
   double key = 0.0;
 };
 
-/// Allocator-parameterised heap: the fleet engine binds its instances (the
-/// event heap, every channel's completion registry) to a per-shard
-/// MonotonicArena via ArenaAllocator so registry growth never touches the
-/// global heap; everyone else uses the plain `IndexedMinHeap` alias below.
-template <typename EntryAlloc = std::allocator<HeapEntry>>
-class BasicIndexedMinHeap {
+class IndexedMinHeap {
  public:
   using Entry = HeapEntry;
-  using PosAlloc = typename std::allocator_traits<
-      EntryAlloc>::template rebind_alloc<std::int32_t>;
-
-  BasicIndexedMinHeap() = default;
-  explicit BasicIndexedMinHeap(const EntryAlloc& alloc)
-      : heap_(alloc), pos_(PosAlloc(alloc)) {}
 
   /// Insert `id` with `key`, or re-key it if already present (moves up or
   /// down as needed). Ids should be dense: the position index grows to the
@@ -170,11 +158,9 @@ class BasicIndexedMinHeap {
     }
   }
 
-  std::vector<Entry, EntryAlloc> heap_;
+  std::vector<Entry> heap_;
   /// id -> heap index, -1 when absent
-  std::vector<std::int32_t, PosAlloc> pos_;
+  std::vector<std::int32_t> pos_;
 };
-
-using IndexedMinHeap = BasicIndexedMinHeap<>;
 
 }  // namespace demuxabr

@@ -129,7 +129,7 @@ TEST(EventHeap, LazyLinkSyncTracksEpoch) {
   heap.sync_link(0, link);
   EXPECT_DOUBLE_EQ(heap.top().t, 1.0);
 
-  // Same epoch: sync is a no-op even though we could recompute.
+  // Same epoch: the re-key lands on the same time.
   heap.sync_link(0, link);
   EXPECT_DOUBLE_EQ(heap.top().t, 1.0);
 
@@ -160,38 +160,40 @@ TEST(EventHeapStats, PopsCountEveryPop) {
   EXPECT_EQ(heap.stats().pops, 2u);
 }
 
-TEST(EventHeapStats, SyncChecksCountEveryCallRefreshesOnlyEpochMoves) {
+TEST(EventHeapStats, EverySyncCountsAndRekeysFromEarliestCompletion) {
   fleet::EventHeap heap(2, 1);
   Topology topo(TopologySpec::single(BandwidthTrace::constant(1000.0)));
   Channel& link = topo.path_channel(0);
   link.add_flow(0.0);
   link.register_completion(0, 1000.0);
 
-  // First sync always refreshes (the epoch cache starts at a sentinel).
+  // 1000 kbit at the full 1000 kbps: due at t=1.
   heap.sync_link(0, link);
   EXPECT_EQ(heap.stats().sync_checks, 1u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 1u);
+  ASSERT_FALSE(heap.empty());
+  EXPECT_TRUE(heap.top().is_link);
+  EXPECT_EQ(heap.top().index, 0u);
+  EXPECT_DOUBLE_EQ(heap.top().t, 1.0);
 
-  // Clean epoch: checks advance, refreshes don't — the lazy hit.
-  heap.sync_link(0, link);
-  heap.sync_link(0, link);
-  EXPECT_EQ(heap.stats().sync_checks, 3u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 1u);
-
-  // Population change bumps the epoch: the next check refreshes once.
+  // A second flow at t=0.25 halves the share: the 750 kbit left take 1.5 s.
   link.add_flow(0.25);
   heap.sync_link(0, link);
+  EXPECT_EQ(heap.stats().sync_checks, 2u);
+  EXPECT_DOUBLE_EQ(heap.top().t, 1.75);
+
+  // A registration moves no epoch, and the sync still re-keys: 250 kbit
+  // past V(0.25) = 250 at 500 kbps.
+  link.register_completion(1, 500.0);
   heap.sync_link(0, link);
-  EXPECT_EQ(heap.stats().sync_checks, 5u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 2u);
+  EXPECT_EQ(heap.stats().sync_checks, 3u);
+  EXPECT_DOUBLE_EQ(heap.top().t, 0.75);
 
-  // Forced sync refreshes even on a clean epoch.
-  heap.sync_link(0, link, /*force=*/true);
-  EXPECT_EQ(heap.stats().sync_checks, 6u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 3u);
-
-  // Invariant the profile's hit rate relies on.
-  EXPECT_LE(heap.stats().sync_refreshes, heap.stats().sync_checks);
+  // No registered completion left: the link leaves the heap.
+  link.unregister_completion(0);
+  link.unregister_completion(1);
+  heap.sync_link(0, link);
+  EXPECT_EQ(heap.stats().sync_checks, 4u);
+  EXPECT_TRUE(heap.empty());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Drain-loop allocation audit (own binary: the operator new/delete override
-// below is process-wide). The tentpole claim of the arena work is that the
-// event-heap engine's steady-state drain performs ZERO heap allocations —
-// everything it touches (completion registries, the event heap, drain
-// scratch, pending-delivery queues) lives in the scheduler's per-shard
-// MonotonicArena, and per-session state reaches its high-water mark during
-// the start-up transient.
+// below is process-wide). The event-heap engine's steady-state drain
+// performs ZERO heap allocations: everything it touches (completion
+// registries, the event heap, drain scratch, pending-delivery queues) is a
+// plain std::vector that reaches its high-water capacity during the
+// start-up transient and afterwards only recycles its slots, and so does
+// per-session state.
 //
 // Proof shape: run the same no-churn minimal-log fleet twice, identical
 // except for the absolute sim-time cap. Both runs admit the same clients,
@@ -13,9 +13,9 @@
 // steady-state drain loop allocates nothing, the two global allocation
 // counts are EQUAL — any per-event malloc shows up as a count difference
 // proportional to the extra events. A warmup run at the LONG cap first
-// touches lazy global state (metrics-registry histogram buckets, locale,
-// gtest internals): the runs are deterministic, so the short run's event
-// stream is a prefix of the warmup's and can surface no new global bucket.
+// touches lazy global state (locale, gtest internals): the runs are
+// deterministic, so the short run's event stream is a prefix of the
+// warmup's and can surface no new global state.
 //
 // minimal_log (rather than streaming-metrics) mode on purpose: the
 // streaming sketches bucket by VALUE, so a 240s watch can touch quantile

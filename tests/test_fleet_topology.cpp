@@ -451,7 +451,7 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
   // Path A rides edge(1000) → core(3000): binding starts at the edge. Five
   // flows then pile onto the core via path B, dropping the core's fair
   // share to 500 < 1000 — the binding constraint moves mid-flow, A's epoch
-  // bumps, and the (lazily re-keyed) completion prediction shifts later.
+  // bumps, and the re-keyed completion prediction shifts later.
   TopologySpec spec;
   const std::size_t core = spec.add_link("core", BandwidthTrace::constant(3000.0));
   const std::size_t edge = spec.add_link("edge", BandwidthTrace::constant(1000.0));
@@ -470,13 +470,9 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
   EventHeap heap(/*session_count=*/1, /*link_count=*/2);
   heap.sync_link(0, a);
   heap.sync_link(1, b);
-  const std::uint64_t checks_before = heap.stats().sync_checks;
-  const std::uint64_t refreshes_before = heap.stats().sync_refreshes;
-
-  // Re-sync without any population change: the epoch cache must swallow it.
-  heap.sync_link(0, a);
-  EXPECT_EQ(heap.stats().sync_checks, checks_before + 1);
-  EXPECT_EQ(heap.stats().sync_refreshes, refreshes_before);
+  ASSERT_FALSE(heap.empty());
+  EXPECT_EQ(heap.top().index, 0u);
+  EXPECT_DOUBLE_EQ(heap.top().t, 10.0);
 
   const std::uint64_t epoch_before = a.epoch();
   for (int i = 0; i < 5; ++i) b.add_flow(2.0);
@@ -486,12 +482,14 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
   // 2 s at 1000 kbps, the remaining 8 Mbit now trickles at core/6 = 500.
   EXPECT_DOUBLE_EQ(a.earliest_completion_time(), 2.0 + 8000.0 / 500.0);
 
-  // The lazy sync notices exactly one stale entry and re-keys it.
-  const std::uint64_t refreshes_mid = heap.stats().sync_refreshes;
+  // The sync re-keys A's entry on the later completion; B registered none.
   heap.sync_link(0, a);
   heap.sync_link(1, b);
-  EXPECT_EQ(heap.stats().sync_refreshes, refreshes_mid + 2);  // both paths moved
-  EXPECT_TRUE(heap.stats().sync_checks >= heap.stats().sync_refreshes);
+  EXPECT_EQ(heap.stats().sync_checks, 4u);
+  EXPECT_EQ(heap.top().index, 0u);
+  EXPECT_DOUBLE_EQ(heap.top().t, 2.0 + 8000.0 / 500.0);
+  heap.pop();
+  EXPECT_TRUE(heap.empty());
 
   a.unregister_completion(0);
   a.remove_flow(4.0);
@@ -503,11 +501,9 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
 }
 
 TEST(TopologyRegression, EventHeapSyncCountersReconcileOnTopologyFleet) {
-  // Fleet-level: the sync counters surface through the profile and must
-  // reconcile (every refresh was a check). On a topology fleet the engine
+  // Fleet-level: the sync counters surface through the profile. The engine
   // syncs only the dirty set — channels whose epochs moved since the last
-  // phase — so every check refreshes: wasted checks would mean the dirty
-  // list over-approximates the stale set.
+  // phase — and every sync re-keys, so refreshes equal checks.
   const ex::ExperimentSetup setup = ex::plain_dash(ex::varying_600_trace(), "sync");
   FleetConfig config = base_config(8, 17);
   config.arrivals = ArrivalProcess::kDeterministic;

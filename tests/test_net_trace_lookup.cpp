@@ -146,8 +146,9 @@ TEST(TraceLookup, SlackEdgeQueriesMatchTheOracle) {
 // --- Trace shapes the one lookup cannot serve: its binary search needs
 // --- segment starts rising strictly from 0, and its periodic reduction a
 // --- finite period past the last start. The constructor every builder
-// --- goes through throws on them; steps() and square_wave() also reject a
-// --- non-positive duration up front.
+// --- goes through throws on them, and on a negative or non-finite rate;
+// --- steps() and square_wave() also reject a non-positive duration up
+// --- front.
 
 TEST(TraceShape, RejectsNoSegments) {
   EXPECT_THROW(BandwidthTrace::steps({}, false), std::invalid_argument);
@@ -192,6 +193,31 @@ TEST(TraceShape, RejectsNonFiniteStartsAndPeriods) {
                std::invalid_argument);
   EXPECT_THROW(BandwidthTrace::steps({{10.0, 500.0}, {inf, 300.0}}, true),
                std::invalid_argument);
+}
+
+TEST(TraceShape, RejectsNegativeAndNonFiniteRates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  EXPECT_THROW(BandwidthTrace::constant(-300.0), std::invalid_argument);
+  EXPECT_THROW(BandwidthTrace::constant(nan), std::invalid_argument);
+  EXPECT_THROW(BandwidthTrace::constant(inf), std::invalid_argument);
+  // A one-flow channel over this trace would read V(20 s) < V(10 s).
+  EXPECT_THROW(BandwidthTrace::steps({{10.0, 2000.0}, {10.0, -500.0}}, true),
+               std::invalid_argument);
+  EXPECT_THROW(BandwidthTrace::steps({{10.0, nan}, {10.0, 500.0}}, false),
+               std::invalid_argument);
+  EXPECT_THROW(BandwidthTrace::square_wave(-300.0, 900.0, 30.0, 30.0),
+               std::invalid_argument);
+  EXPECT_THROW(BandwidthTrace::square_wave(300.0, nan, 30.0, 30.0, true),
+               std::invalid_argument);
+  // A non-positive interval would append random-walk segments forever.
+  EXPECT_THROW(BandwidthTrace::random_walk(500.0, 2000.0, 0.0, 60.0, 100.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(BandwidthTrace::random_walk(500.0, 2000.0, -1.0, 60.0, 100.0, 1),
+               std::invalid_argument);
+  // Zero models a dark link.
+  EXPECT_NO_THROW(BandwidthTrace::constant(0.0));
+  EXPECT_NO_THROW(BandwidthTrace::steps({{10.0, 2000.0}, {10.0, 0.0}}, true));
 }
 
 TEST(TraceShape, CsvRejectsNonFiniteCellsWithAnError) {

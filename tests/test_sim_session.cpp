@@ -330,6 +330,41 @@ TEST(Session, NonPositiveOrNonFiniteDeltaIsRejected) {
   }
 }
 
+TEST(Session, RejectsDeltaBelowClockResolution) {
+  // Doubles near 2e16 are 4 s apart: a 0.125 s tick rounds back to the
+  // same time, so the session clock could never move on.
+  const Content content = small_content();
+  SessionConfig config;
+  config.start_time_s = 1e16;
+  config.max_sim_time_s = 2e16;
+  ScriptedPlayer player(2, 20.0);
+  EXPECT_THROW(run_session(content, view_of(content),
+                           Network::shared(BandwidthTrace::constant(1500.0)), player,
+                           config),
+               std::invalid_argument);
+  // A 4 s tick still advances the clock there.
+  config.delta_s = 4.0;
+  ScriptedPlayer coarse(2, 20.0);
+  EXPECT_NO_THROW(StreamingSession(content, view_of(content),
+                                   Network::shared(BandwidthTrace::constant(1500.0)),
+                                   coarse, config));
+}
+
+TEST(Session, StuckClockThrowsInsteadOfSpinning) {
+  // No cap bounds the clock's resolution, so the constructor accepts the
+  // 0.125 s tick; at 1e16 s it rounds back to the same time, and the first
+  // step finds no event past the clock.
+  const Content content = small_content();
+  SessionConfig config;
+  config.start_time_s = 1e16;
+  config.max_sim_time_s = std::numeric_limits<double>::infinity();
+  ScriptedPlayer player(2, 20.0);
+  EXPECT_THROW(run_session(content, view_of(content),
+                           Network::shared(BandwidthTrace::constant(1500.0)), player,
+                           config),
+               std::logic_error);
+}
+
 TEST(Session, PlaybackTimeEqualsContentPlusStallsPlusStartup) {
   const Content content = small_content();
   ScriptedPlayer player(1, 60.0);
