@@ -7,7 +7,9 @@
 // a shared and on a split network (the audio path a square wave out of
 // phase with the video trace), over the Fig 3 varying-600 square wave and a
 // periodic 480 s lte-handoff corpus trace; plus a session with forward and
-// backward seeks and the dash.js bandwidth-cliff abandonment scenario.
+// backward seeks and the dash.js bandwidth-cliff abandonment scenario. A
+// second battery runs players over the manifests they meet outside their
+// comparison_setup() (kPathGoldenCases).
 //
 // Each digest is the 64-bit FNV-1a of experiments::log_fingerprint(log),
 // which covers every download, abandonment, stall, seek and selection and
@@ -100,6 +102,47 @@ constexpr SoloGoldenCase kSoloGoldenCases[] = {
   {7, SoloTrace::kLteHandoff, true, 0x0c999aabf1dae70cull},
 };
 
+/// The manifests a player meets outside its comparison_setup(): ExoPlayer's
+/// HLS first-variant ladder, Shaka's M x N grid over plain DASH, the muxed
+/// player over listed H_all combinations, and the coordinated players'
+/// client-side curation (plain DASH) and second-level HLS playlists.
+enum class PathSetup { kFig3, kFig3x, kFig4a, kFig4c, kPlainDash, kBestPracticeHls };
+
+struct PathGoldenCase {
+  std::size_t player;  ///< comparison_players() index
+  PathSetup setup;
+  std::uint64_t digest;
+};
+
+ex::ExperimentSetup path_setup(PathSetup setup) {
+  switch (setup) {
+    case PathSetup::kFig3: return ex::fig3_exo_hls_a3_first();
+    case PathSetup::kFig3x: return ex::fig3x_exo_hls_a1_first_5mbps();
+    case PathSetup::kFig4a: return ex::fig4a_shaka_hall_1mbps();
+    case PathSetup::kFig4c: return ex::fig4c_shaka_dash_1mbps();
+    case PathSetup::kPlainDash: return ex::plain_dash(ex::varying_600_trace(), "varying-600");
+    case PathSetup::kBestPracticeHls: break;
+  }
+  return ex::bestpractice_hls(ex::varying_600_trace(), "varying-600");
+}
+
+constexpr PathGoldenCase kPathGoldenCases[] = {
+  {0, PathSetup::kFig3, 0x1f452709742ad558ull},
+  {1, PathSetup::kFig3, 0x3de3486ab47901b2ull},
+  {1, PathSetup::kFig3x, 0xd2204d691d19aaf7ull},
+  {2, PathSetup::kFig4c, 0x016cdca902fa6f76ull},
+  {4, PathSetup::kFig4a, 0x9592032deeee60b8ull},
+  // The client-side curation and the HLS H_sub list give the rate
+  // controller the same staircase as best-practice DASH, so both rows match
+  // its comparison_setup() varying-600 shared digest.
+  {5, PathSetup::kPlainDash, 0xc6e5bebafac0c722ull},
+  {5, PathSetup::kBestPracticeHls, 0xc6e5bebafac0c722ull},
+  {6, PathSetup::kPlainDash, 0xb961fac9f6c43885ull},
+  {6, PathSetup::kBestPracticeHls, 0xfbc527bb9acfa45full},
+  {7, PathSetup::kPlainDash, 0x0c8edeeda3dd1c61ull},
+  {7, PathSetup::kBestPracticeHls, 0xb9267409965876ecull},
+};
+
 /// Digest of the coordinated player with a forward seek past the buffer
 /// and a backward seek behind the playhead, over the varying-600 trace.
 constexpr std::uint64_t kSeekDigest = 0xeddcd1a300cb2a00ull;
@@ -168,6 +211,19 @@ TEST(SoloGoldenFingerprint, SessionsMatchRecordedDigests) {
   EXPECT_GT(coverage.stalls, 0u);
   EXPECT_GT(coverage.abandonments, 0u);
   EXPECT_GT(coverage.seeks, 0u);
+}
+
+TEST(SoloGoldenFingerprint, ManifestPathsMatchRecordedDigests) {
+  const auto& players = ex::comparison_players();
+  ASSERT_EQ(players.size(), 8u);
+  for (const PathGoldenCase& golden : kPathGoldenCases) {
+    const ex::ExperimentSetup setup = path_setup(golden.setup);
+    SCOPED_TRACE(testing::Message() << players[golden.player].label << " on " << setup.id);
+    const std::unique_ptr<PlayerAdapter> player = players[golden.player].factory();
+    const SessionLog log = ex::run(setup, *player);
+    EXPECT_EQ(fnv1a(ex::log_fingerprint(log)), golden.digest);
+    expect_matches_walk(log, setup.content.ladder());
+  }
 }
 
 }  // namespace
