@@ -16,7 +16,6 @@
 // log_fingerprint() strings in tests/test_sweep.cpp.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,9 +26,6 @@
 #include "sim/player.h"
 
 namespace demuxabr::experiments {
-
-/// Builds a fresh player per run; must not capture mutable shared state.
-using PlayerFactory = std::function<std::unique_ptr<PlayerAdapter>()>;
 
 struct SweepJob {
   std::string id;      ///< unique label, e.g. "coordinated/varying-600k"

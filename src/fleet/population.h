@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -19,10 +18,6 @@
 #include "sim/session.h"
 
 namespace demuxabr::fleet {
-
-/// Builds a fresh player per client; must not capture mutable shared state
-/// (replications and shards run concurrently on worker threads).
-using PlayerFactory = std::function<std::unique_ptr<PlayerAdapter>()>;
 
 /// One entry of the player mix: clients draw a player proportionally to
 /// `weight` (a population of 70% ExoPlayer / 30% Shaka is two shares).

@@ -206,8 +206,8 @@ class Channel final {
 
   /// Unregister one flow at time `now`. Removing from an idle channel is a
   /// flow-accounting bug in the caller (a double remove): it asserts in
-  /// debug builds, and in release logs an error, clamps at zero and counts
-  /// it in Topology::double_removes().
+  /// debug builds, and in release clamps at zero and counts it in
+  /// Topology::double_removes().
   void remove_flow(double now);
 
   [[nodiscard]] int active_flows() const { return active_flows_; }
@@ -354,8 +354,8 @@ class Topology {
   /// the fleet's CdnStats).
   [[nodiscard]] std::vector<PathSummary> path_stats() const;
   /// Double removes clamped so far (a flow removed from an idle path:
-  /// asserts in debug builds, logs an error and clamps at zero in
-  /// release). Anything but 0 is an engine bug.
+  /// asserts in debug builds, clamps at zero in release). Anything but 0
+  /// is an engine bug.
   [[nodiscard]] std::uint64_t double_removes() const { return double_removes_; }
 
   /// Wire the run's tracer (obs/trace.h): every population change then

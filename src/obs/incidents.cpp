@@ -132,9 +132,7 @@ struct ChartSeries {
 std::string svg_chart(const std::string& title,
                       const std::vector<ChartSeries>& series, double y_floor) {
   double y_max = y_floor;
-  std::size_t n = 0;
   for (const ChartSeries& s : series) {
-    n = std::max(n, s.values.size());
     for (const double v : s.values) y_max = std::max(y_max, v);
   }
   if (y_max <= 0.0) y_max = 1.0;
@@ -165,7 +163,6 @@ std::string svg_chart(const std::string& title,
     out += "\"/>\n";
   }
   out += "</svg></div>\n";
-  (void)n;
   return out;
 }
 

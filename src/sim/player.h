@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -151,5 +153,9 @@ class PlayerAdapter {
   /// The default, true, keeps every tick on time.
   [[nodiscard]] virtual bool observes_progress() const { return true; }
 };
+
+/// Builds a fresh player per session; must not capture mutable shared state
+/// (sweep jobs, fleet replications and shards run on worker threads).
+using PlayerFactory = std::function<std::unique_ptr<PlayerAdapter>()>;
 
 }  // namespace demuxabr

@@ -45,9 +45,20 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
   // 0.125 s rounds back to the same time. The clock never runs past
   // max_sim_time_s, where the spacing of doubles is widest.
   const double cap = config_.max_sim_time_s;
-  if (config_.delta_s < std::nextafter(cap, std::numeric_limits<double>::infinity()) - cap) {
+  const double resolution = std::nextafter(cap, std::numeric_limits<double>::infinity()) - cap;
+  if (config_.delta_s < resolution) {
     throw std::invalid_argument(
         "StreamingSession: delta_s is below the clock's resolution at max_sim_time_s");
+  }
+  // Every request's data starts one RTT after it: an RTT that rounds away
+  // on the clock would start a transfer at the request's own time.
+  const double rtt = network_.rtt_s;
+  if (!(std::isfinite(rtt) && rtt >= 0.0)) {
+    throw std::invalid_argument("StreamingSession: rtt_s must be finite and >= 0");
+  }
+  if (rtt > 0.0 && rtt < resolution) {
+    throw std::invalid_argument(
+        "StreamingSession: rtt_s is below the clock's resolution at max_sim_time_s");
   }
   if (network_.video_link->clock_s() > config_.start_time_s ||
       network_.audio_link->clock_s() > config_.start_time_s) {

@@ -6,42 +6,6 @@
 
 namespace demuxabr {
 
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::clear() { *this = RunningStats{}; }
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
-void Ewma::reset() {
-  value_ = 0.0;
-  initialized_ = false;
-}
-
 HalfLifeEwma::HalfLifeEwma(double half_life) : half_life_(half_life) {
   assert(half_life > 0.0);
 }

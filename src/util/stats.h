@@ -1,50 +1,12 @@
 // Streaming statistics primitives used by bandwidth estimators, metrics and
-// benchmarks: running mean/variance, EWMA (time and sample based), sliding
-// percentile (ExoPlayer-style weighted), harmonic mean window.
+// benchmarks: half-life EWMA (Shaka-style), sliding percentile
+// (ExoPlayer-style weighted), harmonic mean window.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace demuxabr {
-
-/// Welford running mean / variance / min / max.
-class RunningStats {
- public:
-  void add(double x);
-  void clear();
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Classic sample-count EWMA: v <- alpha * x + (1 - alpha) * v.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-
-  void add(double x);
-  void reset();
-
-  [[nodiscard]] bool empty() const { return !initialized_; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
 
 /// Half-life weighted EWMA as used by Shaka Player's bandwidth estimator:
 /// each sample carries a weight (e.g. transfer duration in seconds) and the

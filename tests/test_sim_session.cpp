@@ -342,12 +342,38 @@ TEST(Session, RejectsDeltaBelowClockResolution) {
                            Network::shared(BandwidthTrace::constant(1500.0)), player,
                            config),
                std::invalid_argument);
-  // A 4 s tick still advances the clock there.
+  // A 4 s tick still advances the clock there (over a zero RTT, which
+  // RejectsRttBelowClockResolution needs).
   config.delta_s = 4.0;
   ScriptedPlayer coarse(2, 20.0);
   EXPECT_NO_THROW(StreamingSession(content, view_of(content),
-                                   Network::shared(BandwidthTrace::constant(1500.0)),
+                                   Network::shared(BandwidthTrace::constant(1500.0), 0.0),
                                    coarse, config));
+}
+
+TEST(Session, RejectsRttBelowClockResolution) {
+  // Doubles near 2e16 are 4 s apart: a 50 ms RTT rounds to zero there, so
+  // the constructor refuses the session instead of its first step throwing.
+  const Content content = small_content();
+  SessionConfig config;
+  config.start_time_s = 1e16;
+  config.max_sim_time_s = 2e16;
+  config.delta_s = 4.0;
+  auto construct = [&](double rtt_s) {
+    ScriptedPlayer player(2, 20.0);
+    StreamingSession(content, view_of(content),
+                     Network::shared(BandwidthTrace::constant(1500.0), rtt_s), player,
+                     config);
+  };
+  EXPECT_THROW(construct(0.05), std::invalid_argument);
+  for (const double rtt : {-0.05, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(rtt);
+    EXPECT_THROW(construct(rtt), std::invalid_argument);
+  }
+  // No RTT, or one the clock resolves, is accepted.
+  EXPECT_NO_THROW(construct(0.0));
+  EXPECT_NO_THROW(construct(4.0));
 }
 
 TEST(Session, StuckClockThrowsInsteadOfSpinning) {

@@ -28,7 +28,7 @@ namespace ex = demuxabr::experiments;
 std::vector<ex::SweepJob> determinism_matrix() {
   std::vector<ex::SweepJob> jobs;
   auto add = [&jobs](const std::string& id, ex::ExperimentSetup setup,
-                     ex::PlayerFactory factory) {
+                     PlayerFactory factory) {
     ex::SweepJob job;
     job.id = id;
     job.player = id;

@@ -7,48 +7,6 @@
 namespace demuxabr {
 namespace {
 
-TEST(RunningStats, MeanVarianceMinMax) {
-  RunningStats stats;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(x);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(RunningStats, EmptyAndSingle) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  stats.add(3.5);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 3.5);
-}
-
-TEST(RunningStats, ClearResets) {
-  RunningStats stats;
-  stats.add(1.0);
-  stats.clear();
-  EXPECT_EQ(stats.count(), 0u);
-}
-
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma ewma(0.5);
-  EXPECT_TRUE(ewma.empty());
-  ewma.add(10.0);
-  EXPECT_DOUBLE_EQ(ewma.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesTowardConstant) {
-  Ewma ewma(0.3);
-  ewma.add(0.0);
-  for (int i = 0; i < 60; ++i) ewma.add(100.0);
-  EXPECT_NEAR(ewma.value(), 100.0, 1e-6);
-}
-
 TEST(HalfLifeEwma, BiasCorrectedEstimateMatchesConstantInput) {
   HalfLifeEwma ewma(2.0);
   ewma.add(0.125, 500.0);
@@ -205,18 +163,6 @@ TEST(PercentileSummary, SingleSample) {
   EXPECT_DOUBLE_EQ(s.max, 42.0);
   EXPECT_DOUBLE_EQ(s.mean, 42.0);
 }
-
-class EwmaAlphaSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(EwmaAlphaSweep, StaysWithinInputRange) {
-  Ewma ewma(GetParam());
-  for (int i = 0; i < 100; ++i) ewma.add(i % 2 == 0 ? 10.0 : 20.0);
-  EXPECT_GE(ewma.value(), 10.0);
-  EXPECT_LE(ewma.value(), 20.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Alphas, EwmaAlphaSweep,
-                         ::testing::Values(0.01, 0.1, 0.3, 0.5, 0.9, 1.0));
 
 class HalfLifeSweep : public ::testing::TestWithParam<double> {};
 
