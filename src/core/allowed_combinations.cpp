@@ -63,26 +63,34 @@ std::vector<AvCombination> curate_combinations(const BitrateLadder& ladder,
   }
   if (audio.empty()) audio.push_back(&ladder.audio().front());
 
-  const double w = policy.audio_importance();
-  const auto num_video = video.size();
-  const auto num_audio = audio.size();
-
+  const std::vector<std::size_t> pairing =
+      audio_pairing(video.size(), audio.size(), policy.audio_importance());
   std::vector<AvCombination> combos;
-  combos.reserve(num_video);
+  combos.reserve(video.size());
+  for (std::size_t i = 0; i < video.size(); ++i) {
+    combos.push_back(make_combination(ladder, video[i]->id, audio[pairing[i]]->id));
+  }
+  return combos;
+}
+
+std::vector<std::size_t> audio_pairing(std::size_t num_video, std::size_t num_audio,
+                                       double audio_importance) {
+  std::vector<std::size_t> pairing;
+  pairing.reserve(num_video);
   std::size_t previous_audio = 0;
   for (std::size_t i = 0; i < num_video; ++i) {
     // Normalized position of this video rung in (0, 1].
     const double v_pos = (static_cast<double>(i) + 0.5) / static_cast<double>(num_video);
-    // Shift the audio target by the policy weight: w == 0.5 is proportional
-    // pairing (H_sub); higher w pulls audio quality up at every video rung.
-    const double a_pos = std::clamp(v_pos + (w - 0.5), 0.0, 1.0);
+    // Shift the audio target by the policy weight: 0.5 is proportional
+    // pairing (H_sub); higher weights pull audio quality up at every rung.
+    const double a_pos = std::clamp(v_pos + (audio_importance - 0.5), 0.0, 1.0);
     auto j = static_cast<std::size_t>(a_pos * static_cast<double>(num_audio));
     if (j >= num_audio) j = num_audio - 1;
     j = std::max(j, previous_audio);  // keep audio rung monotone
     previous_audio = j;
-    combos.push_back(make_combination(ladder, video[i]->id, audio[j]->id));
+    pairing.push_back(j);
   }
-  return combos;
+  return pairing;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> staircase_path(

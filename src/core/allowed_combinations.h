@@ -54,6 +54,12 @@ struct CurationPolicy {
 std::vector<AvCombination> curate_combinations(const BitrateLadder& ladder,
                                                const CurationPolicy& policy);
 
+/// The audio rung (of `num_audio`) paired with each of `num_video` video
+/// rungs: the video rung's proportional position, shifted by the policy's
+/// audio importance (0.5 pairs proportionally), kept non-decreasing.
+std::vector<std::size_t> audio_pairing(std::size_t num_video, std::size_t num_audio,
+                                       double audio_importance);
+
 /// Index staircase: expand a per-video-rung audio pairing (audio rung j for
 /// video rung i, non-decreasing) into a full upgrade path where adjacent
 /// combinations differ in exactly one component. `audio_first` controls

@@ -1,16 +1,14 @@
 #include "core/balanced_prefetch.h"
 
+#include "players/fetch_order.h"
+
 namespace demuxabr {
 
 BalancedPrefetcher::BalancedPrefetcher(BalancedPrefetchConfig config) : config_(config) {}
 
 std::optional<MediaType> BalancedPrefetcher::next_type(const PlayerContext& ctx) const {
-  auto eligible = [&](MediaType type) {
-    return !ctx.downloading(type) && ctx.next_chunk(type) < ctx.total_chunks &&
-           ctx.buffer_s(type) < config_.buffer_target_s;
-  };
-  const bool audio_ok = eligible(MediaType::kAudio);
-  const bool video_ok = eligible(MediaType::kVideo);
+  const bool audio_ok = may_fetch(ctx, MediaType::kAudio, config_.buffer_target_s);
+  const bool video_ok = may_fetch(ctx, MediaType::kVideo, config_.buffer_target_s);
   if (!audio_ok && !video_ok) return std::nullopt;
   if (audio_ok && video_ok) {
     // Advance the lagging type; ties prefer video (its chunks are larger,

@@ -1,35 +1,13 @@
 #include "core/bba_abr.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace demuxabr {
-
-BufferBasedJointAbr::BufferBasedJointAbr(std::vector<ComboView> allowed,
-                                         BbaConfig config)
-    : allowed_(std::move(allowed)), config_(config) {
-  assert(!allowed_.empty());
-  assert(config_.reservoir_s >= 0.0 && config_.cushion_s > 0.0);
-  assert(std::is_sorted(allowed_.begin(), allowed_.end(),
-                        [](const ComboView& a, const ComboView& b) {
-                          return a.bandwidth_kbps < b.bandwidth_kbps;
-                        }));
-}
-
-double BufferBasedJointAbr::requirement_kbps(std::size_t index) const {
-  const ComboView& combo = allowed_[index];
-  if (config_.use_average_bandwidth && combo.avg_bandwidth_kbps > 0.0) {
-    return combo.avg_bandwidth_kbps;
-  }
-  return combo.bandwidth_kbps;
-}
 
 double BufferBasedJointAbr::rate_map_kbps(double buffer_s) const {
   const double r_min = requirement_kbps(0);
   const double r_max = requirement_kbps(allowed_.size() - 1);
-  if (buffer_s <= config_.reservoir_s) return r_min;
-  if (buffer_s >= config_.reservoir_s + config_.cushion_s) return r_max;
-  const double fraction = (buffer_s - config_.reservoir_s) / config_.cushion_s;
+  if (buffer_s <= kReservoirS) return r_min;
+  if (buffer_s >= kReservoirS + kCushionS) return r_max;
+  const double fraction = (buffer_s - kReservoirS) / kCushionS;
   return r_min + fraction * (r_max - r_min);
 }
 

@@ -18,35 +18,26 @@
 #include <cstddef>
 #include <vector>
 
-#include "manifest/view.h"
+#include "core/joint_abr.h"
 
 namespace demuxabr {
 
-struct BbaConfig {
-  double reservoir_s = 8.0;
-  double cushion_s = 16.0;
-  /// Prefer declared AVERAGE-BANDWIDTH over peak when present.
-  bool use_average_bandwidth = true;
-};
-
-class BufferBasedJointAbr {
+/// Requirements are declared averages where present (JointController).
+class BufferBasedJointAbr : public JointController {
  public:
+  static constexpr double kReservoirS = 8.0;
+  static constexpr double kCushionS = 16.0;
+
   /// `allowed` must be sorted by ascending bandwidth.
-  BufferBasedJointAbr(std::vector<ComboView> allowed, BbaConfig config = {});
+  explicit BufferBasedJointAbr(std::vector<ComboView> allowed)
+      : JointController(std::move(allowed), /*use_average_bandwidth=*/true) {}
 
   /// Decide the combination for the next chunk from the buffer level alone.
   std::size_t decide(double min_buffer_s);
+  std::size_t decide(const JointInputs& in) override { return decide(in.min_buffer_s); }
 
-  [[nodiscard]] std::size_t current_index() const { return current_; }
-  [[nodiscard]] const std::vector<ComboView>& allowed() const { return allowed_; }
-  [[nodiscard]] double requirement_kbps(std::size_t index) const;
   /// The rate map f(buffer) in kbps.
   [[nodiscard]] double rate_map_kbps(double buffer_s) const;
-
- private:
-  std::vector<ComboView> allowed_;
-  BbaConfig config_;
-  std::size_t current_ = 0;
 };
 
 }  // namespace demuxabr

@@ -1,7 +1,10 @@
 #include "core/coordinated_player.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "core/bba_abr.h"
+#include "core/mpc_abr.h"
+#include "players/fetch_order.h"
 
 namespace demuxabr {
 namespace {
@@ -10,13 +13,8 @@ namespace {
 /// declared bitrates when the manifest does not restrict combinations.
 std::vector<ComboView> curate_from_view(const ManifestView& view,
                                         const CurationPolicy& policy) {
-  std::vector<TrackView> video = view.video_tracks;
-  std::vector<TrackView> audio = view.audio_tracks;
-  auto by_bitrate = [](const TrackView& a, const TrackView& b) {
-    return a.declared_kbps < b.declared_kbps;
-  };
-  std::stable_sort(video.begin(), video.end(), by_bitrate);
-  std::stable_sort(audio.begin(), audio.end(), by_bitrate);
+  const std::vector<TrackView> video = view.tracks_by_rate(MediaType::kVideo);
+  const std::vector<TrackView> audio = view.tracks_by_rate(MediaType::kAudio);
 
   // Device screen filter (heights are known for DASH video tracks).
   std::vector<TrackView> eligible_video;
@@ -27,47 +25,18 @@ std::vector<ComboView> curate_from_view(const ManifestView& view,
   }
   if (eligible_video.empty()) eligible_video.push_back(video.front());
 
-  // Proportional pairing shaped by the policy weight, expanded into a full
-  // staircase (one component changes per step) for finer granularity.
+  // curate_combinations' pairing, expanded into a full staircase (one
+  // component changes per step) for finer granularity.
   const double w = policy.audio_importance();
-  std::vector<std::size_t> audio_for_video;
-  std::size_t previous_audio = 0;
-  for (std::size_t i = 0; i < eligible_video.size(); ++i) {
-    const double v_pos =
-        (static_cast<double>(i) + 0.5) / static_cast<double>(eligible_video.size());
-    const double a_pos = std::clamp(v_pos + (w - 0.5), 0.0, 1.0);
-    auto j = static_cast<std::size_t>(a_pos * static_cast<double>(audio.size()));
-    if (j >= audio.size()) j = audio.size() - 1;
-    j = std::max(j, previous_audio);
-    previous_audio = j;
-    audio_for_video.push_back(j);
-  }
-
   std::vector<ComboView> combos;
-  for (const auto& [i, j] : staircase_path(audio_for_video, w >= 0.5)) {
-    ComboView combo;
-    combo.video_id = eligible_video[i].id;
-    combo.audio_id = audio[j].id;
-    combo.video_kbps = eligible_video[i].declared_kbps;
-    combo.audio_kbps = audio[j].declared_kbps;
-    combo.bandwidth_kbps = eligible_video[i].declared_kbps + audio[j].declared_kbps;
-    combo.avg_bandwidth_kbps =
-        (eligible_video[i].avg_kbps > 0.0 ? eligible_video[i].avg_kbps
-                                          : eligible_video[i].declared_kbps) +
-        (audio[j].avg_kbps > 0.0 ? audio[j].avg_kbps : audio[j].declared_kbps);
-    combos.push_back(std::move(combo));
+  for (const auto& [i, j] :
+       staircase_path(audio_pairing(eligible_video.size(), audio.size(), w), w >= 0.5)) {
+    combos.push_back(pair_combo(eligible_video[i], audio[j]));
   }
   return combos;
 }
 
 }  // namespace
-
-CoordinatedPlayer::CoordinatedPlayer(CoordinatedConfig config)
-    : config_(config),
-      estimator_(config.fast_half_life_s, config.slow_half_life_s),
-      video_estimator_(config.fast_half_life_s, config.slow_half_life_s),
-      audio_estimator_(config.fast_half_life_s, config.slow_half_life_s),
-      prefetcher_(config.prefetch) {}
 
 std::string CoordinatedPlayer::name() const {
   switch (config_.algorithm) {
@@ -79,33 +48,25 @@ std::string CoordinatedPlayer::name() const {
 }
 
 void CoordinatedPlayer::start(const ManifestView& view) {
-  const auto half_lives = std::pair{config_.fast_half_life_s, config_.slow_half_life_s};
-  estimator_ = AggregateThroughputEstimator(half_lives.first, half_lives.second);
-  video_estimator_ = AggregateThroughputEstimator(half_lives.first, half_lives.second);
-  audio_estimator_ = AggregateThroughputEstimator(half_lives.first, half_lives.second);
+  estimator_ = AggregateThroughputEstimator();
+  video_estimator_ = AggregateThroughputEstimator();
+  audio_estimator_ = AggregateThroughputEstimator();
   combo_for_chunk_.clear();
 
-  std::vector<ComboView> allowed;
-  if (view.has_combination_list) {
-    // §4.2: select ONLY from the allowed combinations.
-    allowed = view.combos_sorted();
-  } else {
-    // Plain DASH: curate client-side instead of free-pairing.
-    allowed = curate_from_view(view, config_.fallback_policy);
-  }
-  assert(!allowed.empty());
-  abr_.reset();
-  mpc_.reset();
-  bba_.reset();
+  // §4.2: select ONLY from the allowed combinations; plain DASH curates
+  // client-side instead of free-pairing.
+  std::vector<ComboView> allowed = view.has_combination_list
+                                       ? view.combos_sorted()
+                                       : curate_from_view(view, config_.fallback_policy);
   switch (config_.algorithm) {
     case AbrAlgorithm::kMpc:
-      mpc_ = std::make_unique<MpcJointAbr>(std::move(allowed), config_.mpc);
+      controller_ = std::make_unique<MpcJointAbr>(std::move(allowed));
       break;
     case AbrAlgorithm::kBufferBased:
-      bba_ = std::make_unique<BufferBasedJointAbr>(std::move(allowed), config_.bba);
+      controller_ = std::make_unique<BufferBasedJointAbr>(std::move(allowed));
       break;
     case AbrAlgorithm::kHysteresisRate:
-      abr_ = std::make_unique<JointAbrController>(std::move(allowed), config_.abr);
+      controller_ = std::make_unique<JointAbrController>(std::move(allowed), config_.abr);
       break;
   }
   if (view.chunk_duration_s > 0.0) {
@@ -118,8 +79,8 @@ std::size_t CoordinatedPlayer::path_feasible_cap() const {
   const std::vector<ComboView>& combos = allowed();
   std::size_t cap = combos.size() - 1;
   if (!config_.per_path_estimation) return cap;
-  const double video_budget = 0.85 * video_estimator_.estimate_kbps();
-  const double audio_budget = 0.85 * audio_estimator_.estimate_kbps();
+  const double video_budget = JointAbrController::kSafetyFactor * video_estimator_.estimate_kbps();
+  const double audio_budget = JointAbrController::kSafetyFactor * audio_estimator_.estimate_kbps();
   if (video_budget <= 0.0 || audio_budget <= 0.0) return cap;
   // Highest combination whose per-component requirements fit their paths.
   // Combinations without component info are only gated by the controller's
@@ -144,31 +105,21 @@ std::size_t CoordinatedPlayer::decide(const PlayerContext& ctx) {
       config_.per_path_estimation
           ? video_estimator_.estimate_kbps() + audio_estimator_.estimate_kbps()
           : estimator_.estimate_kbps();
-  std::size_t index;
-  if (mpc_ != nullptr) {
-    index = mpc_->decide(estimate, min_buffer, chunk_duration_s_);
-  } else if (bba_ != nullptr) {
-    index = bba_->decide(min_buffer);
-  } else {
-    index = abr_->decide(ctx.now, estimate, min_buffer);
-  }
+  const std::size_t index =
+      controller_->decide({ctx.now, estimate, min_buffer, chunk_duration_s_});
   // Per-path feasibility cap (§4.1). The allowed list is a monotone
   // staircase, so clamping by index clamps both components.
-  index = std::min(index, path_feasible_cap());
-  return index;
+  return std::min(index, path_feasible_cap());
 }
 
 std::optional<DownloadRequest> CoordinatedPlayer::next_request(const PlayerContext& ctx) {
-  assert((abr_ != nullptr || mpc_ != nullptr || bba_ != nullptr) &&
-         "start() not called");
   std::optional<MediaType> type;
   if (config_.prefetch_mode == PrefetchMode::kBalanced) {
     type = prefetcher_.next_type(ctx);
   } else {
     // Ablation: greedy video-first scheduling with no balance constraint.
     for (MediaType candidate : {MediaType::kVideo, MediaType::kAudio}) {
-      if (!ctx.downloading(candidate) && ctx.next_chunk(candidate) < ctx.total_chunks &&
-          ctx.buffer_s(candidate) < prefetcher_.config().buffer_target_s) {
+      if (may_fetch(ctx, candidate, prefetcher_.config().buffer_target_s)) {
         type = candidate;
         break;
       }
@@ -218,20 +169,6 @@ double CoordinatedPlayer::bandwidth_estimate_kbps() const {
 double CoordinatedPlayer::path_estimate_kbps(MediaType type) const {
   return type == MediaType::kVideo ? video_estimator_.estimate_kbps()
                                    : audio_estimator_.estimate_kbps();
-}
-
-const std::vector<ComboView>& CoordinatedPlayer::allowed() const {
-  if (mpc_ != nullptr) return mpc_->allowed();
-  if (bba_ != nullptr) return bba_->allowed();
-  assert(abr_ != nullptr);
-  return abr_->allowed();
-}
-
-std::size_t CoordinatedPlayer::current_combination_index() const {
-  if (mpc_ != nullptr) return mpc_->current_index();
-  if (bba_ != nullptr) return bba_->current_index();
-  assert(abr_ != nullptr);
-  return abr_->current_index();
 }
 
 }  // namespace demuxabr

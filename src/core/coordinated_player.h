@@ -27,9 +27,7 @@
 
 #include "core/allowed_combinations.h"
 #include "core/balanced_prefetch.h"
-#include "core/bba_abr.h"
 #include "core/joint_abr.h"
-#include "core/mpc_abr.h"
 #include "players/estimators.h"
 #include "sim/player.h"
 
@@ -47,17 +45,12 @@ enum class AbrAlgorithm { kHysteresisRate, kMpc, kBufferBased };
 
 struct CoordinatedConfig {
   AbrAlgorithm algorithm = AbrAlgorithm::kHysteresisRate;
+  /// The rate controller's damping (kHysteresisRate only).
   JointAbrConfig abr{};
-  MpcConfig mpc{};
-  BbaConfig bba{};
-  BalancedPrefetchConfig prefetch{};
   PrefetchMode prefetch_mode = PrefetchMode::kBalanced;
   /// Client-side fallback curation when the manifest has no combination
   /// list (plain DASH).
   CurationPolicy fallback_policy{};
-  /// Aggregate estimator half-lives.
-  double fast_half_life_s = 2.0;
-  double slow_half_life_s = 6.0;
   /// §4.1 split-path mode: estimate audio and video throughput separately
   /// and only select combinations whose per-component declared bitrates fit
   /// their own path. Requires per-component information in the manifest
@@ -67,7 +60,7 @@ struct CoordinatedConfig {
 
 class CoordinatedPlayer : public PlayerAdapter {
  public:
-  explicit CoordinatedPlayer(CoordinatedConfig config = {});
+  explicit CoordinatedPlayer(CoordinatedConfig config = {}) : config_(config) {}
 
   [[nodiscard]] std::string name() const override;
   void start(const ManifestView& view) override;
@@ -85,8 +78,12 @@ class CoordinatedPlayer : public PlayerAdapter {
     return prefetcher_.config().buffer_target_s;
   }
 
-  [[nodiscard]] const std::vector<ComboView>& allowed() const;
-  [[nodiscard]] std::size_t current_combination_index() const;
+  [[nodiscard]] const std::vector<ComboView>& allowed() const {
+    return controller_->allowed();
+  }
+  [[nodiscard]] std::size_t current_combination_index() const {
+    return controller_->current_index();
+  }
   /// Per-path estimates (0 until samples arrive); meaningful when
   /// per_path_estimation is on.
   [[nodiscard]] double path_estimate_kbps(MediaType type) const;
@@ -103,9 +100,8 @@ class CoordinatedPlayer : public PlayerAdapter {
   AggregateThroughputEstimator video_estimator_;
   AggregateThroughputEstimator audio_estimator_;
   BalancedPrefetcher prefetcher_;
-  std::unique_ptr<JointAbrController> abr_;
-  std::unique_ptr<MpcJointAbr> mpc_;
-  std::unique_ptr<BufferBasedJointAbr> bba_;
+  /// Built by start() over the allowed ladder.
+  std::unique_ptr<JointController> controller_;
   double chunk_duration_s_ = 4.0;
   /// Combination pinned per chunk position: once either component of chunk k
   /// is requested, the other component uses the same combination — a switch

@@ -5,9 +5,9 @@
 
 namespace demuxabr {
 
-JointAbrController::JointAbrController(std::vector<ComboView> allowed,
-                                       JointAbrConfig config)
-    : allowed_(std::move(allowed)), config_(config) {
+JointController::JointController(std::vector<ComboView> allowed,
+                                 bool use_average_bandwidth)
+    : allowed_(std::move(allowed)), use_average_bandwidth_(use_average_bandwidth) {
   assert(!allowed_.empty());
   assert(std::is_sorted(allowed_.begin(), allowed_.end(),
                         [](const ComboView& a, const ComboView& b) {
@@ -15,17 +15,9 @@ JointAbrController::JointAbrController(std::vector<ComboView> allowed,
                         }));
 }
 
-double JointAbrController::requirement_kbps(std::size_t i) const {
-  const ComboView& combo = allowed_[i];
-  if (config_.use_average_bandwidth && combo.avg_bandwidth_kbps > 0.0) {
-    return combo.avg_bandwidth_kbps;
-  }
-  return combo.bandwidth_kbps;
-}
-
 std::size_t JointAbrController::decide(double now, double estimate_kbps,
                                        double min_buffer_s) {
-  const double budget = config_.safety_factor * estimate_kbps;
+  const double budget = kSafetyFactor * estimate_kbps;
 
   // Highest sustainable combination under the plain budget.
   std::size_t sustainable = 0;
@@ -48,7 +40,7 @@ std::size_t JointAbrController::decide(double now, double estimate_kbps,
   }
 
   // Panic: the buffer is nearly dry — drop to sustainable immediately.
-  if (min_buffer_s < config_.panic_buffer_s && sustainable < current_) {
+  if (min_buffer_s < kPanicBufferS && sustainable < current_) {
     current_ = sustainable;
     last_switch_t_ = now;
     return current_;

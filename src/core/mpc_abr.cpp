@@ -6,28 +6,15 @@
 namespace demuxabr {
 
 MpcJointAbr::MpcJointAbr(std::vector<ComboView> allowed, MpcConfig config)
-    : allowed_(std::move(allowed)), config_(config) {
-  assert(!allowed_.empty());
+    : JointController(std::move(allowed), /*use_average_bandwidth=*/true), config_(config) {
   assert(config_.horizon_chunks > 0);
-  assert(std::is_sorted(allowed_.begin(), allowed_.end(),
-                        [](const ComboView& a, const ComboView& b) {
-                          return a.bandwidth_kbps < b.bandwidth_kbps;
-                        }));
-}
-
-double MpcJointAbr::requirement_kbps(std::size_t index) const {
-  const ComboView& combo = allowed_[index];
-  if (config_.use_average_bandwidth && combo.avg_bandwidth_kbps > 0.0) {
-    return combo.avg_bandwidth_kbps;
-  }
-  return combo.bandwidth_kbps;
 }
 
 double MpcJointAbr::plan_score(std::size_t index, double estimate_kbps,
                                double buffer_s, double chunk_duration_s,
                                std::size_t previous_index) const {
   assert(index < allowed_.size());
-  const double throughput = config_.throughput_discount * estimate_kbps;
+  const double throughput = kThroughputDiscount * estimate_kbps;
   if (throughput <= 0.0) return index == 0 ? 0.0 : -1e18;
 
   const double requirement = requirement_kbps(index);
@@ -45,7 +32,7 @@ double MpcJointAbr::plan_score(std::size_t index, double estimate_kbps,
       rebuffer_s += -buffer;
       buffer = 0.0;
     }
-    buffer = std::min(buffer + chunk_duration_s, config_.max_buffer_s);
+    buffer = std::min(buffer + chunk_duration_s, kMaxBufferS);
   }
 
   const double horizon = static_cast<double>(config_.horizon_chunks);

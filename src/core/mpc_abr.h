@@ -17,37 +17,36 @@
 #include <cstddef>
 #include <vector>
 
-#include "manifest/view.h"
+#include "core/joint_abr.h"
 
 namespace demuxabr {
 
 struct MpcConfig {
   int horizon_chunks = 5;
-  /// Throughput discount (robustness margin against estimate error).
-  double throughput_discount = 0.85;
   /// Penalty per predicted rebuffering second, in kbps-equivalents.
   double rebuffer_penalty_kbps = 3000.0;
   /// Penalty per kbps of aggregate-bitrate change between decisions.
   double switch_penalty = 1.0;
-  /// Buffer level the plan must not assume beyond (prefetch cap).
-  double max_buffer_s = 30.0;
-  /// Prefer declared AVERAGE-BANDWIDTH over peak when present.
-  bool use_average_bandwidth = true;
 };
 
-class MpcJointAbr {
+/// Requirements are declared averages where present (JointController).
+class MpcJointAbr : public JointController {
  public:
+  /// Throughput discount (robustness margin against estimate error).
+  static constexpr double kThroughputDiscount = 0.85;
+  /// Buffer level the plan must not assume beyond (prefetch cap).
+  static constexpr double kMaxBufferS = 30.0;
+
   /// `allowed` must be sorted by ascending bandwidth.
-  MpcJointAbr(std::vector<ComboView> allowed, MpcConfig config = {});
+  explicit MpcJointAbr(std::vector<ComboView> allowed, MpcConfig config = {});
 
   /// Decide the combination for the next chunk position.
   /// `estimate_kbps` may be 0 (no estimate yet -> lowest combination).
   std::size_t decide(double estimate_kbps, double min_buffer_s,
                      double chunk_duration_s);
-
-  [[nodiscard]] std::size_t current_index() const { return current_; }
-  [[nodiscard]] const std::vector<ComboView>& allowed() const { return allowed_; }
-  [[nodiscard]] double requirement_kbps(std::size_t index) const;
+  std::size_t decide(const JointInputs& in) override {
+    return decide(in.estimate_kbps, in.min_buffer_s, in.chunk_duration_s);
+  }
 
   /// Exposed for tests: the objective value of holding combination `index`
   /// for the horizon from the given state.
@@ -56,9 +55,7 @@ class MpcJointAbr {
                                   std::size_t previous_index) const;
 
  private:
-  std::vector<ComboView> allowed_;
   MpcConfig config_;
-  std::size_t current_ = 0;
   bool initialized_ = false;
 };
 

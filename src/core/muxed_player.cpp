@@ -5,39 +5,11 @@
 
 namespace demuxabr {
 
-MuxedPlayer::MuxedPlayer(MuxedPlayerConfig config)
-    : config_(config),
-      estimator_(config.fast_half_life_s, config.slow_half_life_s) {}
-
 void MuxedPlayer::start(const ManifestView& view) {
-  estimator_ = AggregateThroughputEstimator(config_.fast_half_life_s,
-                                            config_.slow_half_life_s);
-  std::vector<ComboView> variants;
-  if (view.has_combination_list) {
-    variants = view.combos_sorted();
-  } else {
-    // A muxed origin stores every pairing; recreate them from per-track
-    // declarations (the same M x N grid the storage model accounts).
-    for (const TrackView& video : view.video_tracks) {
-      for (const TrackView& audio : view.audio_tracks) {
-        assert(video.bitrate_known && audio.bitrate_known);
-        ComboView combo;
-        combo.video_id = video.id;
-        combo.audio_id = audio.id;
-        combo.video_kbps = video.declared_kbps;
-        combo.audio_kbps = audio.declared_kbps;
-        combo.bandwidth_kbps = video.declared_kbps + audio.declared_kbps;
-        combo.avg_bandwidth_kbps = combo.bandwidth_kbps;
-        variants.push_back(std::move(combo));
-      }
-    }
-    std::stable_sort(variants.begin(), variants.end(),
-                     [](const ComboView& a, const ComboView& b) {
-                       return a.bandwidth_kbps < b.bandwidth_kbps;
-                     });
-  }
-  assert(!variants.empty());
-  abr_ = std::make_unique<JointAbrController>(std::move(variants), config_.abr);
+  estimator_ = AggregateThroughputEstimator();
+  // Without a list, a muxed origin stores every pairing: the same M x N
+  // grid the storage model accounts.
+  abr_ = std::make_unique<JointAbrController>(view.listed_or_grid());
 }
 
 std::optional<DownloadRequest> MuxedPlayer::next_request(const PlayerContext& ctx) {
@@ -45,7 +17,7 @@ std::optional<DownloadRequest> MuxedPlayer::next_request(const PlayerContext& ct
   // Positions advance in lockstep; either buffer level works as the gate.
   if (ctx.video_downloading || ctx.audio_downloading) return std::nullopt;
   if (ctx.next_video_chunk >= ctx.total_chunks) return std::nullopt;
-  if (ctx.video_buffer_s >= config_.buffer_target_s) return std::nullopt;
+  if (ctx.video_buffer_s >= kBufferTargetS) return std::nullopt;
 
   const double min_buffer = std::min(ctx.audio_buffer_s, ctx.video_buffer_s);
   const std::size_t index =

@@ -20,16 +20,10 @@
 
 namespace demuxabr {
 
-struct MuxedPlayerConfig {
-  JointAbrConfig abr{};
-  double buffer_target_s = 30.0;
-  double fast_half_life_s = 2.0;
-  double slow_half_life_s = 6.0;
-};
-
 class MuxedPlayer : public PlayerAdapter {
  public:
-  explicit MuxedPlayer(MuxedPlayerConfig config = {});
+  /// Fetching stops while the video buffer holds this much.
+  static constexpr double kBufferTargetS = 30.0;
 
   [[nodiscard]] std::string name() const override { return "muxed"; }
   void start(const ManifestView& view) override;
@@ -37,16 +31,15 @@ class MuxedPlayer : public PlayerAdapter {
   std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override;
   void on_progress(const ProgressSample& sample) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
-  /// Gates on video only: buffer_target_s for video, none for audio.
+  /// Gates on video only: kBufferTargetS for video, none for audio.
   [[nodiscard]] double idle_floor_s(MediaType type) const override {
-    return type == MediaType::kVideo ? config_.buffer_target_s
+    return type == MediaType::kVideo ? kBufferTargetS
                                      : -std::numeric_limits<double>::infinity();
   }
 
   [[nodiscard]] const std::vector<ComboView>& variants() const;
 
  private:
-  MuxedPlayerConfig config_;
   AggregateThroughputEstimator estimator_;
   std::unique_ptr<JointAbrController> abr_;
 };

@@ -1,6 +1,7 @@
 #include "manifest/view.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "manifest/builder.h"
@@ -40,10 +41,47 @@ bool ManifestView::pair_listed(const std::string& video_id, const std::string& a
 
 std::vector<ComboView> ManifestView::combos_sorted() const {
   std::vector<ComboView> sorted = combos;
-  std::stable_sort(sorted.begin(), sorted.end(), [](const ComboView& a, const ComboView& b) {
-    return a.bandwidth_kbps < b.bandwidth_kbps;
+  sort_by_bandwidth(sorted);
+  return sorted;
+}
+
+std::vector<ComboView> ManifestView::listed_or_grid() const {
+  if (has_combination_list) return combos_sorted();
+  std::vector<ComboView> grid;
+  for (const TrackView& video : video_tracks) {
+    for (const TrackView& audio : audio_tracks) {
+      assert(video.bitrate_known && audio.bitrate_known);
+      grid.push_back(pair_combo(video, audio));
+    }
+  }
+  sort_by_bandwidth(grid);
+  return grid;
+}
+
+std::vector<TrackView> ManifestView::tracks_by_rate(MediaType type) const {
+  std::vector<TrackView> sorted = tracks(type);
+  std::stable_sort(sorted.begin(), sorted.end(), [](const TrackView& a, const TrackView& b) {
+    return a.declared_kbps < b.declared_kbps;
   });
   return sorted;
+}
+
+ComboView pair_combo(const TrackView& video, const TrackView& audio) {
+  auto average = [](const TrackView& t) { return t.avg_kbps > 0.0 ? t.avg_kbps : t.declared_kbps; };
+  ComboView combo;
+  combo.video_id = video.id;
+  combo.audio_id = audio.id;
+  combo.video_kbps = video.declared_kbps;
+  combo.audio_kbps = audio.declared_kbps;
+  combo.bandwidth_kbps = video.declared_kbps + audio.declared_kbps;
+  combo.avg_bandwidth_kbps = average(video) + average(audio);
+  return combo;
+}
+
+void sort_by_bandwidth(std::vector<ComboView>& combos) {
+  std::stable_sort(combos.begin(), combos.end(), [](const ComboView& a, const ComboView& b) {
+    return a.bandwidth_kbps < b.bandwidth_kbps;
+  });
 }
 
 ManifestView view_from_mpd(const MpdDocument& mpd) {
@@ -74,17 +112,10 @@ ManifestView view_from_mpd(const MpdDocument& mpd) {
   for (const std::string& label : mpd.allowed_combinations) {
     const std::vector<std::string> parts = split(label, '+');
     if (parts.size() != 2) continue;
-    ComboView combo;
-    combo.video_id = std::string(trim(parts[0]));
-    combo.audio_id = std::string(trim(parts[1]));
-    const TrackView* video = view.find_track(combo.video_id);
-    const TrackView* audio = view.find_track(combo.audio_id);
+    const TrackView* video = view.find_track(std::string(trim(parts[0])));
+    const TrackView* audio = view.find_track(std::string(trim(parts[1])));
     if (video == nullptr || audio == nullptr) continue;
-    combo.video_kbps = video->declared_kbps;
-    combo.audio_kbps = audio->declared_kbps;
-    combo.bandwidth_kbps = video->declared_kbps + audio->declared_kbps;
-    combo.avg_bandwidth_kbps = combo.bandwidth_kbps;
-    view.combos.push_back(std::move(combo));
+    view.combos.push_back(pair_combo(*video, *audio));
   }
   view.has_combination_list = !view.combos.empty();
   return view;

@@ -86,7 +86,19 @@ struct ManifestView {
                                  const std::string& audio_id) const;
   /// Combos sorted by ascending aggregate bandwidth.
   [[nodiscard]] std::vector<ComboView> combos_sorted() const;
+  /// The listed combos when the manifest restricts selection, else every
+  /// video x audio pair (pair_combo); sorted by ascending bandwidth.
+  [[nodiscard]] std::vector<ComboView> listed_or_grid() const;
+  /// One type's tracks, stably sorted by ascending declared bitrate.
+  [[nodiscard]] std::vector<TrackView> tracks_by_rate(MediaType type) const;
 };
+
+/// A (video, audio) pair priced at the sum of its tracks' declared
+/// bitrates; its average sums their averages (declared when unknown).
+ComboView pair_combo(const TrackView& video, const TrackView& audio);
+
+/// Stable sort by ascending aggregate bandwidth.
+void sort_by_bandwidth(std::vector<ComboView>& combos);
 
 /// Build the player view of a DASH MPD.
 ManifestView view_from_mpd(const MpdDocument& mpd);

@@ -1,11 +1,10 @@
 #include "players/dashjs.h"
 
-#include <algorithm>
 #include <cassert>
 
-namespace demuxabr {
+#include "players/fetch_order.h"
 
-DashJsPlayerModel::DashJsPlayerModel(DashJsConfig config) : config_(config) {}
+namespace demuxabr {
 
 void DashJsPlayerModel::start(const ManifestView& view) {
   // dash.js is a DASH-only player; it needs per-track declared bitrates.
@@ -13,22 +12,14 @@ void DashJsPlayerModel::start(const ManifestView& view) {
   if (view.chunk_duration_s > 0.0) chunk_duration_s_ = view.chunk_duration_s;
   for (MediaType type : {MediaType::kAudio, MediaType::kVideo}) {
     Pipeline& p = pipeline(type);
-    p = Pipeline{};
-    std::vector<TrackView> tracks = view.tracks(type);
-    std::stable_sort(tracks.begin(), tracks.end(),
-                     [](const TrackView& a, const TrackView& b) {
-                       return a.declared_kbps < b.declared_kbps;
-                     });
-    for (const TrackView& t : tracks) {
+    p = Pipeline{};  // THROUGHPUT at the lowest quality, as dash.js starts
+    for (const TrackView& t : view.tracks_by_rate(type)) {
       assert(t.bitrate_known);
       p.track_ids.push_back(t.id);
       p.bitrates_kbps.push_back(t.declared_kbps);
     }
     assert(!p.track_ids.empty());
-    p.estimator = WindowThroughputEstimator(config_.throughput_window, 0.0);
-    p.bola = std::make_unique<Bola>(p.bitrates_kbps, config_.stable_buffer_s);
-    p.state = RuleState::kThroughput;
-    p.current = 0;  // dash.js starts at the lowest quality
+    p.bola = std::make_unique<Bola>(p.bitrates_kbps, kStableBufferS);
   }
 }
 
@@ -37,7 +28,7 @@ std::size_t DashJsPlayerModel::adapt(Pipeline& p, double buffer_s) {
   // until the estimator has samples.
   std::size_t tput_choice = 0;
   if (p.estimator.has_samples()) {
-    const double budget = config_.throughput_safety_factor * p.estimator.estimate_kbps();
+    const double budget = kThroughputSafetyFactor * p.estimator.estimate_kbps();
     for (std::size_t i = 0; i < p.bitrates_kbps.size(); ++i) {
       if (p.bitrates_kbps[i] <= budget) tput_choice = i;
     }
@@ -46,11 +37,11 @@ std::size_t DashJsPlayerModel::adapt(Pipeline& p, double buffer_s) {
 
   // DYNAMIC switching (§3.4 / [22]).
   if (p.state == RuleState::kThroughput) {
-    if (buffer_s >= config_.switch_to_bola_s && bola_choice >= tput_choice) {
+    if (buffer_s >= kSwitchToBolaS && bola_choice >= tput_choice) {
       p.state = RuleState::kBola;
     }
   } else {
-    if (buffer_s < config_.switch_to_tput_s && bola_choice < tput_choice) {
+    if (buffer_s < kSwitchToThroughputS && bola_choice < tput_choice) {
       p.state = RuleState::kThroughput;
     }
   }
@@ -59,8 +50,7 @@ std::size_t DashJsPlayerModel::adapt(Pipeline& p, double buffer_s) {
 }
 
 double DashJsPlayerModel::fetch_target_s(const Pipeline& p) const {
-  return p.current + 1 == p.track_ids.size() ? config_.top_quality_buffer_s
-                                             : config_.stable_buffer_s;
+  return p.current + 1 == p.track_ids.size() ? kTopQualityBufferS : kStableBufferS;
 }
 
 double DashJsPlayerModel::idle_floor_s(MediaType type) const {
@@ -71,27 +61,10 @@ std::optional<DownloadRequest> DashJsPlayerModel::next_request(const PlayerConte
   // Two independent fetch pipelines; no cross-type synchronization at all
   // (the §3.4/§3.5 finding). Each type fetches while its own buffer is below
   // its own target.
-  struct Candidate {
-    MediaType type;
-    double buffer;
-  };
-  // Fixed array, one slot per media type: this per-poll decision must stay
-  // off the heap (it runs inside the fleet engines' drain loop).
-  Candidate candidates[2];
-  int candidate_count = 0;
-  for (MediaType type : {MediaType::kAudio, MediaType::kVideo}) {
-    if (ctx.downloading(type)) continue;
-    if (ctx.next_chunk(type) >= ctx.total_chunks) continue;
-    if (ctx.buffer_s(type) >= fetch_target_s(pipeline(type))) continue;
-    candidates[candidate_count++] = {type, ctx.buffer_s(type)};
-  }
-  if (candidate_count == 0) return std::nullopt;
-  // Historical stable_sort on buffer: video (second slot) wins only when
-  // strictly lower.
-  const MediaType type =
-      candidate_count == 2 && candidates[1].buffer < candidates[0].buffer
-          ? candidates[1].type
-          : candidates[0].type;
+  const std::optional<MediaType> chosen =
+      lowest_buffer_type(ctx, fetch_target_s(audio_), fetch_target_s(video_));
+  if (!chosen.has_value()) return std::nullopt;
+  const MediaType type = *chosen;
   Pipeline& p = pipeline(type);
   const std::size_t index = adapt(p, ctx.buffer_s(type));
 
@@ -114,13 +87,13 @@ bool DashJsPlayerModel::should_abandon(const ProgressSample& sample,
   p.inflight_elapsed_s += sample.duration_s();
   p.inflight_bytes += sample.bytes;
   if (p.current == 0) return false;  // nothing lower to fall back to
-  if (p.inflight_elapsed_s < config_.abandon_grace_s) return false;
+  if (p.inflight_elapsed_s < kAbandonGraceS) return false;
   if (p.inflight_bytes <= 0 || p.inflight_expected_kbps <= 0.0) return false;
   const double throughput_kbps = static_cast<double>(p.inflight_bytes) * 8.0 / 1000.0 /
                                  p.inflight_elapsed_s;
   const double projected_s =
       p.inflight_expected_kbps * chunk_duration_s_ / throughput_kbps;
-  if (projected_s <= config_.abandon_multiplier * chunk_duration_s_) return false;
+  if (projected_s <= kAbandonMultiplier * chunk_duration_s_) return false;
   // Abandon: record the observed throughput so the next selection drops.
   p.estimator.add_chunk_throughput(throughput_kbps);
   p.inflight_expected_kbps = 0.0;

@@ -20,28 +20,32 @@
 namespace demuxabr {
 
 struct DashJsConfig {
-  /// dash.js's DEFAULT_MIN_BUFFER_TIME_FAST_SWITCH (fastSwitch is on by
-  /// default in v2.9): the fetch target below top quality.
-  double stable_buffer_s = 20.0;
-  double top_quality_buffer_s = 30.0;    ///< fetch target at top quality
-  double throughput_safety_factor = 0.9;
-  std::size_t throughput_window = 4;
-  /// DYNAMIC switches to BOLA when buffer >= switch_to_bola_s and BOLA's
-  /// choice is at least THROUGHPUT's; back when buffer < switch_to_tput_s
-  /// and BOLA's choice is lower (§3.4).
-  double switch_to_bola_s = 12.0;
-  double switch_to_tput_s = 6.0;
   /// AbandonRequestsRule: cancel a chunk whose projected download time
-  /// exceeds abandon_multiplier x chunk duration (judged after a grace
-  /// period), feeding the measured throughput into the estimator.
+  /// exceeds kAbandonMultiplier x chunk duration (judged after
+  /// kAbandonGraceS), feeding the measured throughput into the estimator.
   bool enable_abandonment = true;
-  double abandon_grace_s = 0.5;
-  double abandon_multiplier = 1.8;
 };
 
 class DashJsPlayerModel : public PlayerAdapter {
  public:
-  explicit DashJsPlayerModel(DashJsConfig config = {});
+  /// DEFAULT_MIN_BUFFER_TIME_FAST_SWITCH (fastSwitch is on by default in
+  /// v2.9): the fetch target below top quality.
+  static constexpr double kStableBufferS = 20.0;
+  /// The fetch target at top quality.
+  static constexpr double kTopQualityBufferS = 30.0;
+  /// THROUGHPUT spends this share of the mean of the last kThroughputWindow
+  /// chunk throughputs.
+  static constexpr double kThroughputSafetyFactor = 0.9;
+  static constexpr std::size_t kThroughputWindow = 4;
+  /// DYNAMIC switches to BOLA when buffer >= kSwitchToBolaS and BOLA's
+  /// choice is at least THROUGHPUT's; back when buffer < kSwitchToThroughputS
+  /// and BOLA's choice is lower (§3.4).
+  static constexpr double kSwitchToBolaS = 12.0;
+  static constexpr double kSwitchToThroughputS = 6.0;
+  static constexpr double kAbandonGraceS = 0.5;
+  static constexpr double kAbandonMultiplier = 1.8;
+
+  explicit DashJsPlayerModel(DashJsConfig config = {}) : config_(config) {}
 
   [[nodiscard]] std::string name() const override { return "dashjs"; }
   void start(const ManifestView& view) override;
@@ -69,7 +73,7 @@ class DashJsPlayerModel : public PlayerAdapter {
   struct Pipeline {
     std::vector<std::string> track_ids;  ///< ascending declared bitrate
     std::vector<double> bitrates_kbps;
-    WindowThroughputEstimator estimator{4, 0.0};
+    WindowThroughputEstimator estimator{kThroughputWindow, 0.0};
     std::unique_ptr<Bola> bola;
     RuleState state = RuleState::kThroughput;
     std::size_t current = 0;
@@ -86,8 +90,8 @@ class DashJsPlayerModel : public PlayerAdapter {
     return type == MediaType::kAudio ? audio_ : video_;
   }
 
-  /// The buffer level at which `p` stops fetching: top_quality_buffer_s at
-  /// the top rung, stable_buffer_s below it.
+  /// The buffer level at which `p` stops fetching: kTopQualityBufferS at
+  /// the top rung, kStableBufferS below it.
   [[nodiscard]] double fetch_target_s(const Pipeline& p) const;
 
   /// Run the DYNAMIC rule for one pipeline; updates state and returns the

@@ -5,11 +5,6 @@
 
 namespace demuxabr {
 
-ShakaBandwidthEstimator::ShakaBandwidthEstimator(ShakaEstimatorConfig config)
-    : config_(config),
-      fast_(config.fast_half_life_s),
-      slow_(config.slow_half_life_s) {}
-
 void ShakaBandwidthEstimator::on_progress(const ProgressSample& sample) {
   if (sample.duration_s() <= 0.0) return;
   // The filter rule the paper dissects: intervals that moved fewer than
@@ -33,9 +28,6 @@ double ShakaBandwidthEstimator::estimate_kbps() const {
   return std::min(fast_.estimate(), slow_.estimate());
 }
 
-ExoBandwidthMeter::ExoBandwidthMeter(ExoMeterConfig config)
-    : config_(config), percentile_(config.max_weight) {}
-
 void ExoBandwidthMeter::on_transfer_end(std::int64_t bytes, double duration_s) {
   if (duration_s <= 0.0 || bytes <= 0) return;
   const double kbps = static_cast<double>(bytes) * 8.0 / 1000.0 / duration_s;
@@ -44,7 +36,7 @@ void ExoBandwidthMeter::on_transfer_end(std::int64_t bytes, double duration_s) {
 }
 
 double ExoBandwidthMeter::estimate_kbps() const {
-  return percentile_.percentile(config_.percentile, config_.initial_estimate_kbps);
+  return percentile_.percentile(kPercentile, kInitialEstimateKbps);
 }
 
 WindowThroughputEstimator::WindowThroughputEstimator(std::size_t window,
@@ -59,10 +51,6 @@ double WindowThroughputEstimator::estimate_kbps() const {
   if (window_.size() == 0) return default_estimate_kbps_;
   return window_.mean();
 }
-
-AggregateThroughputEstimator::AggregateThroughputEstimator(double fast_half_life_s,
-                                                           double slow_half_life_s)
-    : fast_(fast_half_life_s), slow_(slow_half_life_s) {}
 
 void AggregateThroughputEstimator::on_progress(const ProgressSample& sample) {
   if (sample.duration_s() <= 0.0) return;

@@ -24,8 +24,6 @@ namespace demuxabr {
 struct ShakaEstimatorConfig {
   double default_estimate_kbps = 500.0;
   std::int64_t min_bytes = 16 * 1024;  ///< sample filter threshold
-  double fast_half_life_s = 2.0;
-  double slow_half_life_s = 5.0;
   /// Accumulated sample weight (seconds) required before the estimate is
   /// trusted over the default.
   double min_total_weight_s = 0.5;
@@ -33,7 +31,11 @@ struct ShakaEstimatorConfig {
 
 class ShakaBandwidthEstimator {
  public:
-  explicit ShakaBandwidthEstimator(ShakaEstimatorConfig config = {});
+  /// shaka.abr.EwmaBandwidthEstimator's fast and slow half-lives.
+  static constexpr double kFastHalfLifeS = 2.0;
+  static constexpr double kSlowHalfLifeS = 5.0;
+
+  explicit ShakaBandwidthEstimator(ShakaEstimatorConfig config = {}) : config_(config) {}
 
   /// Feed one per-interval progress sample (from one flow). Applies the
   /// >= 16 KB filter internally.
@@ -46,21 +48,19 @@ class ShakaBandwidthEstimator {
 
  private:
   ShakaEstimatorConfig config_;
-  HalfLifeEwma fast_;
-  HalfLifeEwma slow_;
+  HalfLifeEwma fast_{kFastHalfLifeS};
+  HalfLifeEwma slow_{kSlowHalfLifeS};
   std::size_t accepted_ = 0;
   std::size_t rejected_ = 0;
 };
 
-struct ExoMeterConfig {
-  double initial_estimate_kbps = 1000.0;
-  double percentile = 0.5;
-  double max_weight = 2000.0;
-};
-
 class ExoBandwidthMeter {
  public:
-  explicit ExoBandwidthMeter(ExoMeterConfig config = {});
+  /// DefaultBandwidthMeter: the estimate before the first transfer, the
+  /// weighted percentile it reports, and the sample weight it retains.
+  static constexpr double kInitialEstimateKbps = 1000.0;
+  static constexpr double kPercentile = 0.5;
+  static constexpr double kMaxWeight = 2000.0;
 
   /// One completed transfer (chunk download): bytes over wall seconds.
   void on_transfer_end(std::int64_t bytes, double duration_s);
@@ -68,8 +68,7 @@ class ExoBandwidthMeter {
   [[nodiscard]] double estimate_kbps() const;
 
  private:
-  ExoMeterConfig config_;
-  SlidingPercentile percentile_;
+  SlidingPercentile percentile_{kMaxWeight};
 };
 
 class WindowThroughputEstimator {
@@ -90,8 +89,9 @@ class WindowThroughputEstimator {
 
 class AggregateThroughputEstimator {
  public:
-  explicit AggregateThroughputEstimator(double fast_half_life_s = 2.0,
-                                        double slow_half_life_s = 6.0);
+  /// The fast and slow half-lives of the muxed and coordinated players.
+  static constexpr double kFastHalfLifeS = 2.0;
+  static constexpr double kSlowHalfLifeS = 6.0;
 
   /// Feed every flow's progress sample; samples sharing the same interval
   /// end-time are summed into one link-level sample.
@@ -104,8 +104,8 @@ class AggregateThroughputEstimator {
  private:
   void flush();
 
-  HalfLifeEwma fast_;
-  HalfLifeEwma slow_;
+  HalfLifeEwma fast_{kFastHalfLifeS};
+  HalfLifeEwma slow_{kSlowHalfLifeS};
   double interval_t0_ = -1.0;
   double interval_t1_ = -1.0;
   std::int64_t interval_bytes_ = 0;

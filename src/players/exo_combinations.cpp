@@ -31,6 +31,14 @@ struct Upgrade {
   bool is_video;
 };
 
+/// Declared bitrates of a track list, in its order.
+template <class Track>
+std::vector<double> declared_rates(const std::vector<Track>& tracks) {
+  std::vector<double> kbps;
+  for (const Track& t : tracks) kbps.push_back(t.declared_kbps);
+  return kbps;
+}
+
 }  // namespace
 
 std::vector<std::pair<std::size_t, std::size_t>> exo_allocation_path(
@@ -66,13 +74,9 @@ std::vector<std::pair<std::size_t, std::size_t>> exo_allocation_path(
 }
 
 std::vector<AvCombination> exo_predetermined_combinations(const BitrateLadder& ladder) {
-  std::vector<double> video_kbps;
-  std::vector<double> audio_kbps;
-  for (const TrackInfo& t : ladder.video()) video_kbps.push_back(t.declared_kbps);
-  for (const TrackInfo& t : ladder.audio()) audio_kbps.push_back(t.declared_kbps);
-
   std::vector<AvCombination> combos;
-  for (const auto& [v, a] : exo_allocation_path(video_kbps, audio_kbps)) {
+  for (const auto& [v, a] :
+       exo_allocation_path(declared_rates(ladder.video()), declared_rates(ladder.audio()))) {
     combos.push_back(
         make_combination(ladder, ladder.video()[v].id, ladder.audio()[a].id));
   }
@@ -80,30 +84,12 @@ std::vector<AvCombination> exo_predetermined_combinations(const BitrateLadder& l
 }
 
 std::vector<ComboView> exo_predetermined_combinations(const ManifestView& view) {
-  // Sort the view's tracks by declared bitrate (manifest order may differ).
-  std::vector<TrackView> video = view.video_tracks;
-  std::vector<TrackView> audio = view.audio_tracks;
-  auto by_bitrate = [](const TrackView& a, const TrackView& b) {
-    return a.declared_kbps < b.declared_kbps;
-  };
-  std::stable_sort(video.begin(), video.end(), by_bitrate);
-  std::stable_sort(audio.begin(), audio.end(), by_bitrate);
-
-  std::vector<double> video_kbps;
-  std::vector<double> audio_kbps;
-  for (const TrackView& t : video) video_kbps.push_back(t.declared_kbps);
-  for (const TrackView& t : audio) audio_kbps.push_back(t.declared_kbps);
-
+  // Manifest order may differ from bitrate order.
+  const std::vector<TrackView> video = view.tracks_by_rate(MediaType::kVideo);
+  const std::vector<TrackView> audio = view.tracks_by_rate(MediaType::kAudio);
   std::vector<ComboView> combos;
-  for (const auto& [v, a] : exo_allocation_path(video_kbps, audio_kbps)) {
-    ComboView combo;
-    combo.video_id = video[v].id;
-    combo.audio_id = audio[a].id;
-    combo.video_kbps = video[v].declared_kbps;
-    combo.audio_kbps = audio[a].declared_kbps;
-    combo.bandwidth_kbps = video[v].declared_kbps + audio[a].declared_kbps;
-    combo.avg_bandwidth_kbps = combo.bandwidth_kbps;
-    combos.push_back(std::move(combo));
+  for (const auto& [v, a] : exo_allocation_path(declared_rates(video), declared_rates(audio))) {
+    combos.push_back(pair_combo(video[v], audio[a]));
   }
   return combos;
 }

@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
+#include "players/fetch_order.h"
+
 namespace demuxabr {
 
-ExoLegacyPlayerModel::ExoLegacyPlayerModel(ExoLegacyConfig config)
-    : config_(config), meter_(config.meter) {}
-
 void ExoLegacyPlayerModel::start(const ManifestView& view) {
-  video_ids_.clear();
-  video_kbps_.clear();
-  current_ = 0;
-  selection_initialized_ = false;
-
   assert(!view.audio_tracks.empty());
   const std::size_t audio_index =
       std::min(config_.fixed_audio_index, view.audio_tracks.size() - 1);
@@ -40,84 +34,30 @@ void ExoLegacyPlayerModel::start(const ManifestView& view) {
     if (kbps <= 0.0) continue;
     entries.push_back({video.id, kbps});
   }
-  assert(!entries.empty());
   std::stable_sort(entries.begin(), entries.end(),
                    [](const VideoEntry& a, const VideoEntry& b) {
                      return a.kbps < b.kbps;
                    });
+  video_ids_.clear();
+  std::vector<double> ladder_kbps;
   for (const VideoEntry& entry : entries) {
     video_ids_.push_back(entry.id);
-    video_kbps_.push_back(entry.kbps);
+    ladder_kbps.push_back(entry.kbps);
   }
-}
-
-void ExoLegacyPlayerModel::update_selection(const PlayerContext& ctx) {
-  const double allocatable = config_.bandwidth_fraction * meter_.estimate_kbps();
-  std::size_t ideal = 0;
-  for (std::size_t i = 0; i < video_kbps_.size(); ++i) {
-    if (video_kbps_[i] <= allocatable) ideal = i;
-  }
-  if (!selection_initialized_) {
-    current_ = ideal;
-    selection_initialized_ = true;
-    return;
-  }
-  const double buffered = std::min(ctx.audio_buffer_s, ctx.video_buffer_s);
-  if (ideal > current_) {
-    if (buffered >= config_.min_duration_for_quality_increase_s) current_ = ideal;
-  } else if (ideal < current_) {
-    if (buffered < config_.max_duration_for_quality_decrease_s) current_ = ideal;
-  }
+  reset_selection(std::move(ladder_kbps));
 }
 
 std::optional<DownloadRequest> ExoLegacyPlayerModel::next_request(
     const PlayerContext& ctx) {
-  // Same chunk-level A/V download synchronization as the v2.10 model.
-  struct Candidate {
-    MediaType type;
-    int next_chunk;
-    double buffer;
-  };
-  // Fixed array, one slot per media type: this per-poll decision must stay
-  // off the heap (it runs inside the fleet engines' drain loop).
-  Candidate candidates[2];
-  int candidate_count = 0;
-  for (MediaType type : {MediaType::kVideo, MediaType::kAudio}) {
-    if (ctx.downloading(type)) continue;
-    if (ctx.next_chunk(type) >= ctx.total_chunks) continue;
-    if (ctx.buffer_s(type) >= config_.max_buffer_s) continue;
-    candidates[candidate_count++] = {type, ctx.next_chunk(type), ctx.buffer_s(type)};
-  }
-  if (candidate_count == 0) return std::nullopt;
-  // The historical stable_sort over {video, audio}: audio wins only when
-  // strictly behind (earlier chunk, or same chunk with less buffer).
-  const Candidate& chosen =
-      candidate_count == 2 && (candidates[1].next_chunk < candidates[0].next_chunk ||
-                               (candidates[1].next_chunk == candidates[0].next_chunk &&
-                                candidates[1].buffer < candidates[0].buffer))
-          ? candidates[1]
-          : candidates[0];
-
+  const std::optional<MediaType> type = chunk_synchronized_type(ctx, kMaxBufferS);
+  if (!type.has_value()) return std::nullopt;
   DownloadRequest request;
-  request.type = chosen.type;
-  request.chunk_index = chosen.next_chunk;
-  if (chosen.type == MediaType::kAudio) {
-    request.track_id = audio_id_;  // pinned, never adapted
-  } else {
-    update_selection(ctx);
-    request.track_id = video_ids_[current_];
-  }
+  request.type = *type;
+  request.chunk_index = ctx.next_chunk(*type);
+  // Audio stays pinned, never adapted: only video requests re-select.
+  request.track_id =
+      *type == MediaType::kAudio ? audio_id_ : video_ids_[update_selection(ctx)];
   return request;
-}
-
-void ExoLegacyPlayerModel::on_chunk_complete(const ChunkCompletion& completion,
-                                             const PlayerContext& ctx) {
-  (void)ctx;
-  meter_.on_transfer_end(completion.bytes, completion.duration_s());
-}
-
-double ExoLegacyPlayerModel::bandwidth_estimate_kbps() const {
-  return meter_.estimate_kbps();
 }
 
 }  // namespace demuxabr

@@ -27,47 +27,58 @@
 
 namespace demuxabr {
 
-struct ExoPlayerConfig {
-  double bandwidth_fraction = 0.75;
-  double min_duration_for_quality_increase_s = 10.0;
-  double max_duration_for_quality_decrease_s = 25.0;
-  /// Stop fetching when both buffers exceed this (DEFAULT_MAX_BUFFER).
-  double max_buffer_s = 30.0;
-  ExoMeterConfig meter{};
-};
-
-class ExoPlayerModel : public PlayerAdapter {
+/// What both ExoPlayer models share: AdaptiveTrackSelection over an
+/// ascending bandwidth ladder, fed by the bandwidth meter; serial downloads
+/// that stop at DEFAULT_MAX_BUFFER; and chunk-level A/V synchronization.
+class ExoPlayerBase : public PlayerAdapter {
  public:
-  explicit ExoPlayerModel(ExoPlayerConfig config = {});
+  /// AdaptiveTrackSelection's bandwidthFraction: the share of the estimate
+  /// a selection may spend.
+  static constexpr double kBandwidthFraction = 0.75;
+  /// minDurationForQualityIncreaseMs: switching up needs this much buffer.
+  static constexpr double kMinDurationForQualityIncreaseS = 10.0;
+  /// maxDurationForQualityDecreaseMs: no switching down above this buffer.
+  static constexpr double kMaxDurationForQualityDecreaseS = 25.0;
+  /// DEFAULT_MAX_BUFFER: both types stop fetching here.
+  static constexpr double kMaxBufferS = 30.0;
 
-  [[nodiscard]] std::string name() const override;
-  void start(const ManifestView& view) override;
   [[nodiscard]] int max_concurrent_downloads() const override { return 1; }
-  std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override;
   void on_chunk_complete(const ChunkCompletion& completion,
                          const PlayerContext& ctx) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
-  /// Both types stop fetching at max_buffer_s.
-  [[nodiscard]] double idle_floor_s(MediaType type) const override {
-    (void)type;
-    return config_.max_buffer_s;
-  }
+  [[nodiscard]] double idle_floor_s(MediaType type) const override;
   /// The bandwidth meter reads finished transfers only.
   [[nodiscard]] bool observes_progress() const override { return false; }
 
-  /// The combination ladder the model adapts over (for tests/inspection).
-  [[nodiscard]] const std::vector<ComboView>& combinations() const { return combos_; }
-  [[nodiscard]] std::size_t current_combination_index() const { return current_; }
+ protected:
+  /// Restart the selection over an ascending bandwidth ladder.
+  void reset_selection(std::vector<double> ladder_kbps);
+  /// The highest rung within kBandwidthFraction of the estimate: taken at
+  /// once on the first call, later only through the buffer gates. Returns
+  /// the selected rung.
+  std::size_t update_selection(const PlayerContext& ctx);
+  [[nodiscard]] std::size_t selected() const { return current_; }
 
  private:
-  void update_selection(const PlayerContext& ctx);
-
-  ExoPlayerConfig config_;
   ExoBandwidthMeter meter_;
-  Protocol protocol_ = Protocol::kDash;
-  std::vector<ComboView> combos_;  ///< ascending bandwidth
+  std::vector<double> ladder_kbps_;
   std::size_t current_ = 0;
   bool selection_initialized_ = false;
+};
+
+class ExoPlayerModel : public ExoPlayerBase {
+ public:
+  [[nodiscard]] std::string name() const override;
+  void start(const ManifestView& view) override;
+  std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override;
+
+  /// The combination ladder the model adapts over (for tests/inspection).
+  [[nodiscard]] const std::vector<ComboView>& combinations() const { return combos_; }
+  [[nodiscard]] std::size_t current_combination_index() const { return selected(); }
+
+ private:
+  Protocol protocol_ = Protocol::kDash;
+  std::vector<ComboView> combos_;  ///< ascending bandwidth
 };
 
 }  // namespace demuxabr

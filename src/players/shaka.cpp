@@ -1,12 +1,10 @@
 #include "players/shaka.h"
 
-#include <algorithm>
 #include <cassert>
 
-namespace demuxabr {
+#include "players/fetch_order.h"
 
-ShakaPlayerModel::ShakaPlayerModel(ShakaConfig config)
-    : config_(config), estimator_(config.estimator) {}
+namespace demuxabr {
 
 std::string ShakaPlayerModel::name() const {
   return protocol_ == Protocol::kDash ? "shaka-dash" : "shaka-hls";
@@ -15,31 +13,9 @@ std::string ShakaPlayerModel::name() const {
 void ShakaPlayerModel::start(const ManifestView& view) {
   protocol_ = view.protocol;
   estimator_ = ShakaBandwidthEstimator(config_.estimator);
-  combos_.clear();
-
-  if (view.has_combination_list) {
-    combos_ = view.combos_sorted();
-  } else {
-    // DASH: the player creates every audio x video combination when parsing
-    // the manifest (§3.3), priced at the sum of declared bitrates.
-    for (const TrackView& video : view.video_tracks) {
-      for (const TrackView& audio : view.audio_tracks) {
-        assert(video.bitrate_known && audio.bitrate_known);
-        ComboView combo;
-        combo.video_id = video.id;
-        combo.audio_id = audio.id;
-        combo.video_kbps = video.declared_kbps;
-        combo.audio_kbps = audio.declared_kbps;
-        combo.bandwidth_kbps = video.declared_kbps + audio.declared_kbps;
-        combo.avg_bandwidth_kbps = combo.bandwidth_kbps;
-        combos_.push_back(std::move(combo));
-      }
-    }
-    std::stable_sort(combos_.begin(), combos_.end(),
-                     [](const ComboView& a, const ComboView& b) {
-                       return a.bandwidth_kbps < b.bandwidth_kbps;
-                     });
-  }
+  // Under DASH the player creates every audio x video combination when
+  // parsing the manifest (§3.3), priced at the sum of declared bitrates.
+  combos_ = view.listed_or_grid();
   assert(!combos_.empty());
 }
 
@@ -55,33 +31,14 @@ std::size_t ShakaPlayerModel::select_for_estimate(double estimate_kbps) const {
 
 std::optional<DownloadRequest> ShakaPlayerModel::next_request(const PlayerContext& ctx) {
   // Independent per-type pipelines, both filling to the bufferingGoal.
-  struct Candidate {
-    MediaType type;
-    double buffer;
-  };
-  // Fixed array, one slot per media type: this per-poll decision must stay
-  // off the heap (it runs inside the fleet engines' drain loop).
-  Candidate candidates[2];
-  int candidate_count = 0;
-  for (MediaType type : {MediaType::kAudio, MediaType::kVideo}) {
-    if (ctx.downloading(type)) continue;
-    if (ctx.next_chunk(type) >= ctx.total_chunks) continue;
-    if (ctx.buffer_s(type) >= config_.buffering_goal_s) continue;
-    candidates[candidate_count++] = {type, ctx.buffer_s(type)};
-  }
-  if (candidate_count == 0) return std::nullopt;
-  // Historical stable_sort on buffer: video (second slot) wins only when
-  // strictly lower.
-  const MediaType type =
-      candidate_count == 2 && candidates[1].buffer < candidates[0].buffer
-          ? candidates[1].type
-          : candidates[0].type;
-
+  const std::optional<MediaType> type =
+      lowest_buffer_type(ctx, kBufferingGoalS, kBufferingGoalS);
+  if (!type.has_value()) return std::nullopt;
   const ComboView& combo = combos_[select_for_estimate(estimator_.estimate_kbps())];
   DownloadRequest request;
-  request.type = type;
-  request.track_id = type == MediaType::kVideo ? combo.video_id : combo.audio_id;
-  request.chunk_index = ctx.next_chunk(type);
+  request.type = *type;
+  request.track_id = *type == MediaType::kVideo ? combo.video_id : combo.audio_id;
+  request.chunk_index = ctx.next_chunk(*type);
   return request;
 }
 

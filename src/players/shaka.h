@@ -28,13 +28,16 @@
 namespace demuxabr {
 
 struct ShakaConfig {
-  double buffering_goal_s = 10.0;  ///< shaka default bufferingGoal
   ShakaEstimatorConfig estimator{};
 };
 
 class ShakaPlayerModel : public PlayerAdapter {
  public:
-  explicit ShakaPlayerModel(ShakaConfig config = {});
+  /// Shaka's default bufferingGoal: both pipelines fill to it.
+  static constexpr double kBufferingGoalS = 10.0;
+
+  explicit ShakaPlayerModel(ShakaConfig config = {})
+      : config_(config), estimator_(config.estimator) {}
 
   [[nodiscard]] std::string name() const override;
   void start(const ManifestView& view) override;
@@ -42,10 +45,9 @@ class ShakaPlayerModel : public PlayerAdapter {
   std::optional<DownloadRequest> next_request(const PlayerContext& ctx) override;
   void on_progress(const ProgressSample& sample) override;
   [[nodiscard]] double bandwidth_estimate_kbps() const override;
-  /// Both pipelines fill to the bufferingGoal.
   [[nodiscard]] double idle_floor_s(MediaType type) const override {
     (void)type;
-    return config_.buffering_goal_s;
+    return kBufferingGoalS;
   }
 
   [[nodiscard]] const std::vector<ComboView>& combinations() const { return combos_; }

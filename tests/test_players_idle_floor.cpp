@@ -143,7 +143,7 @@ void drive(const ex::ExperimentSetup& setup, PlayerAdapter& probed,
       if (any_finished) ++coverage.finished_type_probes;
       if (is_dashjs) {
         for (MediaType type : {MediaType::kAudio, MediaType::kVideo}) {
-          if (probed.idle_floor_s(type) == DashJsConfig{}.top_quality_buffer_s) {
+          if (probed.idle_floor_s(type) == DashJsPlayerModel::kTopQualityBufferS) {
             ++coverage.dashjs_top_rung_probes;
           }
         }
