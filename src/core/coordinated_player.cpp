@@ -1,6 +1,7 @@
 #include "core/coordinated_player.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "core/bba_abr.h"
 #include "core/mpc_abr.h"
@@ -105,14 +106,17 @@ std::size_t CoordinatedPlayer::decide(const PlayerContext& ctx) {
       config_.per_path_estimation
           ? video_estimator_.estimate_kbps() + audio_estimator_.estimate_kbps()
           : estimator_.estimate_kbps();
-  const std::size_t index =
-      controller_->decide({ctx.now, estimate, min_buffer, chunk_duration_s_});
+  const std::size_t index = controller_->decide({.now = ctx.now,
+                                                 .estimate_kbps = estimate,
+                                                 .min_buffer_s = min_buffer,
+                                                 .chunk_duration_s = chunk_duration_s_});
   // Per-path feasibility cap (§4.1). The allowed list is a monotone
   // staircase, so clamping by index clamps both components.
   return std::min(index, path_feasible_cap());
 }
 
 std::optional<DownloadRequest> CoordinatedPlayer::next_request(const PlayerContext& ctx) {
+  assert(controller_ != nullptr && "start() not called");
   std::optional<MediaType> type;
   if (config_.prefetch_mode == PrefetchMode::kBalanced) {
     type = prefetcher_.next_type(ctx);

@@ -31,6 +31,10 @@ class JointController {
   /// `allowed` must be non-empty and sorted by ascending bandwidth.
   JointController(std::vector<ComboView> allowed, bool use_average_bandwidth);
   virtual ~JointController() = default;
+  JointController(const JointController&) = default;
+  JointController& operator=(const JointController&) = default;
+  JointController(JointController&&) = default;
+  JointController& operator=(JointController&&) = default;
 
   /// Decide the combination for the next chunk position.
   virtual std::size_t decide(const JointInputs& in) = 0;

@@ -67,7 +67,9 @@ std::vector<TrackView> ManifestView::tracks_by_rate(MediaType type) const {
 }
 
 ComboView pair_combo(const TrackView& video, const TrackView& audio) {
-  auto average = [](const TrackView& t) { return t.avg_kbps > 0.0 ? t.avg_kbps : t.declared_kbps; };
+  auto average = [](const TrackView& t) {
+    return t.avg_kbps > 0.0 ? t.avg_kbps : t.declared_kbps;
+  };
   ComboView combo;
   combo.video_id = video.id;
   combo.audio_id = audio.id;
