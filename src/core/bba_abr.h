@@ -25,6 +25,7 @@ namespace demuxabr {
 /// Requirements are declared averages where present (JointController).
 class BufferBasedJointAbr : public JointController {
  public:
+  /// The reservoir and cushion of the rate map above, in buffer seconds.
   static constexpr double kReservoirS = 8.0;
   static constexpr double kCushionS = 16.0;
 

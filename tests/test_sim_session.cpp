@@ -342,8 +342,8 @@ TEST(Session, RejectsDeltaBelowClockResolution) {
                            Network::shared(BandwidthTrace::constant(1500.0)), player,
                            config),
                std::invalid_argument);
-  // A 4 s tick still advances the clock there (over a zero RTT, which
-  // RejectsRttBelowClockResolution needs).
+  // A 4 s tick still advances the clock there (over a zero RTT: the
+  // default 50 ms one is below the clock's resolution too).
   config.delta_s = 4.0;
   ScriptedPlayer coarse(2, 20.0);
   EXPECT_NO_THROW(StreamingSession(content, view_of(content),
