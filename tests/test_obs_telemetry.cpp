@@ -11,8 +11,11 @@
 //     modes on real fleet runs.
 //  3. Hysteresis: each incident family opens at `enter` sustained for
 //     min_bins, closes below `exit`, and reports the peak bin.
-//  4. Exporters: NDJSON/CSV/HTML golden substrings, plus the tracer-interop
-//     instants detect_incidents() emits into the Tracer it is given.
+//  4. Exporters: NDJSON/CSV/HTML golden substrings, recorded FNV-1a digests
+//     of the NDJSON and CSV bytes of three timelines (hand-built, a sharded
+//     shared-core fleet, cache-aware chains with CDN rows), plus the
+//     tracer-interop instants detect_incidents() emits into the Tracer it
+//     is given.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "core/coordinated_player.h"
+#include "core/muxed_player.h"
 #include "experiments/scenarios.h"
+#include "fleet/cdn_fleet.h"
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
@@ -28,6 +34,7 @@
 #include "obs/incidents.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "players/dashjs.h"
 #include "players/exoplayer.h"
 #include "util/strings.h"
 
@@ -383,6 +390,104 @@ TEST(TelemetryExport, NdjsonAndCsvCarryTypedRows) {
   const std::string csv = timeline.to_csv();
   EXPECT_EQ(csv.find("bin,t_s,samples,active,stalled,started,departed"), 0u);
   EXPECT_NE(csv.find("\n0,0.000,1,1,1,1,0"), std::string::npos);
+}
+
+// The exporters' bytes, pinned to digests recorded before the exporters
+// moved from printf-style formatting to std::to_chars. Every row type
+// appears: fleet rows with and without buffer minima and with a bitrate
+// mix, link rows, and CDN rows.
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(TelemetryExport, HandBuiltTimelineBytesMatchRecordedDigests) {
+  // The timeline of NdjsonAndCsvCarryTypedRows.
+  TimelineShard shard = make_shard();
+  TimelineCursor cursor;
+  shard.session_started(0.0);
+  shard.sample_session(cursor, 0.5, 1.0, 2.0, true);
+  shard.link_segment(0, 0.0, 1.0, 1, 1000.0, 1000.0);
+  shard.cdn_request(1, 0.5, true);
+  const FleetTimeline timeline = shard.take();
+  EXPECT_EQ(fnv1a(timeline.to_ndjson()), 0xb7e3c3905736adcbull);
+  EXPECT_EQ(fnv1a(timeline.to_csv()), 0xb41eed8d296a61f3ull);
+}
+
+/// The sharded spec perfbench's sharded-10x50 workload runs, at 5 clients
+/// per edge: ample access, edge at the single-session operating point and
+/// an undersized shared core.
+TopologySpec sharded_10x5() {
+  const double n = 5.0;
+  TopologySpec spec = TopologySpec::sharded(
+      10, BandwidthTrace::constant(2500.0 * n), BandwidthTrace::constant(900.0 * n),
+      BandwidthTrace::constant(700.0 * n * 10.0));
+  spec.video_assignment = TopologySpec::block_assignment(10, 5);
+  return spec;
+}
+
+TEST(TelemetryExport, ShardedFleetBytesMatchRecordedDigests) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "telemetry-export-sharded");
+  FleetConfig config;
+  config.client_count = 50;
+  config.seed = 1;
+  config.arrivals = fleet::ArrivalProcess::kPoisson;
+  config.arrival_rate_per_s = 1.0;
+  config.players.push_back(
+      {"exoplayer", [] { return std::make_unique<ExoPlayerModel>(); }, 0.60});
+  config.players.push_back(
+      {"dashjs", [] { return std::make_unique<DashJsPlayerModel>(); }, 0.25});
+  config.players.push_back(
+      {"coordinated", [] { return std::make_unique<CoordinatedPlayer>(); }, 0.15});
+  config.churn.leave_probability = 0.1;
+  config.churn.min_watch_s = 30.0;
+  config.churn.max_watch_s = 120.0;
+  config.session.max_sim_time_s = 1800.0;
+  config.telemetry.enabled = true;
+  config.topology = sharded_10x5();
+  const BandwidthTrace unused = BandwidthTrace::constant(1000.0);
+  for (const fleet::Engine engine : {fleet::Engine::kBarrier, fleet::Engine::kEventHeap}) {
+    SCOPED_TRACE(engine == fleet::Engine::kBarrier ? "barrier" : "event-heap");
+    config.engine = engine;
+    const fleet::FleetResult result =
+        fleet::run_fleet(setup.content, setup.view, unused, config);
+    ASSERT_TRUE(result.timeline.has_value());
+    EXPECT_EQ(result.timeline->links.size(), 21u);
+    EXPECT_EQ(fnv1a(result.timeline->to_ndjson()), 0x1028e01d2687d47bull);
+    EXPECT_EQ(fnv1a(result.timeline->to_csv()), 0x2837f85480472b97ull);
+  }
+}
+
+TEST(TelemetryExport, CachedChainFleetBytesMatchRecordedDigests) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "telemetry-export-cdn");
+  const std::int64_t catalog_bytes =
+      fleet::make_fleet_catalog(setup.content, StorageMode::kDemuxed)->total_bytes();
+  FleetConfig config = telemetry_fleet_config(12);
+  config.players.push_back({"muxed", [] { return std::make_unique<MuxedPlayer>(); }, 1.0});
+  config.topology = telemetry_chains();
+  for (std::size_t i = 0; i < 3; ++i) {
+    config.topology->links[2 * i].cache = CacheSpec{catalog_bytes / 4, -1};
+  }
+  const BandwidthTrace unused = BandwidthTrace::constant(1000.0);
+  for (const int mode : {0, 1, 2}) {
+    SCOPED_TRACE(mode == 0 ? "barrier" : mode == 1 ? "event-heap" : "threads=2");
+    config.engine = mode == 0 ? fleet::Engine::kBarrier : fleet::Engine::kEventHeap;
+    config.threads = mode == 2 ? 2 : 1;
+    const fleet::FleetResult result =
+        fleet::run_fleet(setup.content, setup.view, unused, config);
+    ASSERT_TRUE(result.timeline.has_value());
+    const std::string ndjson = result.timeline->to_ndjson();
+    EXPECT_NE(ndjson.find("\"type\":\"cdn\""), std::string::npos);
+    EXPECT_EQ(fnv1a(ndjson), 0xf0820a71d4cd87a8ull);
+    EXPECT_EQ(fnv1a(result.timeline->to_csv()), 0xa9846d172509ba96ull);
+  }
 }
 
 TEST(TelemetryReport, HtmlIsSelfContainedWithChartsAndIncidents) {
