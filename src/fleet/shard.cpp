@@ -274,7 +274,7 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
     // spec) so per-shard merges land on the right global slots via
     // shard.link_ids even when a shard saw no traffic.
     merged.timeline.emplace();
-    merged.timeline->bin_s = config.telemetry.bin_s > 0.0 ? config.telemetry.bin_s : 1.0;
+    merged.timeline->bin_s = config.telemetry.bin_s;
     merged.timeline->links.resize(config.topology->links.size());
     for (std::size_t l = 0; l < config.topology->links.size(); ++l) {
       merged.timeline->links[l].name = config.topology->links[l].name;

@@ -137,13 +137,19 @@ void Channel::remove_flow(double now) {
 double Channel::service_at(double t) const {
   if (t <= clock_s_) return service_kbit_;
   if (active_flows_ <= 0) return service_kbit_;  // idle: nobody is served
+  if (constant_) {
+    // The walk's one segment, from the cached binding hop.
+    assert(topo_->cached_rates_match_walk(index_));
+    return service_kbit_ + bind_kbps_ * (t - clock_s_) * bind_inv_;
+  }
   const std::vector<Topology::LinkNode>& links = topo_->links_;
   const std::uint32_t* const hops = topo_->hops_of(index_);
   const std::size_t hop_count = topo_->hop_count_of(index_);
   double inv[kMaxHops];
   for (std::size_t i = 0; i < hop_count; ++i) {
-    // Every hop carries at least this path's flows, so the count is >= 1.
-    inv[i] = 1.0 / static_cast<double>(links[hops[i]].active_flows);
+    // Every hop carries at least this path's flows, so this is 1/N.
+    inv[i] = links[hops[i]].inv_flows;
+    assert(inv[i] == 1.0 / static_cast<double>(links[hops[i]].active_flows));
   }
   double v = service_kbit_;
   double at = clock_s_;
@@ -177,12 +183,19 @@ double Channel::service_at(double t) const {
 double Channel::time_when_service_reaches(double v_target) const {
   if (v_target <= service_kbit_) return clock_s_;
   if (active_flows_ <= 0) return std::numeric_limits<double>::infinity();
+  if (constant_) {
+    // The walk's first segment never ends, so it either hits or never does.
+    assert(topo_->cached_rates_match_walk(index_));
+    if (per_flow_kbps_ > 0.0) return clock_s_ + (v_target - service_kbit_) / per_flow_kbps_;
+    return std::numeric_limits<double>::infinity();
+  }
   const std::vector<Topology::LinkNode>& links = topo_->links_;
   const std::uint32_t* const hops = topo_->hops_of(index_);
   const std::size_t hop_count = topo_->hop_count_of(index_);
   double inv[kMaxHops];
   for (std::size_t i = 0; i < hop_count; ++i) {
-    inv[i] = 1.0 / static_cast<double>(links[hops[i]].active_flows);
+    inv[i] = links[hops[i]].inv_flows;
+    assert(inv[i] == 1.0 / static_cast<double>(links[hops[i]].active_flows));
   }
   double v = service_kbit_;
   double at = clock_s_;
@@ -227,6 +240,9 @@ Topology::Topology(TopologySpec spec) {
     node.trace_track = spec.links[l].trace_track != 0
                            ? spec.links[l].trace_track
                            : obs::kLinkTrackBase + static_cast<std::uint32_t>(l);
+    node.constant = node.trace.segments().size() == 1 && node.trace.period_s() == 0.0;
+    if (node.constant) node.kbps = node.trace.segments().front().kbps;
+    refresh_link(node);
     links_.push_back(std::move(node));
   }
 
@@ -313,8 +329,12 @@ Topology::Topology(TopologySpec spec) {
       if (channel_hops[q].size() > 1) node.saturating = false;
       rel.insert(rel.end(), channel_hops[q].begin(), channel_hops[q].end());
     }
+    rel = sorted_unique(std::move(rel));
+    node.rel_constant = std::all_of(rel.begin(), rel.end(), [this](std::uint32_t r) {
+      return links_[r].constant;
+    });
     push_csr_row(link_paths_csr_, link_paths_offsets_, link_paths[l]);
-    push_csr_row(rel_csr_, rel_offsets_, sorted_unique(std::move(rel)));
+    push_csr_row(rel_csr_, rel_offsets_, rel);
   }
 
   aff_paths_offsets_.assign(1, 0);
@@ -340,7 +360,10 @@ Topology::Topology(TopologySpec spec) {
     channel.topo_ = this;
     channel.index_ = static_cast<std::uint32_t>(p);
     channel.name_ = std::move(channel_names[p]);
+    channel.constant_ = std::all_of(channel_hops[p].begin(), channel_hops[p].end(),
+                                    [this](std::uint32_t hop) { return links_[hop].constant; });
     paths_.push_back(std::move(channel));
+    refresh_channel(p);
   }
   cache_routes_.resize(spec_path_count_);
   for (std::size_t p = 0; p < spec_path_count_; ++p) {
@@ -400,19 +423,23 @@ void Topology::population_change(std::size_t p, int delta, double now) {
       LinkNode& node = links_[hops[i]];
       node.active_flows += delta;
       node.peak_flows = std::max(node.peak_flows, node.active_flows);
+      refresh_link(node);
       DMX_TRACE_COUNTER(tracer_, obs::kCatLink, node.trace_track,
                         "active_flows", now,
                         obs::TraceArgs().kv("flows", node.active_flows));
     }
   }
   // Every affected path's completion predictions went stale (its rate, or
-  // its binding constraint, may have moved): bump their epochs and record
-  // them on the dirty list the event-heap engine re-keys per drain phase.
+  // its binding constraint, may have moved): re-derive its cached rates,
+  // bump its epoch and record it on the dirty list the event-heap engine
+  // re-keys per drain phase. The affected set holds every channel through
+  // a link whose count just moved, so no other cache is stale.
   {
     const std::uint32_t* const aff = aff_paths_csr_.data() + aff_paths_offsets_[p];
     const std::size_t count = aff_paths_offsets_[p + 1] - aff_paths_offsets_[p];
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint32_t q = aff[i];
+      refresh_channel(q);
       ++paths_[q].epoch_;
       if (channel_dirty_[q] == 0) {
         channel_dirty_[q] = 1;
@@ -420,6 +447,69 @@ void Topology::population_change(std::size_t p, int delta, double now) {
       }
     }
   }
+}
+
+void Topology::refresh_link(LinkNode& node) {
+  node.inv_flows =
+      node.active_flows > 0 ? 1.0 / static_cast<double>(node.active_flows) : 1.0;
+  if (node.constant) {
+    node.fair_kbps = node.kbps / static_cast<double>(std::max(1, node.active_flows));
+  }
+}
+
+void Topology::refresh_channel(std::size_t q) {
+  Channel& path = paths_[q];
+  if (!path.constant_) return;
+  const std::uint32_t* const hops = hops_of(q);
+  const std::size_t hop_count = hop_count_of(q);
+  // The walk's binding-hop scan and the multi-hop rider sum's min share,
+  // expression for expression.
+  std::size_t b = 0;
+  double best = 0.0;
+  double min_share = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < hop_count; ++i) {
+    const LinkNode& hop = links_[hops[i]];
+    const double share = hop.kbps * hop.inv_flows;
+    if (i == 0 || share < best) {
+      best = share;
+      b = i;
+    }
+    min_share = std::min(min_share, hop.fair_kbps);
+  }
+  const LinkNode& binding = links_[hops[b]];
+  path.bind_ = static_cast<std::uint32_t>(b);
+  path.per_flow_kbps_ = best;
+  path.bind_kbps_ = binding.kbps;
+  path.bind_inv_ = binding.inv_flows;
+  path.min_share_kbps_ = min_share;
+}
+
+bool Topology::cached_rates_match_walk(std::size_t q) const {
+  const Channel& path = paths_[q];
+  const std::uint32_t* const hops = hops_of(q);
+  const std::size_t hop_count = hop_count_of(q);
+  std::size_t b = 0;
+  double best = 0.0;
+  double rate = 0.0;
+  double inv_b = 0.0;
+  double min_share = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < hop_count; ++i) {
+    const LinkNode& hop = links_[hops[i]];
+    const double kbps = hop.trace.lookup(path.clock_s_).kbps;
+    const double inv = 1.0 / static_cast<double>(hop.active_flows);
+    const double fair = kbps / static_cast<double>(std::max(1, hop.active_flows));
+    if (hop.inv_flows != inv || hop.fair_kbps != fair) return false;
+    const double share = kbps * inv;
+    if (i == 0 || share < best) {
+      best = share;
+      rate = kbps;
+      inv_b = inv;
+      b = i;
+    }
+    min_share = std::min(min_share, fair);
+  }
+  return path.bind_ == b && path.per_flow_kbps_ == best && path.bind_kbps_ == rate &&
+         path.bind_inv_ == inv_b && path.min_share_kbps_ == min_share;
 }
 
 void Topology::advance_path(std::size_t p, double now) {
@@ -430,12 +520,23 @@ void Topology::advance_path(std::size_t p, double now) {
     path.clock_s_ = now;
     return;
   }
+  double* const binding = binding_csr_.data() + hop_offsets_[p];
+  if (path.constant_) {
+    // The walk's one segment, from the cached binding hop.
+    assert(cached_rates_match_walk(p));
+    const double dt = now - path.clock_s_;
+    const double offered = path.bind_kbps_ * dt;
+    path.service_kbit_ += offered * path.bind_inv_;
+    binding[path.bind_] += dt;
+    path.clock_s_ = now;
+    return;
+  }
   const std::uint32_t* const hops = hops_of(p);
   const std::size_t hop_count = hop_count_of(p);
-  double* const binding = binding_csr_.data() + hop_offsets_[p];
   double inv[kMaxHops];
   for (std::size_t i = 0; i < hop_count; ++i) {
-    inv[i] = 1.0 / static_cast<double>(links_[hops[i]].active_flows);
+    inv[i] = links_[hops[i]].inv_flows;
+    assert(inv[i] == 1.0 / static_cast<double>(links_[hops[i]].active_flows));
   }
   double at = path.clock_s_;
   while (at < now) {
@@ -469,8 +570,9 @@ void Topology::advance_link(std::size_t l, double now) {
   LinkNode& node = links_[l];
   if (now <= node.clock_s) return;
   double at = node.clock_s;
-  const double inv_flows =
-      node.active_flows > 0 ? 1.0 / static_cast<double>(node.active_flows) : 1.0;
+  const double inv_flows = node.inv_flows;
+  assert(inv_flows ==
+         (node.active_flows > 0 ? 1.0 / static_cast<double>(node.active_flows) : 1.0));
   if (node.saturating) {
     // Every traversing path is bottlenecked here alone: processor sharing
     // saturates the pipe, so delivered == offered while busy — the plain
@@ -502,9 +604,10 @@ void Topology::advance_link(std::size_t l, double now) {
   // N_q * rate_q, which can be below capacity when a flow's binding
   // constraint sits elsewhere. Segment boundaries come from every link
   // whose capacity enters those rates (rel span), so each segment
-  // integrates a constant.
+  // integrates a constant; when every one of them is constant, the first
+  // segment runs to `now`.
   const std::uint32_t* const rel = rel_csr_.data() + rel_offsets_[l];
-  const std::size_t rel_count = rel_offsets_[l + 1] - rel_offsets_[l];
+  const std::size_t rel_count = node.rel_constant ? 0 : rel_offsets_[l + 1] - rel_offsets_[l];
   const std::uint32_t* const riders = link_paths_csr_.data() + link_paths_offsets_[l];
   const std::size_t rider_count = link_paths_offsets_[l + 1] - link_paths_offsets_[l];
   while (at < now) {
@@ -527,6 +630,11 @@ void Topology::advance_link(std::size_t l, double now) {
       for (std::size_t i = 0; i < rider_count; ++i) {
         const Channel& path = paths_[riders[i]];
         if (path.active_flows_ <= 0) continue;
+        if (path.constant_) {
+          assert(cached_rates_match_walk(riders[i]));
+          rate_sum_kbps += static_cast<double>(path.active_flows_) * path.min_share_kbps_;
+          continue;
+        }
         const std::uint32_t* const hops = hops_of(riders[i]);
         const std::size_t hop_count = hop_count_of(riders[i]);
         double share = std::numeric_limits<double>::infinity();

@@ -39,6 +39,16 @@
 // are unchanged expression-for-expression, so results stay byte-identical
 // to the nested layout.
 //
+// Population-derived rates (DESIGN.md §9, §12) are cached, not re-derived
+// per read: each link keeps 1/N (and, on a constant trace — one aperiodic
+// segment — its fair share kbps/max(1,N)); each channel whose hops are all
+// constant keeps its per-flow rate, its binding hop (index, kbps, 1/N) and
+// its division-form min share. population_change refreshes them for the
+// links whose counts move and the channels whose epochs it bumps, and the
+// walks over constant channels collapse to one segment read from the cache
+// with the walk's own expressions, so every double stays identical. Links
+// with a time-varying trace keep the segment walk.
+//
 // Every session rides a topology: Network::shared is one link,
 // Network::split two, and FleetScheduler builds TopologySpec::single() when
 // FleetConfig::topology is unset. On a 1-hop path the min-share walk reduces
@@ -281,6 +291,16 @@ class Channel final {
   double clock_s_ = 0.0;       ///< time up to which V_P is advanced
   double service_kbit_ = 0.0;  ///< V_P(clock_s_): per-flow min-share integral
 
+  /// Every hop's trace is constant: the rates below hold until the next
+  /// population change of the affected set, which refreshes them
+  /// (Topology::refresh_channel). Read only while the channel is active.
+  bool constant_ = false;
+  std::uint32_t bind_ = 0;       ///< binding hop's position (earliest on ties)
+  double per_flow_kbps_ = 0.0;   ///< min over hops of kbps · 1/N
+  double bind_kbps_ = 0.0;       ///< the binding hop's kbps
+  double bind_inv_ = 0.0;        ///< the binding hop's 1/N
+  double min_share_kbps_ = 0.0;  ///< min over hops of kbps / max(1, N)
+
   std::string name_;
   /// v_target [kbit] per in-flight flow token.
   IndexedMinHeap completions_;
@@ -429,6 +449,15 @@ class Topology {
     /// so delivered == offered while busy (the single-link accounting
     /// tests/link_oracle.h pins bit for bit).
     bool saturating = false;
+    /// The trace is one aperiodic segment: `kbps` forever.
+    bool constant = false;
+    /// Every related link (rel span) is constant, so the multi-hop
+    /// accounting loop has no boundary to look for.
+    bool rel_constant = false;
+    double kbps = 0.0;  ///< the constant rate (constant links only)
+    // Refreshed at every change of active_flows (Topology::refresh_link).
+    double inv_flows = 1.0;  ///< 1/N, or 1 while idle
+    double fair_kbps = 0.0;  ///< kbps / max(1, N) (constant links only)
   };
 
   /// The one mutation point: path `p` gains (+1) or loses (-1) a flow at
@@ -445,6 +474,15 @@ class Topology {
 
   void advance_path(std::size_t p, double now);
   void advance_link(std::size_t l, double now);
+
+  /// Re-derive a link's cached 1/N and fair share from its current count.
+  static void refresh_link(LinkNode& node);
+  /// Re-derive constant channel q's cached rates from its hops' caches.
+  void refresh_channel(std::size_t q);
+  /// True when active constant channel q's cached rates, and its hops'
+  /// cached 1/N and fair shares, equal what the walk derives from fresh
+  /// trace lookups and divisions. Debug builds assert it at every read.
+  [[nodiscard]] bool cached_rates_match_walk(std::size_t q) const;
 
   // CSR span accessors (index arrays built once at construction).
   [[nodiscard]] const std::uint32_t* hops_of(std::size_t p) const {

@@ -1,8 +1,12 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
+#include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "util/strings.h"
@@ -24,6 +28,40 @@ double mean_s(std::int64_t sum_us, std::uint64_t samples) {
              : 0.0;
 }
 
+// The exporters' one writer: every field is appended in place through
+// std::to_chars, which with a fixed precision prints exactly what printf's
+// "%.<digits>f" prints (and what the exported bytes have always been).
+
+/// A double printed with `digits` decimals.
+struct Fixed {
+  double value;
+  int digits;
+};
+
+void put(std::string& out, const char* text) { out += text; }
+void put(std::string& out, const std::string& text) { out += text; }
+
+void put(std::string& out, std::uint64_t value) {
+  char buf[std::numeric_limits<std::uint64_t>::digits10 + 1];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
+void put(std::string& out, Fixed field) {
+  // Room for the integer digits of the largest double, a sign, the point
+  // and the decimals.
+  char buf[std::numeric_limits<double>::max_exponent10 + 40];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, field.value,
+                                               std::chars_format::fixed, field.digits);
+  assert(r.ec == std::errc());
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
+template <typename... Fields>
+void append(std::string& out, const Fields&... fields) {
+  (put(out, fields), ...);
+}
+
 }  // namespace
 
 // --- TimelineShard -------------------------------------------------------
@@ -36,7 +74,11 @@ TimelineShard::TimelineShard(const TelemetryConfig& config,
       link_names_(std::move(link_names)),
       link_bins_(link_names_.size()),
       cdn_bins_(link_names_.size()) {
-  if (config_.bin_s <= 0.0) config_.bin_s = 1.0;
+  // bin_of divides by the width and casts the quotient to an integer: a
+  // NaN or non-positive width has no bin to land in.
+  if (!(std::isfinite(config_.bin_s) && config_.bin_s > 0.0)) {
+    throw std::invalid_argument("TimelineShard: bin_s must be finite and > 0");
+  }
   std::sort(ladder_.begin(), ladder_.end());
   ladder_.erase(std::unique(ladder_.begin(), ladder_.end()), ladder_.end());
 }
@@ -278,35 +320,38 @@ std::string FleetTimeline::fingerprint() const {
 }
 
 std::string FleetTimeline::to_ndjson() const {
-  std::string out;
   const std::size_t rungs = ladder_kbps.size();
+  // One allocation for the whole export: a generous bound on each row's
+  // length (untouched capacity costs no resident memory), instead of a
+  // doubling chain whose freed steps inflate the process's peak RSS.
+  std::size_t bound = bins.size() * (320 + 8 * rungs);
+  for (const LinkSeries& link : links) bound += link.bins.size() * (160 + link.name.size());
+  for (const CdnSeries& cdn : cdns) bound += cdn.bins.size() * 112;
+  std::string out;
+  out.reserve(bound);
   for (std::size_t i = 0; i < bins.size(); ++i) {
     const FleetBin& b = bins[i];
-    out += format(
-        "{\"type\":\"fleet\",\"bin\":%zu,\"t_s\":%.3f,\"samples\":%llu,"
-        "\"active\":%llu,\"stalled\":%llu,\"started\":%llu,\"departed\":%llu,"
-        "\"audio_mean_s\":%.4f,\"video_mean_s\":%.4f,\"imbalance_mean_s\":%.4f",
-        i, static_cast<double>(i) * bin_s,
-        static_cast<unsigned long long>(b.samples),
-        static_cast<unsigned long long>(b.active_sessions),
-        static_cast<unsigned long long>(b.stalled_sessions),
-        static_cast<unsigned long long>(b.started_sessions),
-        static_cast<unsigned long long>(b.departed_sessions),
-        mean_s(b.audio_level_sum_us, b.samples),
-        mean_s(b.video_level_sum_us, b.samples),
-        mean_s(b.imbalance_sum_us, b.samples));
+    append(out, "{\"type\":\"fleet\",\"bin\":", i,
+           ",\"t_s\":", Fixed{static_cast<double>(i) * bin_s, 3},
+           ",\"samples\":", b.samples, ",\"active\":", b.active_sessions,
+           ",\"stalled\":", b.stalled_sessions, ",\"started\":", b.started_sessions,
+           ",\"departed\":", b.departed_sessions,
+           ",\"audio_mean_s\":", Fixed{mean_s(b.audio_level_sum_us, b.samples), 4},
+           ",\"video_mean_s\":", Fixed{mean_s(b.video_level_sum_us, b.samples), 4},
+           ",\"imbalance_mean_s\":", Fixed{mean_s(b.imbalance_sum_us, b.samples), 4});
     if (b.audio_level_min_us != kTelemetryNoSample) {
-      out += format(",\"audio_min_s\":%.4f,\"video_min_s\":%.4f",
-                    static_cast<double>(b.audio_level_min_us) / 1e6,
-                    static_cast<double>(b.video_level_min_us) / 1e6);
+      append(out, ",\"audio_min_s\":",
+             Fixed{static_cast<double>(b.audio_level_min_us) / 1e6, 4},
+             ",\"video_min_s\":",
+             Fixed{static_cast<double>(b.video_level_min_us) / 1e6, 4});
     } else {
       out += ",\"audio_min_s\":null,\"video_min_s\":null";
     }
     if (rungs > 0) {
       out += ",\"mix\":[";
       for (std::size_t r = 0; r < rungs; ++r) {
-        out += format("%s%llu", r > 0 ? "," : "",
-                      static_cast<unsigned long long>(bitrate_mix[i * rungs + r]));
+        if (r > 0) out += ',';
+        put(out, bitrate_mix[i * rungs + r]);
       }
       out += "]";
     }
@@ -315,28 +360,25 @@ std::string FleetTimeline::to_ndjson() const {
   for (std::size_t l = 0; l < links.size(); ++l) {
     for (std::size_t i = 0; i < links[l].bins.size(); ++i) {
       const LinkBin& b = links[l].bins[i];
-      out += format(
-          "{\"type\":\"link\",\"link\":%zu,\"name\":\"%s\",\"bin\":%zu,"
-          "\"busy\":%.4f,\"mean_flows\":%.3f,\"offered_kbps\":%.1f,"
-          "\"delivered_kbps\":%.1f}\n",
-          l, links[l].name.c_str(), i,
-          static_cast<double>(b.busy_us) / 1e6 / bin_s,
-          static_cast<double>(b.flow_us) / 1e6 / bin_s,
-          static_cast<double>(b.offered_kbit_mil) / 1000.0 / bin_s,
-          static_cast<double>(b.delivered_kbit_mil) / 1000.0 / bin_s);
+      append(out, "{\"type\":\"link\",\"link\":", l, ",\"name\":\"", links[l].name,
+             "\",\"bin\":", i,
+             ",\"busy\":", Fixed{static_cast<double>(b.busy_us) / 1e6 / bin_s, 4},
+             ",\"mean_flows\":", Fixed{static_cast<double>(b.flow_us) / 1e6 / bin_s, 3},
+             ",\"offered_kbps\":",
+             Fixed{static_cast<double>(b.offered_kbit_mil) / 1000.0 / bin_s, 1},
+             ",\"delivered_kbps\":",
+             Fixed{static_cast<double>(b.delivered_kbit_mil) / 1000.0 / bin_s, 1}, "}\n");
     }
   }
   for (const CdnSeries& cdn : cdns) {
     for (std::size_t i = 0; i < cdn.bins.size(); ++i) {
       const std::uint64_t total = cdn.bins[i].hits + cdn.bins[i].misses;
-      out += format(
-          "{\"type\":\"cdn\",\"link\":%zu,\"bin\":%zu,\"hits\":%llu,"
-          "\"misses\":%llu,\"hit_ratio\":%.4f}\n",
-          cdn.link, i, static_cast<unsigned long long>(cdn.bins[i].hits),
-          static_cast<unsigned long long>(cdn.bins[i].misses),
-          total > 0 ? static_cast<double>(cdn.bins[i].hits) /
-                          static_cast<double>(total)
-                    : 0.0);
+      const double hit_ratio = total > 0 ? static_cast<double>(cdn.bins[i].hits) /
+                                               static_cast<double>(total)
+                                         : 0.0;
+      append(out, "{\"type\":\"cdn\",\"link\":", cdn.link, ",\"bin\":", i,
+             ",\"hits\":", cdn.bins[i].hits, ",\"misses\":", cdn.bins[i].misses,
+             ",\"hit_ratio\":", Fixed{hit_ratio, 4}, "}\n");
     }
   }
   return out;
@@ -348,20 +390,14 @@ std::string FleetTimeline::to_csv() const {
       "video_mean_s,imbalance_mean_s,audio_min_s,video_min_s\n";
   for (std::size_t i = 0; i < bins.size(); ++i) {
     const FleetBin& b = bins[i];
-    out += format("%zu,%.3f,%llu,%llu,%llu,%llu,%llu,%.4f,%.4f,%.4f", i,
-                  static_cast<double>(i) * bin_s,
-                  static_cast<unsigned long long>(b.samples),
-                  static_cast<unsigned long long>(b.active_sessions),
-                  static_cast<unsigned long long>(b.stalled_sessions),
-                  static_cast<unsigned long long>(b.started_sessions),
-                  static_cast<unsigned long long>(b.departed_sessions),
-                  mean_s(b.audio_level_sum_us, b.samples),
-                  mean_s(b.video_level_sum_us, b.samples),
-                  mean_s(b.imbalance_sum_us, b.samples));
+    append(out, i, ",", Fixed{static_cast<double>(i) * bin_s, 3}, ",", b.samples, ",",
+           b.active_sessions, ",", b.stalled_sessions, ",", b.started_sessions, ",",
+           b.departed_sessions, ",", Fixed{mean_s(b.audio_level_sum_us, b.samples), 4},
+           ",", Fixed{mean_s(b.video_level_sum_us, b.samples), 4}, ",",
+           Fixed{mean_s(b.imbalance_sum_us, b.samples), 4});
     if (b.audio_level_min_us != kTelemetryNoSample) {
-      out += format(",%.4f,%.4f",
-                    static_cast<double>(b.audio_level_min_us) / 1e6,
-                    static_cast<double>(b.video_level_min_us) / 1e6);
+      append(out, ",", Fixed{static_cast<double>(b.audio_level_min_us) / 1e6, 4}, ",",
+             Fixed{static_cast<double>(b.video_level_min_us) / 1e6, 4});
     } else {
       out += ",,";
     }

@@ -41,9 +41,10 @@ namespace demuxabr::obs {
 /// enabling costs O(bins) memory per shard and a few adds per hook.
 struct TelemetryConfig {
   bool enabled = false;
-  /// Bin width in simulated seconds. Values below the session sample
-  /// period (SessionConfig::delta_s, default 0.125 s) leave per-bin session
-  /// counts sparse but stay deterministic.
+  /// Bin width in simulated seconds; TimelineShard throws
+  /// std::invalid_argument unless it is finite and positive. Values below
+  /// the session sample period (SessionConfig::delta_s, default 0.125 s)
+  /// leave per-bin session counts sparse but stay deterministic.
   double bin_s = 1.0;
 };
 
@@ -150,7 +151,8 @@ class TimelineShard {
   /// `ladder_kbps` is the content's declared video rung rates (sorted and
   /// deduplicated here); `link_names` fixes the link-index space — series
   /// are emitted for every name, touched or not, so indices line up with
-  /// the merge-time link map.
+  /// the merge-time link map. Throws std::invalid_argument unless
+  /// `config.bin_s` is finite and positive.
   TimelineShard(const TelemetryConfig& config, std::vector<double> ladder_kbps,
                 std::vector<std::string> link_names);
 

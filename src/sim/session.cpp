@@ -36,6 +36,12 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
       network_(std::move(network)),
       player_(player),
       config_(config) {
+  // Every player pairs an audio track with a video track from the start:
+  // an empty list leaves nothing to index.
+  if (view_.audio_tracks.empty() || view_.video_tracks.empty()) {
+    throw std::invalid_argument(
+        "StreamingSession: the manifest view lists no audio or no video tracks");
+  }
   // Every engine moves on by next_tick_ += delta_s; a tick that never
   // advances would pin the session's event time forever.
   if (!(std::isfinite(config_.delta_s) && config_.delta_s > 0.0)) {

@@ -114,9 +114,10 @@ class StreamingSession {
  public:
   /// `content` is server-side truth (chunk sizes); `view` is what the player
   /// sees. The session keeps references; all must outlive run(). Throws
-  /// std::invalid_argument when config.delta_s is not finite and positive
-  /// or is below the clock's resolution at config.max_sim_time_s (the
-  /// sampling clock would never advance), or when either default
+  /// std::invalid_argument when `view` lists no audio or no video tracks,
+  /// when config.delta_s is not finite and positive or is below the
+  /// clock's resolution at config.max_sim_time_s (the sampling clock
+  /// would never advance), or when either default
   /// carrier's clock is already past config.start_time_s: a Network that
   /// carried another session.
   StreamingSession(const Content& content, ManifestView view, Network network,

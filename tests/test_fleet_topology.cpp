@@ -1,4 +1,4 @@
-// Multi-link topology battery (net/topology.h), in three tiers:
+// Multi-link topology battery (net/topology.h), in four tiers:
 //
 //  1. Differential: kBarrier and kEventHeap produce byte-identical fleet
 //     fingerprints on >=3-link client→edge→core topologies, heterogeneous
@@ -16,6 +16,11 @@
 //     guard), completion re-keying when the binding constraint moves
 //     mid-flow (epoch-lazy sync counters must reconcile), double removes
 //     counted and clamped, and malformed specs failing closed.
+//  4. Cached-rate oracle: every topology runs twice, over its constant
+//     traces (whose rates the Topology caches at population changes) and
+//     over the same rates as two-segment traces (which force the segment
+//     walk), and every read, LinkStats, PathSummary and fleet and timeline
+//     fingerprint must agree to the last bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,8 +31,10 @@
 #include <string>
 #include <vector>
 
+#include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
 #include "experiments/sweep.h"
+#include "fleet/cdn_fleet.h"
 #include "fleet/event_heap.h"
 #include "fleet/metrics.h"
 #include "fleet/scheduler.h"
@@ -616,6 +623,199 @@ TEST(TopologySpecValidate, RejectsMalformedSpecs) {
             "");
   const std::vector<std::size_t> blocks = TopologySpec::block_assignment(3, 2);
   EXPECT_EQ(blocks, (std::vector<std::size_t>{0, 0, 1, 1, 2, 2}));
+}
+
+// --- 4. Cached-rate oracle. ---
+
+/// `spec` with every constant link's rate r rewritten as a two-segment
+/// trace: r up to t = 1e12 s, then r again. The rate function is the same
+/// over any run, but the trace is no longer one aperiodic segment, so the
+/// Topology caches nothing for it and every read walks the trace.
+TopologySpec walk_forced(TopologySpec spec) {
+  for (LinkSpec& link : spec.links) {
+    if (link.trace.segments().size() != 1 || link.trace.period_s() != 0.0) continue;
+    const double r = link.trace.segments().front().kbps;
+    link.trace = BandwidthTrace::steps({{1e12, r}, {1.0, r}}, false);
+  }
+  return spec;
+}
+
+void expect_same_links(const std::vector<LinkStats>& cached,
+                       const std::vector<LinkStats>& walked) {
+  ASSERT_EQ(cached.size(), walked.size());
+  for (std::size_t l = 0; l < cached.size(); ++l) {
+    SCOPED_TRACE(cached[l].name);
+    EXPECT_EQ(cached[l].name, walked[l].name);
+    EXPECT_EQ(cached[l].observed_s, walked[l].observed_s);
+    EXPECT_EQ(cached[l].busy_s, walked[l].busy_s);
+    EXPECT_EQ(cached[l].flow_seconds, walked[l].flow_seconds);
+    EXPECT_EQ(cached[l].offered_kbit, walked[l].offered_kbit);
+    EXPECT_EQ(cached[l].delivered_kbit, walked[l].delivered_kbit);
+    EXPECT_EQ(cached[l].peak_flows, walked[l].peak_flows);
+    EXPECT_EQ(cached[l].residual_flows, walked[l].residual_flows);
+    EXPECT_EQ(cached[l].binding_s, walked[l].binding_s);
+  }
+}
+
+void expect_same_paths(const std::vector<PathSummary>& cached,
+                       const std::vector<PathSummary>& walked) {
+  ASSERT_EQ(cached.size(), walked.size());
+  for (std::size_t p = 0; p < cached.size(); ++p) {
+    SCOPED_TRACE(cached[p].name);
+    EXPECT_EQ(cached[p].name, walked[p].name);
+    EXPECT_EQ(cached[p].hop_names, walked[p].hop_names);
+    EXPECT_EQ(cached[p].binding_s, walked[p].binding_s);
+    EXPECT_EQ(cached[p].peak_flows, walked[p].peak_flows);
+    EXPECT_EQ(cached[p].residual_flows, walked[p].residual_flows);
+    EXPECT_EQ(cached[p].service_kbit, walked[p].service_kbit);
+  }
+}
+
+/// Drives one random flow schedule through both forms of random_spec(seed)
+/// in lockstep, comparing every read a session or engine makes between
+/// population changes.
+void drive_cached_against_walk(std::uint64_t seed) {
+  Rng rng(seed);
+  const TopologySpec spec = random_spec(rng);
+  Topology cached(spec);
+  Topology walked(walk_forced(spec));
+  const std::size_t path_count = cached.path_count();
+  std::vector<std::size_t> flows;  // path of each live flow
+  double now = 0.0;
+  const int events = 30 + static_cast<int>(rng.uniform_int(0, 40));
+  for (int e = 0; e < events; ++e) {
+    now += rng.exponential(0.5);
+    if (flows.empty() || rng.bernoulli(0.55)) {
+      const auto p = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(path_count) - 1));
+      EXPECT_EQ(cached.path_channel(p).add_flow(now), walked.path_channel(p).add_flow(now));
+      flows.push_back(p);
+    } else {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(flows.size()) - 1));
+      cached.path_channel(flows[i]).remove_flow(now);
+      walked.path_channel(flows[i]).remove_flow(now);
+      flows[i] = flows.back();
+      flows.pop_back();
+    }
+    for (std::size_t p = 0; p < path_count; ++p) {
+      const Channel& a = cached.path_channel(p);
+      const Channel& b = walked.path_channel(p);
+      for (const double ahead : {0.25, 3.0, 40.0}) {
+        EXPECT_EQ(a.service_at(now + ahead), b.service_at(now + ahead));
+      }
+      for (const double extra_kbit : {1.0, 500.0, 40000.0}) {
+        const double target = a.service_at(now) + extra_kbit;
+        EXPECT_EQ(a.time_when_service_reaches(target), b.time_when_service_reaches(target));
+      }
+    }
+  }
+  now += rng.exponential(0.5);
+  for (const std::size_t p : flows) {
+    cached.path_channel(p).remove_flow(now);
+    walked.path_channel(p).remove_flow(now);
+  }
+  cached.finalize(now + 5.0);
+  walked.finalize(now + 5.0);
+  expect_same_links(cached.link_stats(), walked.link_stats());
+  expect_same_paths(cached.path_stats(), walked.path_stats());
+  for (std::size_t l = 0; l < cached.link_count(); ++l) {
+    EXPECT_EQ(cached.link_service_kbit(l), walked.link_service_kbit(l));
+  }
+}
+
+/// Runs `config` over its topology and over walk_forced(topology), under
+/// both engines, and requires equal fleets: fingerprints (which carry the
+/// timeline's), timeline fingerprints, LinkStats and PathSummaries.
+void expect_fleet_matches_walk(const ex::ExperimentSetup& setup, FleetConfig config) {
+  const BandwidthTrace unused = BandwidthTrace::constant(1000.0);
+  FleetConfig forced = config;
+  forced.topology = walk_forced(*config.topology);
+  for (const Engine engine : {Engine::kBarrier, Engine::kEventHeap}) {
+    SCOPED_TRACE(engine == Engine::kBarrier ? "barrier" : "event-heap");
+    config.engine = engine;
+    forced.engine = engine;
+    const FleetResult cached = run_fleet(setup.content, setup.view, unused, config);
+    const FleetResult walked = run_fleet(setup.content, setup.view, unused, forced);
+    EXPECT_EQ(fleet_fingerprint(cached), fleet_fingerprint(walked));
+    ASSERT_EQ(cached.timeline.has_value(), walked.timeline.has_value());
+    if (cached.timeline.has_value()) {
+      EXPECT_EQ(cached.timeline->fingerprint(), walked.timeline->fingerprint());
+    }
+    expect_same_links(cached.links, walked.links);
+    expect_same_paths(cached.paths, walked.paths);
+  }
+}
+
+TEST(TopologyCacheOracle, RandomTopologiesMatchTheWalk) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "cache-oracle");
+  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
+    SCOPED_TRACE(testing::Message() << "case seed " << seed);
+    drive_cached_against_walk(seed);
+    Rng rng(seed);
+    FleetConfig config = base_config(3, seed);
+    config.players.push_back({"dashjs", &make_dashjs, 1.0});
+    config.arrivals = ArrivalProcess::kPoisson;
+    config.arrival_rate_per_s = 0.5;
+    config.session.max_sim_time_s = 45.0;
+    config.telemetry.enabled = true;
+    config.topology = random_spec(rng);
+    expect_fleet_matches_walk(setup, config);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(TopologyCacheOracle, PerfbenchSpecsMatchTheWalk) {
+  // The specs perfbench's sharded-10x50 and cdn-10x100 workloads build,
+  // at 2 clients per edge: access -> edge -> one undersized core, and
+  // disjoint edge -> core chains with an edge cache.
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "cache-oracle-perfbench");
+  const auto mix = [](FleetConfig& config) {
+    config.players.push_back({"dashjs", &make_dashjs, 1.0});
+    config.players.push_back(
+        {"coordinated", [] { return std::make_unique<CoordinatedPlayer>(); }, 0.5});
+    config.arrivals = ArrivalProcess::kPoisson;
+    config.arrival_rate_per_s = 1.0;
+    config.churn.leave_probability = 0.1;
+    config.churn.min_watch_s = 30.0;
+    config.churn.max_watch_s = 120.0;
+    config.session.max_sim_time_s = 150.0;
+  };
+  {
+    SCOPED_TRACE("sharded 10x2");
+    const double n = 2.0;
+    FleetConfig config = base_config(20, 1);
+    mix(config);
+    config.telemetry.enabled = true;
+    config.topology = TopologySpec::sharded(
+        10, BandwidthTrace::constant(2500.0 * n), BandwidthTrace::constant(900.0 * n),
+        BandwidthTrace::constant(700.0 * n * 10.0));
+    config.topology->video_assignment = TopologySpec::block_assignment(10, 2);
+    expect_fleet_matches_walk(setup, config);
+  }
+  {
+    SCOPED_TRACE("cached chains 10x2");
+    const double n = 2.0;
+    FleetConfig config = base_config(20, 1);
+    mix(config);
+    config.streaming.client_threshold = 0;
+    TopologySpec spec;
+    const std::int64_t cache_bytes =
+        make_fleet_catalog(setup.content, StorageMode::kDemuxed)->total_bytes() / 4;
+    for (int e = 0; e < 10; ++e) {
+      const std::size_t edge =
+          spec.add_link(format("edge-%d", e), BandwidthTrace::constant(900.0 * n));
+      const std::size_t core =
+          spec.add_link(format("core-%d", e), BandwidthTrace::constant(700.0 * n));
+      spec.add_path(format("chain-%d", e), {edge, core});
+      spec.links[edge].cache = CacheSpec{cache_bytes, -1};
+    }
+    spec.video_assignment = TopologySpec::block_assignment(10, 2);
+    config.topology = spec;
+    expect_fleet_matches_walk(setup, config);
+  }
 }
 
 }  // namespace

@@ -19,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -271,6 +273,26 @@ TEST(FleetTelemetry, StreamingMetricsModeKeepsTimelineIdentical) {
   EXPECT_EQ(full.timeline->fingerprint(), streaming.timeline->fingerprint());
 }
 
+TEST(FleetTelemetry, RejectsBinWidthThatIsNotFiniteAndPositive) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(2500.0), "telemetry-bin-width");
+  for (const double bin_s : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(testing::Message() << "bin_s " << bin_s);
+    EXPECT_THROW(make_shard(bin_s), std::invalid_argument);
+    FleetConfig config = telemetry_fleet_config(2);
+    config.telemetry.bin_s = bin_s;
+    EXPECT_THROW(fleet::run_fleet(setup.content, setup.view, setup.trace, config),
+                 std::invalid_argument);
+    // The shard runner: three disjoint chains on two threads.
+    config.client_count = 6;
+    config.topology = telemetry_chains();
+    config.threads = 2;
+    EXPECT_THROW(fleet::run_fleet(setup.content, setup.view, setup.trace, config),
+                 std::invalid_argument);
+  }
+}
+
 TEST(FleetTelemetry, DisabledRunCarriesNoTimeline) {
   const ex::ExperimentSetup setup =
       ex::plain_dash(BandwidthTrace::constant(2500.0), "telemetry-off");
@@ -417,6 +439,21 @@ TEST(TelemetryExport, HandBuiltTimelineBytesMatchRecordedDigests) {
   const FleetTimeline timeline = shard.take();
   EXPECT_EQ(fnv1a(timeline.to_ndjson()), 0xb7e3c3905736adcbull);
   EXPECT_EQ(fnv1a(timeline.to_csv()), 0xb41eed8d296a61f3ull);
+
+  // The same rows plus a bin with no session sample, whose minima export
+  // as null (NDJSON) and empty cells (CSV).
+  TimelineShard sparse = make_shard();
+  TimelineCursor sparse_cursor;
+  sparse.session_started(0.0);
+  sparse.sample_session(sparse_cursor, 0.5, 1.0, 2.0, true);
+  sparse.link_segment(0, 0.0, 1.0, 1, 1000.0, 1000.0);
+  sparse.cdn_request(1, 0.5, true);
+  sparse.session_departed(2.5);
+  const FleetTimeline sparse_timeline = sparse.take();
+  ASSERT_EQ(sparse_timeline.bin_count(), 3u);
+  EXPECT_NE(sparse_timeline.to_ndjson().find("\"audio_min_s\":null"), std::string::npos);
+  EXPECT_EQ(fnv1a(sparse_timeline.to_ndjson()), 0xf6e8bc8118628819ull);
+  EXPECT_EQ(fnv1a(sparse_timeline.to_csv()), 0xa7c0d43b0b5e3d48ull);
 }
 
 /// The sharded spec perfbench's sharded-10x50 workload runs, at 5 clients

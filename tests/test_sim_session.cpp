@@ -376,6 +376,25 @@ TEST(Session, RejectsRttBelowClockResolution) {
   EXPECT_NO_THROW(construct(4.0));
 }
 
+TEST(Session, RejectsViewWithoutAudioOrVideoTracks) {
+  // Every player pairs an audio with a video track from its first
+  // decision; an empty list would be indexed out of bounds.
+  const Content content = small_content();
+  auto construct = [&](const ManifestView& view) {
+    ScriptedPlayer player(2, 20.0);
+    StreamingSession(content, view, Network::shared(BandwidthTrace::constant(1500.0)),
+                     player);
+  };
+  ManifestView no_audio = view_of(content);
+  no_audio.audio_tracks.clear();
+  EXPECT_THROW(construct(no_audio), std::invalid_argument);
+  ManifestView no_video = view_of(content);
+  no_video.video_tracks.clear();
+  EXPECT_THROW(construct(no_video), std::invalid_argument);
+  EXPECT_THROW(construct(ManifestView{}), std::invalid_argument);
+  EXPECT_NO_THROW(construct(view_of(content)));
+}
+
 TEST(Session, StuckClockThrowsInsteadOfSpinning) {
   // No cap bounds the clock's resolution, so the constructor accepts the
   // 0.125 s tick; at 1e16 s it rounds back to the same time, and the first
