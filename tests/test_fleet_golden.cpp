@@ -342,5 +342,112 @@ TEST(GoldenFingerprint, CacheAwareFleetsMatchRecordedDigests) {
   }
 }
 
+// --- Fleet metrics ---
+//
+// FleetMetricsPin pins every field of compute_fleet_metrics' output, each
+// double printed %.17g, for full-log fleets (exact percentiles) and one
+// streaming fleet (sketched percentiles). The digests were recorded from
+// the aggregation that derived the full-mode counts, means and Jain
+// fairness from per-client vectors.
+
+std::string summary_text(const char* name, const PercentileSummary& s) {
+  return format("%s n=%zu min=%.17g p25=%.17g p50=%.17g p75=%.17g p90=%.17g "
+                "p99=%.17g max=%.17g mean=%.17g\n",
+                name, s.count, s.min, s.p25, s.p50, s.p75, s.p90, s.p99, s.max,
+                s.mean);
+}
+
+std::uint64_t metrics_digest(const FleetMetrics& m) {
+  std::string text = format(
+      "clients=%d completed=%d departed=%d jain_video=%.17g jain_tput=%.17g "
+      "mean_qoe=%.17g\n",
+      m.clients, m.completed, m.departed_early, m.jain_fairness_video,
+      m.jain_fairness_throughput, m.mean_qoe);
+  text += summary_text("video_kbps", m.video_kbps);
+  text += summary_text("stall_ratio", m.stall_ratio);
+  text += summary_text("startup_delay_s", m.startup_delay_s);
+  text += summary_text("buffer_imbalance_s", m.buffer_imbalance_s);
+  for (const FleetMetrics::PathGroup& g : m.path_groups) {
+    text += format("path %s clients=%d jain_video=%.17g jain_tput=%.17g "
+                   "mean_kbps=%.17g mean_stall=%.17g\n",
+                   g.name.c_str(), g.clients, g.jain_fairness_video,
+                   g.jain_fairness_throughput, g.mean_video_kbps, g.mean_stall_ratio);
+  }
+  return fnv1a(text);
+}
+
+/// 10 edges x 5 clients into one shared core (perfbench's sharded shape at
+/// 5 clients per edge, with a square-wave core that stalls clients),
+/// Poisson arrivals and churn over a three-player mix.
+FleetConfig sharded_pin_config() {
+  FleetConfig config;
+  config.client_count = 50;
+  config.seed = 11;
+  config.arrivals = ArrivalProcess::kPoisson;
+  config.arrival_rate_per_s = 1.0;
+  config.players.push_back({"exoplayer", &make_exo, 0.6});
+  config.players.push_back({"dashjs", &make_dashjs, 0.25});
+  config.players.push_back({"muxed", &make_muxed, 0.15});
+  config.churn.leave_probability = 0.1;
+  config.churn.min_watch_s = 30.0;
+  config.churn.max_watch_s = 120.0;
+  config.session.max_sim_time_s = 600.0;
+  const double n = 5.0;
+  TopologySpec spec = TopologySpec::sharded(
+      10, BandwidthTrace::constant(2500.0 * n), BandwidthTrace::constant(900.0 * n),
+      BandwidthTrace::square_wave(150.0 * n * 10.0, 900.0 * n * 10.0, 6.0, 4.5));
+  spec.video_assignment = TopologySpec::block_assignment(10, 5);
+  config.topology = std::move(spec);
+  return config;
+}
+
+TEST(FleetMetricsPin, SingleLinkPoissonChurnFleet) {
+  const ex::ExperimentSetup setup = ex::plain_dash(golden_video_trace(1), "pin-single");
+  // Half the golden battery's per-client capacity, so clients stall.
+  const GoldenCase shape{false, Engine::kEventHeap, false, false, 12, 0};
+  const FleetResult result = run_fleet(setup.content, setup.view, golden_video_trace(6),
+                                       golden_config(shape));
+  const FleetMetrics metrics = compute_fleet_metrics(result);
+  EXPECT_GT(metrics.departed_early, 0);
+  EXPECT_GT(metrics.stall_ratio.max, 0.0);
+  ASSERT_EQ(metrics.path_groups.size(), 1u);
+  EXPECT_EQ(metrics_digest(metrics), 0xa93ea2698c4c6214ull);
+}
+
+TEST(FleetMetricsPin, ShardedFleetWithSharedCore) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "pin-sharded");
+  const FleetResult result = run_fleet(setup.content, setup.view,
+                                       BandwidthTrace::constant(1000.0),
+                                       sharded_pin_config());
+  ASSERT_FALSE(result.streaming.has_value());
+  const FleetMetrics metrics = compute_fleet_metrics(result);
+  EXPECT_GT(metrics.stall_ratio.max, 0.0);
+  ASSERT_EQ(metrics.path_groups.size(), 10u);
+  EXPECT_EQ(metrics_digest(metrics), 0x598f70d8467ee882ull);
+}
+
+TEST(FleetMetricsPin, SplitAudioTwoLinkFleet) {
+  const ex::ExperimentSetup setup = ex::plain_dash(golden_video_trace(1), "pin-split");
+  const GoldenCase shape{true, Engine::kEventHeap, false, false, 9, 0};
+  const FleetResult result = run_golden(setup, shape);
+  EXPECT_TRUE(result.split_audio);
+  const FleetMetrics metrics = compute_fleet_metrics(result);
+  EXPECT_EQ(metrics_digest(metrics), 0x44af260dfb59d9d9ull);
+}
+
+TEST(FleetMetricsPin, ShardedFleetInStreamingMode) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "pin-sharded");
+  FleetConfig config = sharded_pin_config();
+  config.streaming.client_threshold = 0;
+  const FleetResult result = run_fleet(setup.content, setup.view,
+                                       BandwidthTrace::constant(1000.0), config);
+  ASSERT_TRUE(result.streaming.has_value());
+  const FleetMetrics metrics = compute_fleet_metrics(result);
+  ASSERT_EQ(metrics.path_groups.size(), 10u);
+  EXPECT_EQ(metrics_digest(metrics), 0xfc3670eceedf2b22ull);
+}
+
 }  // namespace
 }  // namespace demuxabr::fleet
