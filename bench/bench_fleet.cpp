@@ -1002,7 +1002,7 @@ int run_cli(const CliOptions& cli) {
       // incident begin/end into the run's tracer, so the episodes are
       // visible inside the Chrome trace written below.
       const std::vector<obs::Incident> incidents =
-          obs::detect_incidents(*r.timeline, {}, run_tracer);
+          obs::detect_incidents(*r.timeline, run_tracer);
       if (!cli.telemetry_out.empty()) {
         const Status st = write_file(cli.telemetry_out, r.timeline->to_ndjson());
         if (!st.ok()) {

@@ -25,7 +25,7 @@ int main() {
     config.cache_fraction = cache_fraction;
     const auto results = run_cdn_comparison(content, config);
     std::printf("viewer population: %d users, zipf %.1f, cache %s\n", config.num_users,
-                config.zipf_exponent,
+                WorkloadConfig::kZipfExponent,
                 cache_fraction == 0.0
                     ? "unbounded"
                     : (std::to_string(static_cast<int>(cache_fraction * 100)) +

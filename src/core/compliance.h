@@ -18,11 +18,6 @@ struct ComplianceReport {
   std::vector<std::string> violating_labels;
 
   [[nodiscard]] bool compliant() const { return violating_chunks == 0; }
-  [[nodiscard]] double violation_fraction() const {
-    return total_chunks > 0
-               ? static_cast<double>(violating_chunks) / static_cast<double>(total_chunks)
-               : 0.0;
-  }
 };
 
 /// Check every played chunk's (video, audio) pair against the allowed list.

@@ -9,6 +9,7 @@
 
 #include "fleet/metrics.h"
 #include "fleet/scheduler.h"
+#include "obs/trace.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -72,16 +73,6 @@ const BootstrapCi& cell_metric(const LeaderboardCell& cell, const std::string& m
   return cell.fairness;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string ci_json(const BootstrapCi& ci) {
   return format("{\"mean\": %.9g, \"lo\": %.9g, \"hi\": %.9g, \"n\": %zu}", ci.mean,
                 ci.lo, ci.hi, ci.n);
@@ -137,8 +128,11 @@ std::vector<LeaderboardSample> collect_samples(const LeaderboardConfig& config) 
       resolve_subset(config.classes, canonical_class_names(), "trace class");
   const std::vector<std::string> players =
       resolve_subset(config.players, canonical_player_labels(), "player");
-  assert(config.replications > 0);
-  assert(config.trace_duration_s > 0.0);
+  // The corpus generators reject a trace_duration_s that is not finite and
+  // positive themselves.
+  if (config.replications < 1) {
+    throw std::invalid_argument("collect_samples: replications must be >= 1");
+  }
 
   std::vector<LeaderboardSample> samples;
 
@@ -291,8 +285,8 @@ Leaderboard build_leaderboard(std::vector<LeaderboardSample> samples,
       cell.sessions = qoe.size();
       cell.fleets = fairness.size();
       const int rs = config.bootstrap_resamples;
-      const double conf = config.confidence;
-      const std::uint64_t bs = config.bootstrap_seed;
+      const double conf = LeaderboardConfig::kConfidence;
+      const std::uint64_t bs = LeaderboardConfig::kBootstrapSeed;
       cell.qoe = bootstrap_mean_ci(std::move(qoe), rs, conf, bs);
       cell.video_kbps = bootstrap_mean_ci(std::move(video), rs, conf, bs + 1);
       cell.stall_ratio = bootstrap_mean_ci(std::move(stall), rs, conf, bs + 2);
@@ -339,23 +333,24 @@ std::string leaderboard_json(const Leaderboard& board) {
   out << format("  \"base_seed\": %llu,\n",
                 static_cast<unsigned long long>(board.config.base_seed));
   out << format("  \"bootstrap_resamples\": %d,\n", board.config.bootstrap_resamples);
-  out << format("  \"confidence\": %.9g,\n", board.config.confidence);
+  out << format("  \"confidence\": %.9g,\n", LeaderboardConfig::kConfidence);
   out << format("  \"fleet_clients\": %d,\n", board.config.fleet_clients);
   out << format("  \"fleet_replications\": %d,\n", board.config.fleet_replications);
   out << "  \"classes\": [";
   for (std::size_t i = 0; i < board.classes.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << json_escape(board.classes[i]) << "\"";
+    out << (i ? ", " : "") << "\"" << obs::json_escape(board.classes[i]) << "\"";
   }
   out << "],\n  \"players\": [";
   for (std::size_t i = 0; i < board.players.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << json_escape(board.players[i]) << "\"";
+    out << (i ? ", " : "") << "\"" << obs::json_escape(board.players[i]) << "\"";
   }
   out << "],\n  \"cells\": [\n";
   for (std::size_t i = 0; i < board.cells.size(); ++i) {
     const LeaderboardCell& c = board.cells[i];
     out << format("    {\"class\": \"%s\", \"player\": \"%s\", \"sessions\": %zu, "
                   "\"fleets\": %zu,\n",
-                  json_escape(c.trace_class).c_str(), json_escape(c.player).c_str(),
+                  obs::json_escape(c.trace_class).c_str(),
+                  obs::json_escape(c.player).c_str(),
                   c.sessions, c.fleets);
     out << "     \"qoe\": " << ci_json(c.qoe) << ",\n";
     out << "     \"video_kbps\": " << ci_json(c.video_kbps) << ",\n";
@@ -369,9 +364,10 @@ std::string leaderboard_json(const Leaderboard& board) {
   for (std::size_t i = 0; i < board.rankings.size(); ++i) {
     const LeaderboardRanking& r = board.rankings[i];
     out << format("    {\"class\": \"%s\", \"metric\": \"%s\", \"players\": [",
-                  json_escape(r.trace_class).c_str(), json_escape(r.metric).c_str());
+                  obs::json_escape(r.trace_class).c_str(),
+                  obs::json_escape(r.metric).c_str());
     for (std::size_t j = 0; j < r.players.size(); ++j) {
-      out << (j ? ", " : "") << "\"" << json_escape(r.players[j]) << "\"";
+      out << (j ? ", " : "") << "\"" << obs::json_escape(r.players[j]) << "\"";
     }
     out << "]}" << (i + 1 < board.rankings.size() ? "," : "") << "\n";
   }

@@ -53,8 +53,10 @@ struct LeaderboardConfig {
   /// serial). Never affects results or output bytes.
   int threads = 1;
   int bootstrap_resamples = 200;
-  double confidence = 0.95;
-  std::uint64_t bootstrap_seed = 7;
+  /// Confidence level of every bootstrap CI; metric m's CI resamples with
+  /// seed kBootstrapSeed + m (m in leaderboard_metrics() order).
+  static constexpr double kConfidence = 0.95;
+  static constexpr std::uint64_t kBootstrapSeed = 7;
   /// Jain-fairness axis: homogeneous fleets of this many clients on a
   /// per-capita-scaled trace. 0 disables the fleet metric entirely.
   int fleet_clients = 8;
@@ -113,7 +115,9 @@ const std::vector<std::string>& leaderboard_metrics();
 
 /// Run the full grid (SweepRunner sessions + homogeneous fleets) and return
 /// every raw sample. Order: session samples class-major/player/seed, then
-/// fleet samples likewise — but build_leaderboard() re-sorts anyway.
+/// fleet samples likewise — but build_leaderboard() re-sorts anyway. Throws
+/// std::invalid_argument on an unknown class or player, on replications
+/// < 1, and on a trace_duration_s that is not finite and positive.
 std::vector<LeaderboardSample> collect_samples(const LeaderboardConfig& config);
 
 /// Aggregate samples into the leaderboard. Canonically sorts first, so any

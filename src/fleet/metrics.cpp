@@ -10,15 +10,6 @@
 namespace demuxabr::fleet {
 namespace {
 
-/// Jain's index from exact moment sums — float-for-float the formula of
-/// util/stats.h jain_fairness, evaluated on accumulated Σx / Σx² instead of
-/// a materialized vector (the streaming path never holds one).
-double jain_from_moments(double sum, double sq_sum, std::size_t n) {
-  if (n == 0) return 0.0;
-  if (sq_sum <= 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(n) * sq_sum);
-}
-
 /// Per-client derived scalars shared by the full and streaming aggregation
 /// paths (one definition so the two modes cannot drift).
 struct ClientScalars {
@@ -45,36 +36,38 @@ ClientScalars derive_scalars(const ClientResult& client) {
   return s;
 }
 
-}  // namespace
-
-StreamingFleetStats::StreamingFleetStats(double relative_error)
-    : video_kbps(relative_error),
-      stall_ratio(relative_error),
-      startup_delay_s(relative_error),
-      buffer_imbalance_s(relative_error) {}
-
-void StreamingFleetStats::add_client(const ClientResult& client) {
-  const ClientScalars s = derive_scalars(client);
-  ++clients;
-  if (client.log.completed) ++completed;
-  if (client.departed_early) ++departed_early;
-  qoe_sum += client.qoe.qoe_score;
-  active_s_sum += s.active_s;
-  video_kbps_sum += s.video_kbps;
-  video_kbps_sq_sum += s.video_kbps * s.video_kbps;
-  throughput_sum += s.throughput;
-  throughput_sq_sum += s.throughput * s.throughput;
-  video_kbps.add(s.video_kbps);
-  stall_ratio.add(s.stall_ratio);
-  startup_delay_s.add(s.startup_s);
-  buffer_imbalance_s.add(s.imbalance_s);
-  PathAcc& acc = paths[static_cast<std::size_t>(client.video_path)];
+/// Fold one client into everything of `stats` but its sketches: the counts,
+/// the moment sums and the client's video-path accumulator.
+void fold_moments(StreamingFleetStats& stats, const ClientResult& client,
+                  const ClientScalars& s) {
+  ++stats.clients;
+  if (client.log.completed) ++stats.completed;
+  if (client.departed_early) ++stats.departed_early;
+  stats.qoe_sum += client.qoe.qoe_score;
+  stats.active_s_sum += s.active_s;
+  stats.video_kbps_sum += s.video_kbps;
+  stats.video_kbps_sq_sum += s.video_kbps * s.video_kbps;
+  stats.throughput_sum += s.throughput;
+  stats.throughput_sq_sum += s.throughput * s.throughput;
+  StreamingFleetStats::PathAcc& acc =
+      stats.paths[static_cast<std::size_t>(client.video_path)];
   ++acc.clients;
   acc.video_sum += s.video_kbps;
   acc.video_sq_sum += s.video_kbps * s.video_kbps;
   acc.throughput_sum += s.throughput;
   acc.throughput_sq_sum += s.throughput * s.throughput;
   acc.stall_ratio_sum += s.stall_ratio;
+}
+
+}  // namespace
+
+void StreamingFleetStats::add_client(const ClientResult& client) {
+  const ClientScalars s = derive_scalars(client);
+  fold_moments(*this, client, s);
+  video_kbps.add(s.video_kbps);
+  stall_ratio.add(s.stall_ratio);
+  startup_delay_s.add(s.startup_s);
+  buffer_imbalance_s.add(s.imbalance_s);
 }
 
 void StreamingFleetStats::merge(const StreamingFleetStats& other,
@@ -143,97 +136,71 @@ std::uint64_t client_outcome_digest(const ClientResult& client) {
 }
 
 FleetMetrics compute_fleet_metrics(const FleetResult& result) {
-  FleetMetrics metrics;
-
-  if (result.streaming.has_value()) {
-    const StreamingFleetStats& s = *result.streaming;
-    metrics.clients = static_cast<int>(s.clients);
-    metrics.completed = static_cast<int>(s.completed);
-    metrics.departed_early = static_cast<int>(s.departed_early);
-    metrics.jain_fairness_video =
-        jain_from_moments(s.video_kbps_sum, s.video_kbps_sq_sum, s.clients);
-    metrics.jain_fairness_throughput =
-        jain_from_moments(s.throughput_sum, s.throughput_sq_sum, s.clients);
-    metrics.video_kbps = s.video_kbps.summary();
-    metrics.stall_ratio = s.stall_ratio.summary();
-    metrics.startup_delay_s = s.startup_delay_s.summary();
-    metrics.buffer_imbalance_s = s.buffer_imbalance_s.summary();
-    if (s.clients > 0) metrics.mean_qoe = s.qoe_sum / static_cast<double>(s.clients);
-    metrics.path_groups.resize(result.paths.size());
-    for (std::size_t p = 0; p < result.paths.size(); ++p) {
-      FleetMetrics::PathGroup& group = metrics.path_groups[p];
-      const StreamingFleetStats::PathAcc& acc = s.paths[p];
-      group.name = result.paths[p].name;
-      group.clients = static_cast<int>(acc.clients);
-      group.jain_fairness_video =
-          jain_from_moments(acc.video_sum, acc.video_sq_sum, acc.clients);
-      group.jain_fairness_throughput =
-          jain_from_moments(acc.throughput_sum, acc.throughput_sq_sum, acc.clients);
-      if (acc.clients > 0) {
-        group.mean_video_kbps = acc.video_sum / static_cast<double>(acc.clients);
-        group.mean_stall_ratio = acc.stall_ratio_sum / static_cast<double>(acc.clients);
-      }
-    }
-    return metrics;
-  }
-
-  metrics.clients = static_cast<int>(result.clients.size());
-
+  // Full mode folds its clients, in client-id order, through the
+  // accumulators a streaming run fills as clients retire (minus the
+  // sketches), so both modes read counts, means and fairness alike; only
+  // the percentile summaries differ: exact here, sketched there.
+  const bool streaming = result.streaming.has_value();
+  StreamingFleetStats folded;
   std::vector<double> video_kbps;
-  std::vector<double> throughput;
   std::vector<double> stall_ratio;
   std::vector<double> startup;
   std::vector<double> imbalance;
-  video_kbps.reserve(result.clients.size());
-  double qoe_sum = 0.0;
-  for (const ClientResult& client : result.clients) {
-    if (client.log.completed) ++metrics.completed;
-    if (client.departed_early) ++metrics.departed_early;
-    const ClientScalars s = derive_scalars(client);
-    video_kbps.push_back(s.video_kbps);
-    throughput.push_back(s.throughput);
-    stall_ratio.push_back(s.stall_ratio);
-    startup.push_back(s.startup_s);
-    imbalance.push_back(s.imbalance_s);
-    qoe_sum += client.qoe.qoe_score;
+  if (!streaming) {
+    folded.paths.resize(result.paths.size());
+    video_kbps.reserve(result.clients.size());
+    stall_ratio.reserve(result.clients.size());
+    startup.reserve(result.clients.size());
+    imbalance.reserve(result.clients.size());
+    for (const ClientResult& client : result.clients) {
+      const ClientScalars s = derive_scalars(client);
+      fold_moments(folded, client, s);
+      video_kbps.push_back(s.video_kbps);
+      stall_ratio.push_back(s.stall_ratio);
+      startup.push_back(s.startup_s);
+      imbalance.push_back(s.imbalance_s);
+    }
   }
+  const StreamingFleetStats& s = streaming ? *result.streaming : folded;
 
-  metrics.jain_fairness_video = jain_fairness(video_kbps);
-  metrics.jain_fairness_throughput = jain_fairness(throughput);
-
+  FleetMetrics metrics;
+  metrics.clients = static_cast<int>(s.clients);
+  metrics.completed = static_cast<int>(s.completed);
+  metrics.departed_early = static_cast<int>(s.departed_early);
+  metrics.jain_fairness_video =
+      jain_fairness(s.video_kbps_sum, s.video_kbps_sq_sum, s.clients);
+  metrics.jain_fairness_throughput =
+      jain_fairness(s.throughput_sum, s.throughput_sq_sum, s.clients);
+  if (s.clients > 0) metrics.mean_qoe = s.qoe_sum / static_cast<double>(s.clients);
   // Per-path groups: fairness *within* each client→edge→core shard, so a
   // congested edge shows up as its own unfair group instead of being
   // averaged away in the fleet-wide numbers.
   metrics.path_groups.resize(result.paths.size());
-  std::vector<std::vector<double>> group_video(result.paths.size());
-  std::vector<std::vector<double>> group_throughput(result.paths.size());
-  std::vector<double> group_stall_sum(result.paths.size(), 0.0);
-  for (std::size_t c = 0; c < result.clients.size(); ++c) {
-    const auto p = static_cast<std::size_t>(result.clients[c].video_path);
-    group_video[p].push_back(video_kbps[c]);
-    group_throughput[p].push_back(throughput[c]);
-    group_stall_sum[p] += stall_ratio[c];
-  }
   for (std::size_t p = 0; p < result.paths.size(); ++p) {
     FleetMetrics::PathGroup& group = metrics.path_groups[p];
+    const StreamingFleetStats::PathAcc& acc = s.paths[p];
     group.name = result.paths[p].name;
-    group.clients = static_cast<int>(group_video[p].size());
-    group.jain_fairness_video = jain_fairness(group_video[p]);
-    group.jain_fairness_throughput = jain_fairness(group_throughput[p]);
-    if (group.clients > 0) {
-      double sum = 0.0;
-      for (const double v : group_video[p]) sum += v;
-      group.mean_video_kbps = sum / static_cast<double>(group.clients);
-      group.mean_stall_ratio = group_stall_sum[p] / static_cast<double>(group.clients);
+    group.clients = static_cast<int>(acc.clients);
+    group.jain_fairness_video =
+        jain_fairness(acc.video_sum, acc.video_sq_sum, acc.clients);
+    group.jain_fairness_throughput =
+        jain_fairness(acc.throughput_sum, acc.throughput_sq_sum, acc.clients);
+    if (acc.clients > 0) {
+      group.mean_video_kbps = acc.video_sum / static_cast<double>(acc.clients);
+      group.mean_stall_ratio = acc.stall_ratio_sum / static_cast<double>(acc.clients);
     }
   }
 
-  metrics.video_kbps = summarize_percentiles(std::move(video_kbps));
-  metrics.stall_ratio = summarize_percentiles(std::move(stall_ratio));
-  metrics.startup_delay_s = summarize_percentiles(std::move(startup));
-  metrics.buffer_imbalance_s = summarize_percentiles(std::move(imbalance));
-  if (!result.clients.empty()) {
-    metrics.mean_qoe = qoe_sum / static_cast<double>(result.clients.size());
+  if (streaming) {
+    metrics.video_kbps = s.video_kbps.summary();
+    metrics.stall_ratio = s.stall_ratio.summary();
+    metrics.startup_delay_s = s.startup_delay_s.summary();
+    metrics.buffer_imbalance_s = s.buffer_imbalance_s.summary();
+  } else {
+    metrics.video_kbps = summarize_percentiles(std::move(video_kbps));
+    metrics.stall_ratio = summarize_percentiles(std::move(stall_ratio));
+    metrics.startup_delay_s = summarize_percentiles(std::move(startup));
+    metrics.buffer_imbalance_s = summarize_percentiles(std::move(imbalance));
   }
   return metrics;
 }

@@ -76,10 +76,8 @@ struct StreamingFleetStats {
   };
   std::vector<PathAcc> paths;
 
-  explicit StreamingFleetStats(double relative_error = 0.01);
-
-  /// Fold one retired client in. The scalars mirror compute_fleet_metrics'
-  /// per-client derivations exactly.
+  /// Fold one retired client in, through the same per-client derivations
+  /// and moment fold compute_fleet_metrics runs over a full-mode result.
   void add_client(const ClientResult& client);
 
   /// Pool `other` into this. `path_map` (when given) maps other.paths

@@ -1,13 +1,45 @@
 #include "fleet/population.h"
 
-#include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 #include "util/rng.h"
 
 namespace demuxabr::fleet {
+namespace {
+
+/// Throws std::invalid_argument naming the first setting plan_population
+/// cannot expand: every later draw indexes the player mix, and arrivals
+/// must come out finite and non-decreasing.
+void validate_population(const FleetConfig& config) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("plan_population: ") + what);
+  };
+  if (config.players.empty()) reject("FleetConfig::players is empty");
+  if (config.client_count < 0) reject("client_count must be >= 0");
+  if (config.arrivals == ArrivalProcess::kPoisson &&
+      !(std::isfinite(config.arrival_rate_per_s) && config.arrival_rate_per_s > 0.0)) {
+    reject("arrival_rate_per_s must be finite and > 0 under Poisson arrivals");
+  }
+  if (config.arrivals == ArrivalProcess::kDeterministic &&
+      !(std::isfinite(config.arrival_interval_s) && config.arrival_interval_s >= 0.0)) {
+    reject("arrival_interval_s must be finite and >= 0 under deterministic arrivals");
+  }
+  const ChurnConfig& churn = config.churn;
+  if (!(churn.leave_probability >= 0.0 && churn.leave_probability <= 1.0)) {
+    reject("churn.leave_probability must lie in [0, 1]");
+  }
+  if (!(std::isfinite(churn.min_watch_s) && std::isfinite(churn.max_watch_s) &&
+        churn.min_watch_s >= 0.0 && churn.min_watch_s <= churn.max_watch_s)) {
+    reject("churn watch window must satisfy 0 <= min_watch_s <= max_watch_s, "
+           "both finite");
+  }
+}
+
+}  // namespace
 
 std::vector<ClientPlan> plan_population(const FleetConfig& config) {
-  assert(!config.players.empty() && "FleetConfig::players must be non-empty");
+  validate_population(config);
   Rng rng(config.seed);
 
   std::vector<double> weights;

@@ -53,12 +53,11 @@ enum class Engine {
 
 /// Streaming-metrics mode switch (DESIGN.md §10): fleets at or above
 /// `client_threshold` clients drop per-session logs and aggregate into
-/// mergeable sketches (fleet/metrics.h StreamingFleetStats) as clients
-/// retire. Default = never.
+/// mergeable sketches (fleet/metrics.h StreamingFleetStats, at
+/// QuantileSketch's default relative error) as clients retire. Default =
+/// never.
 struct StreamingMetricsConfig {
   std::size_t client_threshold = std::numeric_limits<std::size_t>::max();
-  /// Relative accuracy of the percentile sketches (util/sketch.h alpha).
-  double relative_error = 0.01;
 
   [[nodiscard]] bool enabled_for(std::size_t clients) const {
     return clients >= client_threshold;
@@ -83,7 +82,7 @@ struct FleetConfig {
   double arrival_interval_s = 2.0;  ///< kDeterministic spacing
   double arrival_rate_per_s = 0.5;  ///< kPoisson rate
 
-  /// Weighted player mix; must be non-empty.
+  /// Weighted player mix; must be non-empty (plan_population throws).
   std::vector<PlayerShare> players;
 
   ChurnConfig churn;
@@ -143,7 +142,12 @@ struct ClientPlan {
 };
 
 /// Expand a FleetConfig into its population, sorted by arrival time (ties
-/// keep id order). Deterministic in config.seed.
+/// keep id order). Deterministic in config.seed. Throws
+/// std::invalid_argument when `players` is empty, `client_count` is
+/// negative, the active arrival process's rate (Poisson: finite and > 0) or
+/// interval (deterministic: finite and >= 0) is out of range, the churn
+/// probability lies outside [0, 1], or the watch window does not satisfy
+/// 0 <= min_watch_s <= max_watch_s with both finite.
 std::vector<ClientPlan> plan_population(const FleetConfig& config);
 
 }  // namespace demuxabr::fleet

@@ -145,23 +145,17 @@ void FleetScheduler::finalize_client(Client& client) {
 }
 
 FleetResult FleetScheduler::run() {
-  assert(!config_.players.empty() && "FleetConfig::players must be non-empty");
-  return run_plans(plan_population(config_));
-}
-
-FleetResult FleetScheduler::run_plans(const std::vector<ClientPlan>& plans) {
-  FleetResult result = run_engine(plans);
+  FleetResult result = run_engine(plan_population(config_));
   close_links(result, result.end_time_s);
   return result;
 }
 
 FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans,
                                        const std::vector<int>* client_ids) {
-  assert(!config_.players.empty() && "FleetConfig::players must be non-empty");
   client_ids_ = client_ids;
   streaming_ = config_.streaming.enabled_for(plans.size());
   if (streaming_) {
-    result_.streaming.emplace(config_.streaming.relative_error);
+    result_.streaming.emplace();
     result_.streaming->paths.resize(topology_.path_count());
   } else {
     result_.clients.reserve(plans.size());
@@ -533,7 +527,7 @@ std::vector<FleetReplication> run_replications(const Content& content,
   std::vector<FleetReplication> reps = fan_out_ordered(
       static_cast<std::size_t>(count), options.threads, [&](std::size_t r) {
         FleetReplication rep;
-        rep.seed = config.seed + static_cast<std::uint64_t>(r) * options.seed_stride;
+        rep.seed = config.seed + static_cast<std::uint64_t>(r);
         FleetConfig seeded = config;
         seeded.seed = rep.seed;
         if (tracer != nullptr) seeded.session.tracer = &traces[r];

@@ -56,6 +56,7 @@ class FleetScheduler {
                  BandwidthTrace bottleneck, FleetConfig config);
 
   /// Run the whole population to completion (or churn/cap). Call once.
+  /// Throws std::invalid_argument on a config plan_population rejects.
   FleetResult run();
 
   // --- Two-phase API for the shard runner (fleet/shard.h). ---
@@ -74,10 +75,6 @@ class FleetScheduler {
   /// *global* max end time so per-link stats match the whole-topology
   /// serial run byte for byte; run() passes the run's own end time.
   void close_links(FleetResult& result, double end_time);
-
-  /// run_engine + close_links at the run's own end time, over caller-built
-  /// plans.
-  FleetResult run_plans(const std::vector<ClientPlan>& plans);
 
  private:
   struct Client {
@@ -128,7 +125,7 @@ class FleetScheduler {
 /// != 1 and the topology splits into multiple connected components,
 /// dispatches to the parallel shard runner (fleet/shard.h) — results are
 /// byte-identical either way. Throws std::invalid_argument on a spec
-/// validate() rejects.
+/// validate() rejects or a config plan_population rejects.
 FleetResult run_fleet(const Content& content, const ManifestView& view,
                       const BandwidthTrace& bottleneck, const FleetConfig& config);
 
@@ -139,8 +136,6 @@ struct ReplicationOptions {
   /// 0 = hardware_threads(); 1 = serial on the calling
   /// thread. Any thread count yields identical per-replication results.
   int threads = 0;
-  /// Replication r runs with seed = config.seed + r * seed_stride.
-  std::uint64_t seed_stride = 1;
 };
 
 struct FleetReplication {
@@ -149,9 +144,10 @@ struct FleetReplication {
   FleetMetrics metrics;
 };
 
-/// Run `options.replications` independent fleets (same config, shifted
-/// seeds), fanned out by fan_out_ordered. Results come back in replication
-/// order and are byte-identical for every thread count. A traced config
+/// Run `options.replications` independent fleets (same config; replication
+/// r runs with seed config.seed + r), fanned out by fan_out_ordered.
+/// Results come back in replication order and are byte-identical for every
+/// thread count. A traced config
 /// (`config.session.tracer`) traces each replication into a Tracer of its
 /// own and appends them in replication order, so the trace is too.
 std::vector<FleetReplication> run_replications(const Content& content,

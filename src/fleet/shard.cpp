@@ -264,7 +264,7 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
   merged.links.resize(config.topology->links.size());
   merged.paths.resize(config.topology->paths.size());
   if (streaming) {
-    merged.streaming.emplace(config.streaming.relative_error);
+    merged.streaming.emplace();
     merged.streaming->paths.resize(config.topology->paths.size());
   } else {
     merged.clients.reserve(plans.size());

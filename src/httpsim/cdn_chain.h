@@ -85,11 +85,6 @@ class CdnChain {
       return total > 0 ? static_cast<double>(edge_hit_bytes) / static_cast<double>(total)
                        : 0.0;
     }
-    [[nodiscard]] double origin_fetch_ratio() const {
-      return requests > 0
-                 ? static_cast<double>(origin_fetches) / static_cast<double>(requests)
-                 : 0.0;
-    }
   };
 
   [[nodiscard]] Stats stats() const;

@@ -19,8 +19,8 @@ std::vector<UserChoice> draw_users(const Content& content, const WorkloadConfig&
   Rng rng(config.seed);
   // Popularity rank: middle rungs most popular for video (index order is a
   // fine proxy for a synthetic population); audio rank 0 = most popular.
-  ZipfDistribution video_dist(ladder.video_count(), config.zipf_exponent);
-  ZipfDistribution audio_dist(ladder.audio_count(), config.zipf_exponent);
+  ZipfDistribution video_dist(ladder.video_count(), WorkloadConfig::kZipfExponent);
+  ZipfDistribution audio_dist(ladder.audio_count(), WorkloadConfig::kZipfExponent);
   std::vector<UserChoice> users;
   users.reserve(static_cast<std::size_t>(config.num_users));
   for (int u = 0; u < config.num_users; ++u) {

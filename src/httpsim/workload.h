@@ -17,8 +17,8 @@ namespace demuxabr {
 
 struct WorkloadConfig {
   int num_users = 100;
-  /// Zipf exponent over track popularity (0 = uniform).
-  double zipf_exponent = 0.8;
+  /// Zipf exponent over track popularity.
+  static constexpr double kZipfExponent = 0.8;
   std::uint64_t seed = 7;
   /// Cache capacity as a fraction of the demuxed catalog size (0 = unbounded).
   double cache_fraction = 0.0;
@@ -33,7 +33,7 @@ struct WorkloadResult {
 
 /// Replay the viewer population's requests through `chain`, whose origin
 /// catalog must be in storage `mode`. The population depends only on
-/// `content`, `num_users`, `zipf_exponent` and `seed`, so every mode and
+/// `content`, `num_users` and `seed`, so every mode and
 /// chain shape sees the same demand; `cache_fraction` is not read.
 void replay_workload(const Content& content, StorageMode mode,
                      const WorkloadConfig& config, CdnChain& chain);

@@ -19,26 +19,6 @@ const TrackView* ManifestView::find_track(const std::string& id) const {
   return nullptr;
 }
 
-std::optional<double> ManifestView::pair_bandwidth_kbps(const std::string& video_id,
-                                                        const std::string& audio_id) const {
-  for (const ComboView& c : combos) {
-    if (c.video_id == video_id && c.audio_id == audio_id) return c.bandwidth_kbps;
-  }
-  const TrackView* video = find_track(video_id);
-  const TrackView* audio = find_track(audio_id);
-  if (video != nullptr && audio != nullptr && video->bitrate_known && audio->bitrate_known) {
-    return video->declared_kbps + audio->declared_kbps;
-  }
-  return std::nullopt;
-}
-
-bool ManifestView::pair_listed(const std::string& video_id, const std::string& audio_id) const {
-  for (const ComboView& c : combos) {
-    if (c.video_id == video_id && c.audio_id == audio_id) return true;
-  }
-  return false;
-}
-
 std::vector<ComboView> ManifestView::combos_sorted() const {
   std::vector<ComboView> sorted = combos;
   sort_by_bandwidth(sorted);

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,13 +76,6 @@ struct ManifestView {
   [[nodiscard]] const std::vector<TrackView>& tracks(MediaType type) const {
     return type == MediaType::kAudio ? audio_tracks : video_tracks;
   }
-  /// Declared bandwidth of a (video, audio) pair: the listed combo bandwidth
-  /// when present, else the sum of known per-track bitrates.
-  [[nodiscard]] std::optional<double> pair_bandwidth_kbps(const std::string& video_id,
-                                                          const std::string& audio_id) const;
-  /// Is this (video, audio) pair allowed by the manifest?
-  [[nodiscard]] bool pair_listed(const std::string& video_id,
-                                 const std::string& audio_id) const;
   /// Combos sorted by ascending aggregate bandwidth.
   [[nodiscard]] std::vector<ComboView> combos_sorted() const;
   /// The listed combos when the manifest restricts selection, else every

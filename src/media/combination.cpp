@@ -71,11 +71,4 @@ void sort_by_peak(std::vector<AvCombination>& combos) {
                    });
 }
 
-void sort_by_declared(std::vector<AvCombination>& combos) {
-  std::stable_sort(combos.begin(), combos.end(),
-                   [](const AvCombination& a, const AvCombination& b) {
-                     return a.declared_kbps < b.declared_kbps;
-                   });
-}
-
 }  // namespace demuxabr

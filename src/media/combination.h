@@ -53,8 +53,7 @@ std::optional<AvCombination> find_combination(const std::vector<AvCombination>& 
 bool contains_combination(const std::vector<AvCombination>& combos,
                           const std::string& video_id, const std::string& audio_id);
 
-/// Sort helpers.
+/// Stable sort by ascending peak bitrate.
 void sort_by_peak(std::vector<AvCombination>& combos);
-void sort_by_declared(std::vector<AvCombination>& combos);
 
 }  // namespace demuxabr

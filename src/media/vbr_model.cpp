@@ -24,10 +24,11 @@ std::vector<ChunkInfo> generate_chunks(const TrackInfo& track, int num_chunks,
   assert(num_chunks > 0);
   assert(chunk_duration_s > 0.0);
 
-  const double sigma = track.is_video() ? params.video_sigma : params.audio_sigma;
+  const double sigma =
+      track.is_video() ? params.video_sigma : VbrModelParams::kAudioSigma;
   const double avg = track.avg_kbps;
   const double peak = std::max(track.peak_kbps, avg);
-  const double floor_kbps = std::max(1.0, avg * params.min_ratio);
+  const double floor_kbps = std::max(1.0, avg * VbrModelParams::kMinRatio);
 
   Rng rng(mix_track_seed(params.seed, track));
 

@@ -17,19 +17,19 @@
 namespace demuxabr {
 
 struct VbrModelParams {
-  /// Log-normal sigma of the per-chunk bitrate factor. Video defaults are
-  /// burstier than audio (audio is near-CBR).
+  /// Log-normal sigma of the per-chunk bitrate factor. Video is burstier
+  /// than audio (audio is near-CBR).
   double video_sigma = 0.35;
-  double audio_sigma = 0.02;
+  static constexpr double kAudioSigma = 0.02;
   /// Lower clamp on chunk bitrate relative to the track average.
-  double min_ratio = 0.35;
+  static constexpr double kMinRatio = 0.35;
   /// RNG seed; the track id is mixed in so tracks decorrelate.
   std::uint64_t seed = 42;
 };
 
 /// Generate `num_chunks` chunk sizes for `track`, each `chunk_duration_s`
 /// long. Guarantees:
-///   * every chunk bitrate is in [min_ratio * avg, peak];
+///   * every chunk bitrate is in [kMinRatio * avg, peak];
 ///   * the maximum chunk bitrate equals the track peak (one chunk is pinned);
 ///   * the mean chunk bitrate equals the track average within 0.5%.
 std::vector<ChunkInfo> generate_chunks(const TrackInfo& track, int num_chunks,

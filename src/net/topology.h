@@ -572,7 +572,6 @@ struct Network {
   /// wires its own).
   void set_tracer(obs::Tracer* tracer);
 
-  [[nodiscard]] bool is_shared() const { return video_link == audio_link; }
   [[nodiscard]] Channel& link_for(bool is_video) const {
     return is_video ? *video_link : *audio_link;
   }

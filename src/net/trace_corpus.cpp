@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/rng.h"
 #include "util/strings.h"
@@ -72,10 +73,20 @@ double multiplicative_jitter(Rng& rng, double stddev, double lo, double hi) {
   return std::clamp(1.0 + rng.normal(0.0, stddev), lo, hi);
 }
 
+/// Every generator draws steps until they cover `duration_s`: an infinite
+/// duration never ends the loop, and a non-positive or NaN one leaves no
+/// segment.
+void require_duration(const char* generator, double duration_s) {
+  if (!(std::isfinite(duration_s) && duration_s > 0.0)) {
+    throw std::invalid_argument(
+        format("%s: duration_s must be finite and > 0 (got %g)", generator, duration_s));
+  }
+}
+
 }  // namespace
 
 BandwidthTrace lte_trace(double duration_s, std::uint64_t seed) {
-  assert(duration_s > 0.0);
+  require_duration("lte_trace", duration_s);
   Rng rng(seed ^ kLteSalt);
   const double target_mean = rng.uniform(1800.0, 3200.0);
 
@@ -115,7 +126,7 @@ BandwidthTrace lte_trace(double duration_s, std::uint64_t seed) {
 }
 
 BandwidthTrace flaky_wifi_trace(double duration_s, std::uint64_t seed) {
-  assert(duration_s > 0.0);
+  require_duration("flaky_wifi_trace", duration_s);
   Rng rng(seed ^ kWifiSalt);
   const double target_mean = rng.uniform(2500.0, 5500.0);
   const double on_kbps = rng.uniform(4000.0, 9000.0);
@@ -142,7 +153,7 @@ BandwidthTrace flaky_wifi_trace(double duration_s, std::uint64_t seed) {
 }
 
 BandwidthTrace long_fat_trace(double duration_s, std::uint64_t seed) {
-  assert(duration_s > 0.0);
+  require_duration("long_fat_trace", duration_s);
   Rng rng(seed ^ kLongFatSalt);
   const double target_mean = rng.uniform(15000.0, 35000.0);
   const double amplitude = rng.uniform(0.15, 0.35);
@@ -163,7 +174,7 @@ BandwidthTrace long_fat_trace(double duration_s, std::uint64_t seed) {
 }
 
 BandwidthTrace oscillating_trace(double duration_s, std::uint64_t seed) {
-  assert(duration_s > 0.0);
+  require_duration("oscillating_trace", duration_s);
   Rng rng(seed ^ kSawSalt);
   const double target_mean = rng.uniform(800.0, 2000.0);
   const double ratio = rng.uniform(3.0, 6.0);

@@ -62,7 +62,9 @@ TraceMoments trace_moments(const BandwidthTrace& trace);
 std::string check_envelope(const BandwidthTrace& trace, const TraceEnvelope& envelope);
 
 // --- The four corpus generators. Each returns a periodic trace with
-// --- period == duration_s; all parameters are drawn from one Rng(seed). ---
+// --- period == duration_s; all parameters are drawn from one Rng(seed).
+// --- Each throws std::invalid_argument unless duration_s is finite and
+// --- > 0. ---
 
 /// LTE-like cellular: five sticky coverage states (deep fade → excellent)
 /// with exponential dwells and multiplicative per-segment fading jitter,

@@ -10,13 +10,24 @@ namespace demuxabr::obs {
 
 namespace {
 
+// Hysteresis thresholds per incident family: enter at or above the first,
+// sustained for the minimum run of bins, exit below the second.
+constexpr double kStallEnterFraction = 0.3;  ///< of active sessions stalled
+constexpr double kStallExitFraction = 0.15;
+constexpr std::size_t kStallMinBins = 1;
+constexpr double kImbalanceEnterS = 4.0;  ///< mean |audio − video| buffer
+constexpr double kImbalanceExitS = 2.0;
+constexpr std::size_t kImbalanceMinBins = 3;
+constexpr double kLinkBusyEnter = 0.95;  ///< busy fraction of the bin
+constexpr double kLinkBusyExit = 0.80;
+constexpr std::size_t kLinkMinBins = 1;
+
 /// One hysteresis scan over a value series: open at `enter` sustained for
-/// `min_bins`, close below `exit` (or at the end of the series).
+/// `min_bins` (at least 1), close below `exit` (or at the end of the series).
 void scan_series(const std::vector<double>& series, double enter, double exit,
                  std::size_t min_bins, double bin_s, IncidentType type,
                  const std::string& entity, std::size_t link,
                  std::vector<Incident>& out) {
-  if (min_bins == 0) min_bins = 1;
   bool open = false;
   std::size_t run = 0;
   Incident current;
@@ -178,20 +189,17 @@ const char* incident_type_name(IncidentType type) {
 }
 
 std::vector<Incident> detect_incidents(const FleetTimeline& timeline,
-                                       const IncidentConfig& config,
                                        Tracer* tracer) {
   std::vector<Incident> incidents;
-  scan_series(stall_fraction_series(timeline), config.stall_enter_fraction,
-              config.stall_exit_fraction, config.stall_min_bins,
-              timeline.bin_s, IncidentType::kStallStorm, "fleet", 0, incidents);
-  scan_series(imbalance_series(timeline), config.imbalance_enter_s,
-              config.imbalance_exit_s, config.imbalance_min_bins,
-              timeline.bin_s, IncidentType::kAvImbalance, "fleet", 0,
-              incidents);
+  scan_series(stall_fraction_series(timeline), kStallEnterFraction,
+              kStallExitFraction, kStallMinBins, timeline.bin_s,
+              IncidentType::kStallStorm, "fleet", 0, incidents);
+  scan_series(imbalance_series(timeline), kImbalanceEnterS, kImbalanceExitS,
+              kImbalanceMinBins, timeline.bin_s, IncidentType::kAvImbalance,
+              "fleet", 0, incidents);
   for (std::size_t l = 0; l < timeline.links.size(); ++l) {
     scan_series(busy_fraction_series(timeline, timeline.links[l]),
-                config.link_busy_enter, config.link_busy_exit,
-                config.link_min_bins, timeline.bin_s,
+                kLinkBusyEnter, kLinkBusyExit, kLinkMinBins, timeline.bin_s,
                 IncidentType::kLinkSaturation, timeline.links[l].name, l,
                 incidents);
   }

@@ -4,8 +4,8 @@
 // and the paper's diagnosis workflow — actually wants is episodes: "a
 // stall storm from t=40s to t=55s peaking at 62% of the fleet". This layer
 // extracts them with threshold-plus-hysteresis scans (enter at a high
-// threshold sustained for min_bins, exit at a lower one) over three series
-// families that correspond to the paper's §3 failure modes:
+// threshold sustained for a minimum run of bins, exit at a lower one) over
+// three series families that correspond to the paper's §3 failure modes:
 //   - stall storms: fraction of active sessions concurrently stalled,
 //   - A/V imbalance: mean |audio − video| buffer level,
 //   - link saturation: per-link busy fraction.
@@ -38,23 +38,6 @@ enum class IncidentType {
 
 const char* incident_type_name(IncidentType type);
 
-/// Hysteresis thresholds per incident family. An episode opens once the
-/// series holds at or above `enter` for `min_bins` consecutive bins and
-/// closes when it drops below `exit` (or the timeline ends).
-struct IncidentConfig {
-  double stall_enter_fraction = 0.3;
-  double stall_exit_fraction = 0.15;
-  std::size_t stall_min_bins = 1;
-
-  double imbalance_enter_s = 4.0;
-  double imbalance_exit_s = 2.0;
-  std::size_t imbalance_min_bins = 3;
-
-  double link_busy_enter = 0.95;
-  double link_busy_exit = 0.80;
-  std::size_t link_min_bins = 1;
-};
-
 struct Incident {
   IncidentType type = IncidentType::kStallStorm;
   std::string entity;        ///< "fleet" or the affected link's name
@@ -69,10 +52,13 @@ struct Incident {
 
 /// Scan the timeline for episodes of every incident family, ordered stall
 /// storms → imbalance → link saturation (links in index order), each family
-/// in start-bin order. Emits begin/end instants into `tracer` when it is
-/// non-null (the run's Tracer, obs/trace.h).
+/// in start-bin order. An episode opens once the series holds at or above
+/// the family's enter threshold for its minimum run of consecutive bins and
+/// closes when it drops below the exit threshold (or the timeline ends);
+/// the thresholds are constants of incidents.cpp (DESIGN.md §13). Emits
+/// begin/end instants into `tracer` when it is non-null (the run's Tracer,
+/// obs/trace.h).
 std::vector<Incident> detect_incidents(const FleetTimeline& timeline,
-                                       const IncidentConfig& config = {},
                                        Tracer* tracer = nullptr);
 
 /// Self-contained single-file HTML report: fleet/link charts as inline SVG

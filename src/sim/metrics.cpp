@@ -105,8 +105,7 @@ double SessionLog::mean_buffer_imbalance_s() const {
              : 0.0;
 }
 
-QoeReport compute_qoe(const SessionLog& log, const std::vector<AvCombination>* allowed,
-                      const QoeConfig& config) {
+QoeReport compute_qoe(const SessionLog& log, const std::vector<AvCombination>* allowed) {
   const SessionTotals& t = log.totals;
   const int chunks = log.total_chunks;
   QoeReport report;
@@ -135,10 +134,10 @@ QoeReport compute_qoe(const SessionLog& log, const std::vector<AvCombination>* a
 
   // Linear QoE: per-chunk bitrate utility minus penalties, normalized per
   // chunk so scores are comparable across content lengths.
-  const double utility = t.video_kbps_sum + config.audio_weight * t.audio_kbps_sum;
-  const double penalty = config.stall_penalty_per_s * report.total_stall_s +
-                         config.startup_penalty_per_s * report.startup_delay_s +
-                         config.switch_penalty_kbps * switch_cost;
+  const double utility = t.video_kbps_sum + kQoeAudioWeight * t.audio_kbps_sum;
+  const double penalty = kQoeStallPenaltyPerS * report.total_stall_s +
+                         kQoeStartupPenaltyPerS * report.startup_delay_s +
+                         kQoeSwitchPenaltyKbps * switch_cost;
   report.qoe_score = n > 0 ? (utility - penalty) / static_cast<double>(n) : 0.0;
 
   // The per-slot terms walk the selection slots (full logs only).

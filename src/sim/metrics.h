@@ -179,15 +179,13 @@ struct SessionLog {
   const TrackInfo* last_audio_track_ = nullptr;
 };
 
-/// Tunables of the QoE score. The linear-form score follows the common
+/// Weights of the QoE score. The linear-form score follows the common
 /// formulation (e.g. MPC / Pensieve): bitrate utility minus rebuffering and
 /// switching penalties, with audio weighted relative to video.
-struct QoeConfig {
-  double stall_penalty_per_s = 3000.0;  ///< kbps-equivalents per stall second
-  double startup_penalty_per_s = 1000.0;
-  double switch_penalty_kbps = 1.0;     ///< per kbps of bitrate change
-  double audio_weight = 1.0;            ///< audio bitrate utility weight
-};
+inline constexpr double kQoeStallPenaltyPerS = 3000.0;  ///< kbps-equivalents per s
+inline constexpr double kQoeStartupPenaltyPerS = 1000.0;
+inline constexpr double kQoeSwitchPenaltyKbps = 1.0;  ///< per kbps of bitrate change
+inline constexpr double kQoeAudioWeight = 1.0;        ///< audio bitrate utility weight
 
 struct QoeReport {
   double startup_delay_s = 0.0;
@@ -220,8 +218,7 @@ struct QoeReport {
 /// downloads): a seek can download a slot more than once, and then every
 /// download counts once.
 QoeReport compute_qoe(const SessionLog& log,
-                      const std::vector<AvCombination>* allowed = nullptr,
-                      const QoeConfig& config = {});
+                      const std::vector<AvCombination>* allowed = nullptr);
 
 /// Render the per-chunk selection table ("chunk, video, audio, combo") CSV.
 std::string selection_csv(const SessionLog& log);

@@ -391,8 +391,8 @@ void StreamingSession::handle_playback_transitions() {
   }
 
   // Stalled: resume when both buffers recover (or nothing more to download).
-  if ((audio_buffer_.level_s() >= config_.resume_buffer_s - kEps &&
-       video_buffer_.level_s() >= config_.resume_buffer_s - kEps) ||
+  if ((audio_buffer_.level_s() >= SessionConfig::kResumeBufferS - kEps &&
+       video_buffer_.level_s() >= SessionConfig::kResumeBufferS - kEps) ||
       everything_downloaded) {
     playing_ = true;
     re_anchor();

@@ -58,7 +58,7 @@ struct SessionConfig {
   double startup_buffer_s = 2.5;
   /// After a stall, playback resumes once both buffers recover to this
   /// (ExoPlayer's bufferForPlaybackAfterRebuffer).
-  double resume_buffer_s = 5.0;
+  static constexpr double kResumeBufferS = 5.0;
   /// Progress-sampling interval (Shaka's delta). Must be finite, > 0 and
   /// no smaller than the spacing of doubles at max_sim_time_s: the session
   /// constructor throws std::invalid_argument otherwise.

@@ -23,7 +23,6 @@ class CsvWriter {
   CsvWriter& end_row();
 
   [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
   Status save(const std::string& path) const;
 
  private:

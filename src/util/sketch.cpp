@@ -79,8 +79,8 @@ void QuantileSketch::merge(const QuantileSketch& other) {
 double QuantileSketch::quantile(double fraction) const {
   if (total_ == 0) return 0.0;
   fraction = std::clamp(fraction, 0.0, 1.0);
-  // Rank convention of percentile_of: position q * (n - 1); the bucket
-  // holding the sample at floor(position) answers.
+  // Rank convention of summarize_percentiles: position q * (n - 1); the
+  // bucket holding the sample at floor(position) answers.
   const double rank = fraction * static_cast<double>(total_ - 1);
   double cumulative = static_cast<double>(zero_count_);
   if (cumulative > rank) return 0.0;

@@ -7,8 +7,9 @@
 // 2 * gamma^i / (gamma + 1) (the interval midpoint in log space) is within
 // relative error alpha of any of them. quantile(q) therefore returns a value
 // within alpha * x of the exact order statistic x at rank q * (count - 1) —
-// the same rank convention as util/stats.h percentile_of, minus the linear
-// interpolation (a sketch cannot see gaps between neighbouring samples).
+// the same rank convention as util/stats.h summarize_percentiles, minus the
+// linear interpolation (a sketch cannot see gaps between neighbouring
+// samples).
 //
 // Merging adds integer bucket counts, so merge order is irrelevant: K
 // per-shard sketches merged in any order equal the sketch of the pooled

@@ -142,48 +142,18 @@ double SlidingWindow::mean() const {
   return cached_mean_;
 }
 
-double SlidingWindow::harmonic_mean() const {
-  if (count_ == 0) return 0.0;
-  double denom = 0.0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const double x = ring_[(head_ + i) % capacity_];
-    if (x <= 0.0) return 0.0;
-    denom += 1.0 / x;
-  }
-  return static_cast<double>(count_) / denom;
-}
-
-double SlidingWindow::last() const {
-  return count_ == 0 ? 0.0 : ring_[(head_ + count_ - 1) % capacity_];
-}
-
-double percentile_of(std::vector<double> values, double fraction) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = std::clamp(fraction, 0.0, 1.0) * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double jain_fairness(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (double x : values) {
-    sum += x;
-    sum_sq += x * x;
-  }
+double jain_fairness(double sum, double sq_sum, std::size_t n) {
+  if (n == 0) return 0.0;
   // All-zero allocations are equal allocations: call that fair rather than
   // dividing by zero.
-  if (sum_sq <= 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(values.size()) * sum_sq);
+  if (sq_sum <= 0.0) return 1.0;
+  return sum * sum / (static_cast<double>(n) * sq_sum);
 }
 
 namespace {
 
-/// Percentile of an already-sorted sample (percentile_of's interpolation).
+/// Percentile of an already-sorted, non-empty sample: linear interpolation
+/// at rank fraction · (n − 1).
 double sorted_percentile(const std::vector<double>& sorted, double fraction) {
   const double pos = std::clamp(fraction, 0.0, 1.0) *
                      static_cast<double>(sorted.size() - 1);

@@ -1,6 +1,6 @@
 // Streaming statistics primitives used by bandwidth estimators, metrics and
 // benchmarks: half-life EWMA (Shaka-style), sliding percentile
-// (ExoPlayer-style weighted), harmonic mean window.
+// (ExoPlayer-style weighted), sliding mean window.
 #pragma once
 
 #include <cstddef>
@@ -78,8 +78,8 @@ class SlidingPercentile {
   mutable bool result_stale_ = true;
 };
 
-/// Fixed-size window over the last N samples with arithmetic and harmonic
-/// means (dash.js ThroughputRule style).
+/// Fixed-size window over the last N samples with an arithmetic mean
+/// (dash.js ThroughputRule style).
 class SlidingWindow {
  public:
   explicit SlidingWindow(std::size_t capacity);
@@ -88,12 +88,9 @@ class SlidingWindow {
   void clear();
 
   [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] bool full() const { return count_ == capacity_; }
   /// Arithmetic mean, memoized between adds (dash.js samples it every tick
   /// via the session's bandwidth-estimate series).
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double harmonic_mean() const;
-  [[nodiscard]] double last() const;
 
  private:
   std::size_t capacity_;
@@ -107,13 +104,11 @@ class SlidingWindow {
   mutable bool mean_stale_ = true;
 };
 
-/// Percentile of an unsorted vector (copies + sorts). fraction in [0,1].
-double percentile_of(std::vector<double> values, double fraction);
-
-/// Jain's fairness index: (Σx)² / (n·Σx²) over non-negative allocations.
-/// 1.0 = perfectly fair (all equal, including all-zero), 1/n = one client
-/// hogs everything. Returns 0.0 for an empty vector.
-double jain_fairness(const std::vector<double>& values);
+/// Jain's fairness index (Σx)² / (n·Σx²) of n non-negative allocations,
+/// from their sum Σx and sum of squares Σx² (accumulated in allocation
+/// order). 1.0 = perfectly fair (all equal, including all-zero), 1/n = one
+/// client hogs everything. Returns 0.0 when n is 0.
+double jain_fairness(double sum, double sq_sum, std::size_t n);
 
 /// Order statistics of a sample in one pass: the fleet-report summary shape
 /// (per-client bitrate, stall-ratio, buffer-imbalance distributions).
@@ -129,8 +124,9 @@ struct PercentileSummary {
   double mean = 0.0;
 };
 
-/// Summarize an unsorted sample (copies + sorts once; percentiles are
-/// linearly interpolated, consistent with percentile_of).
+/// Summarize an unsorted sample (copies + sorts once). The percentile at
+/// `fraction` interpolates linearly between the order statistics around
+/// rank fraction · (n − 1).
 PercentileSummary summarize_percentiles(std::vector<double> values);
 
 }  // namespace demuxabr

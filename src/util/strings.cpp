@@ -51,20 +51,6 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string replace_all(std::string text, std::string_view from, std::string_view to) {
-  if (from.empty()) return text;
-  std::size_t pos = 0;
-  while ((pos = text.find(from, pos)) != std::string::npos) {
-    text.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  return text;
-}
-
 std::optional<std::int64_t> parse_int(std::string_view text) {
   text = trim(text);
   if (text.empty()) return std::nullopt;

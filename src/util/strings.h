@@ -19,10 +19,6 @@ std::vector<std::string> split_lines(std::string_view text);
 std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
-
-/// Case-sensitive replace of all occurrences.
-std::string replace_all(std::string text, std::string_view from, std::string_view to);
 
 /// Parse helpers returning nullopt on any syntax error / trailing garbage.
 std::optional<std::int64_t> parse_int(std::string_view text);

@@ -20,21 +20,6 @@ double TimeSeries::value_at(double t, double fallback) const {
   return std::prev(it)->value;
 }
 
-double TimeSeries::time_weighted_mean(double t0, double t1) const {
-  if (points_.empty() || t1 <= t0) return 0.0;
-  double area = 0.0;
-  double covered = 0.0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const double seg_start = std::max(points_[i].t, t0);
-    const double seg_end =
-        std::min(i + 1 < points_.size() ? points_[i + 1].t : t1, t1);
-    if (seg_end <= seg_start) continue;
-    area += points_[i].value * (seg_end - seg_start);
-    covered += (seg_end - seg_start);
-  }
-  return covered > 0.0 ? area / covered : 0.0;
-}
-
 double TimeSeries::min_value() const {
   if (points_.empty()) return 0.0;
   double m = points_.front().value;
@@ -47,14 +32,6 @@ double TimeSeries::max_value() const {
   double m = points_.front().value;
   for (const Point& p : points_) m = std::max(m, p.value);
   return m;
-}
-
-std::size_t TimeSeries::change_count() const {
-  std::size_t changes = 0;
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    if (points_[i].value != points_[i - 1].value) ++changes;
-  }
-  return changes;
 }
 
 TimeSeries TimeSeries::resample(double t0, double t1, double step) const {

@@ -34,15 +34,9 @@ class TimeSeries {
   /// Returns fallback before the first sample.
   [[nodiscard]] double value_at(double t, double fallback = 0.0) const;
 
-  /// Time-weighted mean over [t0, t1] under step interpolation.
-  [[nodiscard]] double time_weighted_mean(double t0, double t1) const;
-
   /// Minimum / maximum sampled value (0 when empty).
   [[nodiscard]] double min_value() const;
   [[nodiscard]] double max_value() const;
-
-  /// Number of times the (step) value changes across consecutive samples.
-  [[nodiscard]] std::size_t change_count() const;
 
   /// Resample onto a uniform grid [t0, t1] with the given step.
   [[nodiscard]] TimeSeries resample(double t0, double t1, double step) const;

@@ -27,8 +27,7 @@ namespace demuxabr {
 
 /// The per-slot QoE walk over the selection vectors.
 inline QoeReport walked_qoe(const SessionLog& log, const BitrateLadder& ladder,
-                            const std::vector<AvCombination>* allowed = nullptr,
-                            const QoeConfig& config = {}) {
+                            const std::vector<AvCombination>* allowed = nullptr) {
   QoeReport report;
   report.startup_delay_s = log.startup_delay_s;
   double total_stall_s = 0.0;
@@ -74,10 +73,10 @@ inline QoeReport walked_qoe(const SessionLog& log, const BitrateLadder& ladder,
     report.avg_video_kbps = video_sum / static_cast<double>(chunks);
     report.avg_audio_kbps = audio_sum / static_cast<double>(chunks);
   }
-  const double utility = video_sum + config.audio_weight * audio_sum;
-  const double penalty = config.stall_penalty_per_s * report.total_stall_s +
-                         config.startup_penalty_per_s * report.startup_delay_s +
-                         config.switch_penalty_kbps * switch_cost;
+  const double utility = video_sum + kQoeAudioWeight * audio_sum;
+  const double penalty = kQoeStallPenaltyPerS * report.total_stall_s +
+                         kQoeStartupPenaltyPerS * report.startup_delay_s +
+                         kQoeSwitchPenaltyKbps * switch_cost;
   report.qoe_score =
       chunks > 0 ? (utility - penalty) / static_cast<double>(chunks) : 0.0;
   return report;

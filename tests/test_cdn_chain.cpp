@@ -136,7 +136,6 @@ TEST_F(CdnChainTest, StatsAddUp) {
   // With unbounded caches the regional tier never gets hit (the edge holds
   // everything it ever saw).
   EXPECT_EQ(stats.regional_hits, 0);
-  EXPECT_NEAR(stats.hit_ratio() + stats.origin_fetch_ratio(), 1.0, 1e-12);
 }
 
 TEST_F(CdnChainTest, DemuxedBeatsMuxedAcrossTheChain) {

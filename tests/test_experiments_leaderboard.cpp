@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -222,6 +224,22 @@ TEST(BuildLeaderboard, RejectsUnknownNames) {
   config = small_config(1);
   config.players = {"no-such-player"};
   EXPECT_THROW(build_leaderboard({}, config), std::invalid_argument);
+}
+
+TEST(CollectSamples, RejectsReplicationsBelowOneAndBadDurations) {
+  for (const int replications : {0, -1}) {
+    LeaderboardConfig config = small_config(1);
+    config.replications = replications;
+    EXPECT_THROW(collect_samples(config), std::invalid_argument)
+        << "replications=" << replications;
+  }
+  for (const double duration : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    LeaderboardConfig config = small_config(1);
+    config.trace_duration_s = duration;
+    EXPECT_THROW(collect_samples(config), std::invalid_argument)
+        << "trace_duration_s=" << duration;
+  }
 }
 
 // --- 3. End-to-end determinism + emitters. ---

@@ -26,6 +26,7 @@
 #include "net/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
+#include "util/strings.h"
 
 namespace demuxabr::fleet {
 namespace {
@@ -855,6 +856,75 @@ TEST(Population, SimultaneousArrivalsAllZero) {
   for (const ClientPlan& plan : plan_population(config)) {
     EXPECT_EQ(plan.arrival_s, 0.0);
     EXPECT_TRUE(std::isinf(plan.leave_at_s));
+  }
+}
+
+TEST(Population, RejectsConfigsItCannotExpand) {
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(3000.0), "bad-population");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, FleetConfig>> cases;
+  const auto add = [&cases](std::string what, FleetConfig config) {
+    cases.emplace_back(std::move(what), std::move(config));
+  };
+  FleetConfig no_players = base_config(6);
+  no_players.players.clear();
+  add("no players", no_players);
+  add("negative client_count", base_config(-1));
+  for (const double rate : {0.0, -1.0, nan, inf}) {
+    FleetConfig config = base_config(6);
+    config.arrivals = ArrivalProcess::kPoisson;
+    config.arrival_rate_per_s = rate;
+    add(format("poisson rate %g", rate), config);
+  }
+  for (const double interval : {-1.0, nan, inf}) {
+    FleetConfig config = base_config(6);
+    config.arrivals = ArrivalProcess::kDeterministic;
+    config.arrival_interval_s = interval;
+    add(format("deterministic interval %g", interval), config);
+  }
+  for (const double probability : {-0.1, 1.5, nan}) {
+    FleetConfig config = base_config(6);
+    config.churn.leave_probability = probability;
+    add(format("leave probability %g", probability), config);
+  }
+  for (const auto& [min_s, max_s] : std::vector<std::pair<double, double>>{
+           {120.0, 30.0}, {-1.0, 30.0}, {nan, 30.0}, {30.0, inf}}) {
+    FleetConfig config = base_config(6);
+    config.churn.leave_probability = 0.5;
+    config.churn.min_watch_s = min_s;
+    config.churn.max_watch_s = max_s;
+    add(format("watch window [%g, %g]", min_s, max_s), config);
+  }
+
+  // Three disjoint chains: at 2 threads run_fleet takes the shard runner.
+  TopologySpec chains;
+  for (int c = 0; c < 3; ++c) {
+    const std::size_t edge =
+        chains.add_link(format("edge-%d", c), BandwidthTrace::constant(3000.0));
+    const std::size_t core =
+        chains.add_link(format("core-%d", c), BandwidthTrace::constant(3000.0));
+    chains.add_path(format("chain-%d", c), {edge, core});
+  }
+  chains.video_assignment = TopologySpec::block_assignment(3, 2);
+
+  ReplicationOptions replications;
+  replications.replications = 2;
+  replications.threads = 2;
+  for (const auto& [what, config] : cases) {
+    SCOPED_TRACE(what);
+    EXPECT_THROW(plan_population(config), std::invalid_argument);
+    EXPECT_THROW(run_fleet(setup.content, setup.view, setup.trace, config),
+                 std::invalid_argument);
+    FleetConfig sharded = config;
+    sharded.topology = chains;
+    sharded.threads = 2;
+    EXPECT_THROW(run_fleet(setup.content, setup.view, setup.trace, sharded),
+                 std::invalid_argument);
+    EXPECT_THROW(run_replications(setup.content, setup.view, setup.trace, config,
+                                  replications),
+                 std::invalid_argument);
   }
 }
 

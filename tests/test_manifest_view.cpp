@@ -98,28 +98,6 @@ TEST_F(ViewTest, ByteRangePlaylistsAlsoUpgradeView) {
   EXPECT_NEAR(view.find_track("V5")->avg_kbps, 1421.0, 1421.0 * 0.02);
 }
 
-TEST_F(ViewTest, PairBandwidthFromComboList) {
-  const ManifestView view = view_from_hls(build_hsub_master(content_), nullptr);
-  const auto bandwidth = view.pair_bandwidth_kbps("V3", "A2");
-  ASSERT_TRUE(bandwidth.has_value());
-  EXPECT_DOUBLE_EQ(*bandwidth, 840.0);
-  // Unlisted pair with unknown track bitrates -> nullopt.
-  EXPECT_FALSE(view.pair_bandwidth_kbps("V3", "A3").has_value());
-}
-
-TEST_F(ViewTest, PairBandwidthFromTrackSumsInDash) {
-  const ManifestView view = view_from_mpd(build_dash_mpd(content_));
-  const auto bandwidth = view.pair_bandwidth_kbps("V3", "A3");
-  ASSERT_TRUE(bandwidth.has_value());
-  EXPECT_DOUBLE_EQ(*bandwidth, 473.0 + 384.0);
-}
-
-TEST_F(ViewTest, PairListed) {
-  const ManifestView view = view_from_hls(build_hsub_master(content_), nullptr);
-  EXPECT_TRUE(view.pair_listed("V1", "A1"));
-  EXPECT_FALSE(view.pair_listed("V1", "A3"));
-}
-
 TEST_F(ViewTest, CombosSortedAscending) {
   const ManifestView view = view_from_hls(build_hall_master(content_), nullptr);
   const auto sorted = view.combos_sorted();

@@ -109,14 +109,6 @@ TEST(Combinations, FindAndContains) {
   EXPECT_FALSE(find_combination(combos, "V1", "A3").has_value());
 }
 
-TEST(Combinations, SortByDeclared) {
-  auto combos = all_combinations(youtube_drama_ladder());
-  sort_by_declared(combos);
-  for (std::size_t i = 1; i < combos.size(); ++i) {
-    EXPECT_LE(combos[i - 1].declared_kbps, combos[i].declared_kbps);
-  }
-}
-
 TEST(Combinations, EqualityIsByTrackIds) {
   const BitrateLadder ladder = youtube_drama_ladder();
   EXPECT_TRUE(make_combination(ladder, "V1", "A1") == make_combination(ladder, "V1", "A1"));

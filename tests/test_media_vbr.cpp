@@ -40,7 +40,7 @@ TEST(VbrModel, NoChunkBelowFloor) {
   const TrackInfo track = youtube_drama_ladder().video()[3];  // V4, bursty
   VbrModelParams params;
   for (const ChunkInfo& chunk : generate_chunks(track, 200, 4.0, params)) {
-    EXPECT_GE(chunk.bitrate_kbps(), track.avg_kbps * params.min_ratio * 0.999);
+    EXPECT_GE(chunk.bitrate_kbps(), track.avg_kbps * VbrModelParams::kMinRatio * 0.999);
   }
 }
 

@@ -157,7 +157,6 @@ TEST(Link, UtilizationIntegralsCoverIdleTime) {
 
 TEST(Network, SharedLinkIsSameObject) {
   const Network net = Network::shared(BandwidthTrace::constant(700.0));
-  EXPECT_TRUE(net.is_shared());
   EXPECT_EQ(&net.link_for(true), &net.link_for(false));
   net.link_for(true).add_flow(0.0);
   EXPECT_EQ(net.link_for(false).active_flows(), 1);
@@ -166,7 +165,7 @@ TEST(Network, SharedLinkIsSameObject) {
 TEST(Network, SplitLinksAreIndependent) {
   const Network net = Network::split(BandwidthTrace::constant(700.0),
                                      BandwidthTrace::constant(200.0));
-  EXPECT_FALSE(net.is_shared());
+  EXPECT_NE(&net.link_for(true), &net.link_for(false));
   net.link_for(true).add_flow(0.0);
   EXPECT_EQ(net.link_for(false).active_flows(), 0);
   net.link_for(false).add_flow(0.0);

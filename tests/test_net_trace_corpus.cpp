@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,22 @@ TEST(TraceCorpus, RegistryHasCanonicalOrder) {
     EXPECT_EQ(find_trace_class(tc.name), &tc);
   }
   EXPECT_EQ(find_trace_class("no-such-class"), nullptr);
+}
+
+TEST(TraceCorpus, GeneratorsRejectDurationsThatAreNotFiniteAndPositive) {
+  for (const TraceClass& tc : trace_class_registry()) {
+    for (const double duration : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity()}) {
+      SCOPED_TRACE(testing::Message() << tc.name << " duration " << duration);
+      try {
+        (void)tc.generate(duration, 7);
+        ADD_FAILURE() << "no exception";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("duration_s"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(TraceCorpus, GeneratorsAreDistinct) {

@@ -553,7 +553,7 @@ TEST(TelemetryReport, EmptyIncidentListSaysSo) {
 TEST(DetectIncidents, EmitsTracerInstantsPerIncident) {
   const FleetTimeline timeline = stall_timeline({0, 4, 5, 0});
   Tracer tracer(kCatEngine);
-  const std::vector<Incident> incidents = detect_incidents(timeline, {}, &tracer);
+  const std::vector<Incident> incidents = detect_incidents(timeline, &tracer);
   ASSERT_EQ(incidents.size(), 1u);
   CaptureSink sink;
   tracer.drain_to(sink);

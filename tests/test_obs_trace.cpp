@@ -620,7 +620,7 @@ TEST(Tracer, ReplicationTraceIsIdenticalAtAnyThreadCount) {
   for (int r = 0; r < options.replications; ++r) {
     Tracer alone;
     FleetConfig config = trace_fleet_config();
-    config.seed += static_cast<std::uint64_t>(r) * options.seed_stride;
+    config.seed += static_cast<std::uint64_t>(r);
     config.session.tracer = &alone;
     fleet::run_fleet(setup.content, setup.view, bottleneck, config);
     EXPECT_GT(alone.event_count(), 0u);

@@ -234,16 +234,6 @@ TEST(Qoe, HigherBitrateRaisesScore) {
   EXPECT_GT(compute_qoe(high).qoe_score, compute_qoe(low).qoe_score);
 }
 
-TEST(Qoe, AudioWeightScalesAudioContribution) {
-  const SessionLog log = record_log();
-  QoeConfig heavy;
-  heavy.audio_weight = 2.0;
-  QoeConfig none;
-  none.audio_weight = 0.0;
-  EXPECT_GT(compute_qoe(log, nullptr, heavy).qoe_score,
-            compute_qoe(log, nullptr, none).qoe_score);
-}
-
 TEST(Qoe, EmptyLogIsAllZero) {
   SessionLog log;
   const QoeReport report = compute_qoe(log);

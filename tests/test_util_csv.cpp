@@ -13,7 +13,6 @@ TEST(CsvWriter, HeaderAndRows) {
   writer.cell(std::int64_t{1}).cell("800").end_row();
   const std::string text = writer.to_string();
   EXPECT_EQ(text, "t,kbps\n0,500\n1,800\n");
-  EXPECT_EQ(writer.row_count(), 2u);
 }
 
 TEST(CsvWriter, QuotesCellsWithCommasAndQuotes) {

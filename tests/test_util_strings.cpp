@@ -61,14 +61,6 @@ TEST(Trim, StripsBothEnds) {
 TEST(StartsEndsWith, Basics) {
   EXPECT_TRUE(starts_with("#EXTM3U", "#EXT"));
   EXPECT_FALSE(starts_with("#EX", "#EXT"));
-  EXPECT_TRUE(ends_with("V3.m3u8", ".m3u8"));
-  EXPECT_FALSE(ends_with("m3u8", "x.m3u8"));
-}
-
-TEST(ReplaceAll, MultipleOccurrences) {
-  EXPECT_EQ(replace_all("a-b-c", "-", "+"), "a+b+c");
-  EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");  // non-overlapping, left to right
-  EXPECT_EQ(replace_all("abc", "", "x"), "abc");   // empty needle is a no-op
 }
 
 TEST(ParseInt, ValidValues) {

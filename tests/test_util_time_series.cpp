@@ -28,28 +28,10 @@ TEST(TimeSeries, ValueBeforeFirstSampleUsesFallback) {
   EXPECT_DOUBLE_EQ(empty.value_at(3.0, 7.0), 7.0);
 }
 
-TEST(TimeSeries, TimeWeightedMean) {
-  const TimeSeries s = make_series();
-  // [0,5): 10, [5,10): 20 -> mean over [0,10) = 15.
-  EXPECT_NEAR(s.time_weighted_mean(0.0, 10.0), 15.0, 1e-12);
-  // [5,15): 20 for 5s, 5 for 5s -> 12.5.
-  EXPECT_NEAR(s.time_weighted_mean(5.0, 15.0), 12.5, 1e-12);
-}
-
 TEST(TimeSeries, MinMaxAndChanges) {
   const TimeSeries s = make_series();
   EXPECT_DOUBLE_EQ(s.min_value(), 5.0);
   EXPECT_DOUBLE_EQ(s.max_value(), 20.0);
-  EXPECT_EQ(s.change_count(), 2u);
-}
-
-TEST(TimeSeries, ChangeCountIgnoresRepeats) {
-  TimeSeries s;
-  s.add(0.0, 1.0);
-  s.add(1.0, 1.0);
-  s.add(2.0, 2.0);
-  s.add(3.0, 2.0);
-  EXPECT_EQ(s.change_count(), 1u);
 }
 
 TEST(TimeSeries, ResampleOntoGrid) {
@@ -74,8 +56,6 @@ TEST(TimeSeries, EmptyBehaviour) {
   EXPECT_TRUE(s.empty());
   EXPECT_DOUBLE_EQ(s.min_value(), 0.0);
   EXPECT_DOUBLE_EQ(s.max_value(), 0.0);
-  EXPECT_EQ(s.change_count(), 0u);
-  EXPECT_DOUBLE_EQ(s.time_weighted_mean(0.0, 10.0), 0.0);
 }
 
 }  // namespace
