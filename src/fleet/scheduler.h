@@ -147,9 +147,9 @@ struct FleetReplication {
 /// Run `options.replications` independent fleets (same config; replication
 /// r runs with seed config.seed + r), fanned out by fan_out_ordered.
 /// Results come back in replication order and are byte-identical for every
-/// thread count. A traced config
-/// (`config.session.tracer`) traces each replication into a Tracer of its
-/// own and appends them in replication order, so the trace is too.
+/// thread count. A traced config (`config.session.tracer`) traces each
+/// replication into a Tracer of its own and appends them in replication
+/// order, so the trace is too.
 std::vector<FleetReplication> run_replications(const Content& content,
                                                const ManifestView& view,
                                                const BandwidthTrace& bottleneck,

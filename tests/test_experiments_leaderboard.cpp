@@ -7,7 +7,8 @@
 //  2. build_leaderboard: canonical aggregation — shuffled sample orders and
 //     permuted config subsets produce byte-identical JSON; rankings are
 //     total orders (each a permutation of the players) sorted the right
-//     direction per metric.
+//     direction per metric; collect_samples rejects fewer than one
+//     replication and a trace duration that is not finite and > 0.
 //  3. run_leaderboard end-to-end on a small grid: byte-identical
 //     BENCH_leaderboard.json across threads {1, 2, 8}, the fleet axis
 //     populates the fairness metric, and the CSV/markdown emitters agree

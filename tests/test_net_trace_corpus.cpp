@@ -1,7 +1,8 @@
 // Statistical/property battery for the bandwidth-trace corpus
 // (net/trace_corpus.h), in four tiers:
 //
-//  1. Registry sanity: canonical class order, lookup, distinct generators.
+//  1. Registry sanity: canonical class order, lookup, distinct generators,
+//     and every generator rejects a duration that is not finite and > 0.
 //  2. Per-class properties over many seeds: the declared statistical
 //     envelope holds (rate floor/ceiling, mean band, CV band, boundary
 //     density, max dwell), generation is seed-deterministic (same seed →
